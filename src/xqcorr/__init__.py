@@ -10,7 +10,6 @@ Basis convention: {|11>, |10>, |01>, |00>} -- see :mod:`xqcorr.states`.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND, USING_NUMBA
 from .closest import (
     CaseId,
     CaseLabel,
@@ -73,4 +72,3 @@ from .states import (
     state_to_json_dict,
     x_params_to_bloch,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances

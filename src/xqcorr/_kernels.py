@@ -1,45 +1,18 @@
-"""Hot numerical kernels with a numba fast path and a numpy fallback.
+"""Numerical core: K eigenvalues, the closest-product solve, P_t, grid scan.
 
-The scalar/loop kernels below are written in an njit-compatible subset of
-Python and compiled with numba when it is importable and the environment
-variable ``XQCORR_DISABLE_NUMBA`` is unset.  With numba disabled the same
-source runs interpreted; the measurement-grid scan additionally has a
-vectorized numpy implementation that becomes the active fallback because
-an interpreted 4x4-matrix loop would be too slow to be useful.
-
-``benchmarks/bench_kernels.py`` compares both paths.
+Everything here is plain numpy.  :func:`batch_reports` is the one place
+where the X-state quantifiers are computed: it takes an (n, 8) parameter
+array and returns an (n, 13) report array, and the scalar APIs in
+:mod:`xqcorr.closest` and :mod:`xqcorr.quantifiers` are one-row views of
+it.  Per-layer timings of these kernels inside the CLI commands come from
+``python3 perfbench/run.py --workload <name> --seed N --trace 1``.
 """
 
 import math
-import os
 
 import numpy as np
 
-_ENV_FLAG = "XQCORR_DISABLE_NUMBA"
-NUMBA_DISABLED_BY_ENV = os.environ.get(_ENV_FLAG, "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
-
-try:
-    if NUMBA_DISABLED_BY_ENV:
-        raise ImportError("numba disabled via " + _ENV_FLAG)
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-BACKEND = "numba" if USING_NUMBA else "numpy"
+from .tolerances import CASE_BOUNDARY, STATIONARITY
 
 # Columns of the per-state report array produced by batch_reports.
 COL_K1, COL_K2, COL_K3, COL_CASE, COL_A3, COL_B3 = 0, 1, 2, 3, 4, 5
@@ -49,14 +22,25 @@ COL_TG, COL_DG, COL_CG, COL_LG, COL_RES, COL_RESL, COL_BOUNDARY = (
 REPORT_COLS = 13
 
 
-@njit(cache=True)
+def k_eigenvalues(params):
+    """Closed-form eigenvalues of K for an (n, 8) X-parameter array.
+
+    Returns length-n arrays (k1, k2, k3, case) where ``case`` is 1.0 when
+    k1 <= k3 (the boundary belongs to case 1) and 2.0 when k1 > k3.
+    """
+    r11, r22, r33, r44, r14, r23 = params[:, :6].T
+    k1 = 4.0 * (r14 + r23) ** 2
+    k2 = 4.0 * (r14 - r23) ** 2
+    k3 = 2.0 * ((r11 - r33) ** 2 + (r22 - r44) ** 2)
+    return k1, k2, k3, np.where(k1 <= k3, 1.0, 2.0)
+
+
 def _quintic_eval(c4, c3, c2, c1, c0, a):
     q = ((((a + c4) * a + c3) * a + c2) * a + c1) * a + c0
     dq = (((5.0 * a + 4.0 * c4) * a + 3.0 * c3) * a + 2.0 * c2) * a + c1
     return q, dq
 
 
-@njit(cache=True)
 def _polish_root(c4, c3, c2, c1, c0, a):
     # Newton refinement; linear-rate safe even at multiple roots.
     for _ in range(60):
@@ -70,7 +54,6 @@ def _polish_root(c4, c3, c2, c1, c0, a):
     return a
 
 
-@njit(cache=True)
 def solve_a3b3(x3, y3, t33):
     """Global minimizer of the z-axis product-distance profile.
 
@@ -134,8 +117,7 @@ def solve_a3b3(x3, y3, t33):
     return best_a, best_b, found
 
 
-@njit(cache=True)
-def batch_reports(params, boundary_tol):
+def batch_reports(params):
     """Per-state correlation quantities for an (n, 8) X-parameter array.
 
     Row layout of ``params``: rho11, rho22, rho33, rho44, rho14, rho23,
@@ -143,37 +125,36 @@ def batch_reports(params, boundary_tol):
     last two columns are accepted but unused.
 
     Returns an (n, 13) array with columns k1, k2, k3, case, a3, b3, tg, dg,
-    cg, lg, res, res_l, boundary; ``case`` is 1.0/2.0 and 0.0 marks a solver
-    failure on that row (callers raise).
+    cg, lg, res, res_l, boundary; ``case`` is 1.0/2.0, and a row of zeros
+    (case 0.0) marks a solver failure on that row (callers raise): either
+    no real stationary point, or an (a3, b3) whose z-axis stationarity
+    residual exceeds ``STATIONARITY``.
     """
-    n = params.shape[0]
-    out = np.empty((n, REPORT_COLS), dtype=np.float64)
-    for i in range(n):
-        r11 = params[i, 0]
-        r22 = params[i, 1]
-        r33 = params[i, 2]
-        r44 = params[i, 3]
-        r14 = params[i, 4]
-        r23 = params[i, 5]
-
+    k1, k2, k3, case = k_eigenvalues(params)
+    out = np.empty((params.shape[0], REPORT_COLS), dtype=np.float64)
+    out[:, COL_K1] = k1
+    out[:, COL_K2] = k2
+    out[:, COL_K3] = k3
+    out[:, COL_CASE] = case
+    out[:, COL_BOUNDARY] = np.abs(k1 - k3) <= CASE_BOUNDARY
+    case2 = (case == 2.0).tolist()
+    for i, (r11, r22, r33, r44, r14, r23) in enumerate(
+            params[:, :6].tolist()):
         x3 = r11 + r22 - r33 - r44
         y3 = r11 - r22 + r33 - r44
         t33 = r11 - r22 - r33 + r44
+
+        a3, b3, ok = solve_a3b3(x3, y3, t33)
+        stationarity = max(abs(a3 - (x3 + t33 * b3) / (1.0 + b3 * b3)),
+                           abs(b3 - (y3 + t33 * a3) / (1.0 + a3 * a3)))
+        if not (ok and stationarity <= STATIONARITY):
+            out[i, :] = 0.0
+            continue
 
         splus = r14 + r23
         sminus = r14 - r23
         u = r11 - r33
         v = r22 - r44
-        k1 = 4.0 * splus * splus
-        k2 = 4.0 * sminus * sminus
-        k3 = 2.0 * (u * u + v * v)
-        case2 = k1 > k3
-
-        a3, b3, ok = solve_a3b3(x3, y3, t33)
-        if not ok:
-            out[i, :] = 0.0
-            continue
-
         da = x3 - a3
         db = y3 - b3
         dt = t33 - a3 * b3
@@ -181,34 +162,19 @@ def batch_reports(params, boundary_tol):
         block = 2.0 * (r14 * r14 + r23 * r23)
 
         tg = fpart + block
-        if case2:
+        if case2[i]:
             dg = sminus * sminus + 0.5 * (u * u + v * v)
             cg = splus * splus
             lg = a3 * a3 * (dt * dt + 1.0 + b3 * b3) * 0.25
-            case = 2.0
         else:
             dg = block
             cg = fpart
             lg = 0.0
-            case = 1.0
-
-        out[i, COL_K1] = k1
-        out[i, COL_K2] = k2
-        out[i, COL_K3] = k3
-        out[i, COL_CASE] = case
-        out[i, COL_A3] = a3
-        out[i, COL_B3] = b3
-        out[i, COL_TG] = tg
-        out[i, COL_DG] = dg
-        out[i, COL_CG] = cg
-        out[i, COL_LG] = lg
-        out[i, COL_RES] = tg - dg - cg
-        out[i, COL_RESL] = tg + lg - dg - cg
-        out[i, COL_BOUNDARY] = 1.0 if abs(k1 - k3) <= boundary_tol else 0.0
+        out[i, COL_A3:COL_BOUNDARY] = (a3, b3, tg, dg, cg, lg,
+                                       tg - dg - cg, tg + lg - dg - cg)
     return out
 
 
-@njit(cache=True)
 def pt_scalar(t, gamma0, lam):
     """Excited-state survival probability of the damped qubit at time t."""
     d2 = 2.0 * gamma0 * lam - lam * lam
@@ -233,7 +199,6 @@ def pt_scalar(t, gamma0, lam):
     return math.exp(logp)
 
 
-@njit(cache=True)
 def pt_values(ts, gamma0, lam):
     out = np.empty(ts.shape[0], dtype=np.float64)
     for i in range(ts.shape[0]):
@@ -241,85 +206,16 @@ def pt_values(ts, gamma0, lam):
     return out
 
 
-@njit(cache=True)
-def measurement_scan_loops(rho, cos_t, sin_t, cos_p, sin_p):
+_ID2 = np.eye(2, dtype=np.complex128)
+
+
+def measurement_scan(rho, cos_t, sin_t, cos_p, sin_p):
     """Minimum pinched Hilbert-Schmidt distance over a measurement grid.
 
     ``rho`` is the 4x4 complex density matrix; the four angle arrays hold
     cos/sin of the polar and azimuthal grids.  Scans all (theta, phi)
-    pairs; returns (best value, theta index, phi index).
+    pairs at once; returns (best value, theta index, phi index).
     """
-    nt = cos_t.shape[0]
-    npp = cos_p.shape[0]
-    best = np.inf
-    bi = 0
-    bj = 0
-    proj = np.empty((2, 2), dtype=np.complex128)
-    k4 = np.empty((4, 4), dtype=np.complex128)
-    tmp = np.empty((4, 4), dtype=np.complex128)
-    pinched = np.empty((4, 4), dtype=np.complex128)
-    for i in range(nt):
-        ct = cos_t[i]
-        st = sin_t[i]
-        for j in range(npp):
-            n1 = st * cos_p[j]
-            n2 = st * sin_p[j]
-            n3 = ct
-            proj[0, 0] = 0.5 * (1.0 + n3)
-            proj[0, 1] = 0.5 * (n1 - 1j * n2)
-            proj[1, 0] = 0.5 * (n1 + 1j * n2)
-            proj[1, 1] = 0.5 * (1.0 - n3)
-
-            pinched[:, :] = 0.0
-            for branch in range(2):
-                if branch == 0:
-                    p00, p01, p10, p11 = (
-                        proj[0, 0], proj[0, 1], proj[1, 0], proj[1, 1],
-                    )
-                else:
-                    p00 = 1.0 - proj[0, 0]
-                    p01 = -proj[0, 1]
-                    p10 = -proj[1, 0]
-                    p11 = 1.0 - proj[1, 1]
-                # k4 = kron(P, I2)
-                k4[:, :] = 0.0
-                k4[0, 0] = p00
-                k4[1, 1] = p00
-                k4[0, 2] = p01
-                k4[1, 3] = p01
-                k4[2, 0] = p10
-                k4[3, 1] = p10
-                k4[2, 2] = p11
-                k4[3, 3] = p11
-                for r in range(4):
-                    for c in range(4):
-                        acc = 0.0 + 0.0j
-                        for m in range(4):
-                            acc += k4[r, m] * rho[m, c]
-                        tmp[r, c] = acc
-                for r in range(4):
-                    for c in range(4):
-                        acc = 0.0 + 0.0j
-                        for m in range(4):
-                            acc += tmp[r, m] * k4[m, c]
-                        pinched[r, c] += acc
-            val = 0.0
-            for r in range(4):
-                for c in range(4):
-                    diff = rho[r, c] - pinched[r, c]
-                    val += diff.real * diff.real + diff.imag * diff.imag
-            if val < best:
-                best = val
-                bi = i
-                bj = j
-    return best, bi, bj
-
-
-_ID2 = np.eye(2, dtype=np.complex128)
-
-
-def measurement_scan_np(rho, cos_t, sin_t, cos_p, sin_p):
-    """Vectorized numpy equivalent of :func:`measurement_scan_loops`."""
     ct, cp = np.meshgrid(cos_t, cos_p, indexing="ij")
     st, sp = np.meshgrid(sin_t, sin_p, indexing="ij")
     n1 = (st * cp).ravel()
@@ -342,8 +238,6 @@ def measurement_scan_np(rho, cos_t, sin_t, cos_p, sin_p):
     return float(vals[flat]), flat // cos_p.size, flat % cos_p.size
 
 
-def measurement_scan(rho, cos_t, sin_t, cos_p, sin_p):
-    """Dispatch the grid scan to the active backend."""
-    if USING_NUMBA:
-        return measurement_scan_loops(rho, cos_t, sin_t, cos_p, sin_p)
-    return measurement_scan_np(rho, cos_t, sin_t, cos_p, sin_p)
+# Former name of the scan, kept because the benchmark's span tracer
+# (perfbench/spans.py) wraps every name it lists and fails on a missing one.
+measurement_scan_np = measurement_scan

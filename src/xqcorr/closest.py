@@ -1,11 +1,11 @@
 """Closest product and closest classical states of two-qubit X states.
 
 The closest product state of an X state is diagonal along sigma_3 on both
-sides; its (a3, b3) parameters solve a coupled fixed-point system that this
-module reduces to a monic quintic and solves globally.  The closest
-classical state comes in two closed forms selected by the spectrum of
-K = x x^T + T T^T.  A derivative-free 6-parameter minimizer over arbitrary
-product states doubles as an independent numerical oracle.
+sides; its (a3, b3) parameters solve a coupled fixed-point system that
+reduces to a monic quintic, solved globally in :mod:`xqcorr._kernels`.
+The closest classical state comes in two closed forms selected by the
+spectrum of K = x x^T + T T^T.  A derivative-free 6-parameter minimizer
+over arbitrary product states doubles as an independent numerical oracle.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from .states import (
     PAULI,
     XStateParams,
     bloch_decompose,
-    x_params_to_bloch,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import BLOCH_BOUND, ORACLE_RESIDUAL
 
 
 class CaseId(enum.IntEnum):
@@ -68,12 +67,11 @@ class ProductPair:
     b: np.ndarray
 
     def __post_init__(self):
-        tol = DEFAULT_TOLERANCES.bloch_bound
         for name in ("a", "b"):
             arr = np.array(getattr(self, name), dtype=np.float64).reshape(3)
             if not np.all(np.isfinite(arr)):
                 raise InvalidStateError("non-finite Bloch vector")
-            if np.linalg.norm(arr) > 1.0 + tol:
+            if np.linalg.norm(arr) > 1.0 + BLOCH_BOUND:
                 raise InvalidStateError(
                     "Bloch vector %s has norm %.12f > 1" % (name, np.linalg.norm(arr))
                 )
@@ -89,13 +87,12 @@ class ProductPair:
 def k_eigenvalues_x(p: XStateParams) -> CaseLabel:
     """Closed-form eigenvalues of K for an X state, with case assignment.
 
-    The boundary k1 == k3 belongs to case 1.
+    One-row view of :func:`xqcorr._kernels.k_eigenvalues`; the boundary
+    k1 == k3 belongs to case 1.
     """
-    k1 = 4.0 * (p.rho14 + p.rho23) ** 2
-    k2 = 4.0 * (p.rho14 - p.rho23) ** 2
-    k3 = 2.0 * ((p.rho11 - p.rho33) ** 2 + (p.rho22 - p.rho44) ** 2)
-    case = CaseId.CASE1 if k1 <= k3 else CaseId.CASE2
-    return CaseLabel(case, k1, k2, k3)
+    k1, k2, k3, case = _kernels.k_eigenvalues(p.as_array()[None, :])
+    return CaseLabel(CaseId(int(case[0])), float(k1[0]), float(k2[0]),
+                     float(k3[0]))
 
 
 def k_matrix_general(b: BlochForm):
@@ -122,33 +119,29 @@ def stationarity_residual(b: BlochForm, pair: ProductPair) -> float:
     return float(max(np.max(np.abs(ra)), np.max(np.abs(rb))))
 
 
-def solve_a3b3(x3: float, y3: float, t33: float):
-    """Global minimizer (a3, b3) of the z-axis product-distance profile."""
-    a3, b3, ok = _kernels.solve_a3b3(float(x3), float(y3), float(t33))
-    if not ok:
+def x_report_row(p: XStateParams) -> np.ndarray:
+    """One-row :func:`xqcorr._kernels.batch_reports` of an X state.
+
+    Raises :class:`SolverFailureError` when the closest-product solve
+    failed on the row.
+    """
+    row = _kernels.batch_reports(p.as_array()[None, :])[0]
+    if row[_kernels.COL_CASE] == 0.0:
         raise SolverFailureError(
-            "no real stationary point for (x3, y3, T33) = (%g, %g, %g)"
-            % (x3, y3, t33)
+            "closest-product solver failed for %r" % (p,)
         )
-    return a3, b3
+    return row
 
 
-def closest_product_x(p: XStateParams,
-                      tols: Tolerances = DEFAULT_TOLERANCES) -> ProductPair:
+def closest_product_x(p: XStateParams) -> ProductPair:
     """Product state closest to an X state in squared HS distance.
 
     Both Bloch vectors point along the z axis; (a3, b3) is the global
     minimizer among all real solutions of the stationarity system.
     """
-    b = x_params_to_bloch(p)
-    a3, b3 = solve_a3b3(b.x[2], b.y[2], b.T[2, 2])
-    pair = ProductPair((0.0, 0.0, a3), (0.0, 0.0, b3))
-    res = stationarity_residual(b, pair)
-    if res > tols.stationarity:
-        raise SolverFailureError(
-            "stationarity residual %.3e exceeds %.1e" % (res, tols.stationarity)
-        )
-    return pair
+    row = x_report_row(p)
+    return ProductPair((0.0, 0.0, row[_kernels.COL_A3]),
+                       (0.0, 0.0, row[_kernels.COL_B3]))
 
 
 def closest_classical_x(p: XStateParams) -> XStateParams:
@@ -248,17 +241,17 @@ def _alternating_polish(x, y, T, a, b, iters=5000):
     return a, b
 
 
-def closest_product_general(rho, seed: int = 0, n_starts: int = 32,
-                            tols: Tolerances = DEFAULT_TOLERANCES) -> ProductPair:
+def closest_product_general(rho, seed: int = 0,
+                            n_starts: int = 32) -> ProductPair:
     """Numerically minimize the product-state distance over all (a, b).
 
     Multi-start Nelder-Mead seeded with the marginals' Bloch vectors plus
     ``n_starts`` pseudorandom points in [-1, 1]^6, followed by fixed-point
     refinement of the stationarity system.  Raises
     :class:`ConvergenceFailureError` (with the best pair attached) when the
-    fixed-point residual stays above ``tols.oracle_residual``.
+    fixed-point residual stays above ``ORACLE_RESIDUAL``.
     """
-    b = bloch_decompose(rho, tols)
+    b = bloch_decompose(rho)
     x, y, T = b.x.copy(), b.y.copy(), b.T.copy()
     fun = _objective(x, y, T)
 
@@ -290,9 +283,9 @@ def closest_product_general(rho, seed: int = 0, n_starts: int = 32,
     np.clip(a_best, -1.0, 1.0, out=a_best)
     np.clip(b_best, -1.0, 1.0, out=b_best)
     pair = ProductPair(a_best, b_best)
-    if residual > tols.oracle_residual:
+    if residual > ORACLE_RESIDUAL:
         raise ConvergenceFailureError(
-            "fixed-point residual %.3e exceeds %.1e" % (residual, tols.oracle_residual),
+            "fixed-point residual %.3e exceeds %.1e" % (residual, ORACLE_RESIDUAL),
             best=pair,
         )
     return pair

@@ -23,7 +23,6 @@ import numpy as np
 from . import _kernels
 from .quantifiers import CorrelationReport, quantifiers_x
 from .states import XStateParams
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 TRAJECTORY_CSV_HEADER = (
     "t,rho11,rho22,rho33,rho44,rho14,rho23,k1,k3,tg,dg,cg,lg,case"
@@ -85,8 +84,7 @@ def _propagate(initial: XStateParams, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve(cfg: DynamicsConfig,
-           tols: Tolerances = DEFAULT_TOLERANCES):
+def evolve(cfg: DynamicsConfig):
     """Trajectory on a uniform grid of ``cfg.steps`` times in [0, t_max].
 
     Every point carries the evolved state (validated), the two competing
@@ -98,7 +96,7 @@ def evolve(cfg: DynamicsConfig,
     points = []
     for tau, row in zip(taus, params):
         state = XStateParams(*row)
-        report = quantifiers_x(state, tols)
+        report = quantifiers_x(state)
         points.append(TrajectoryPoint(
             t=float(tau), state=state,
             k1=report.case.k1, k3=report.case.k3, report=report,
@@ -110,11 +108,10 @@ def case_crossings(cfg: DynamicsConfig, refine_tol: float = 1e-6):
     """Times (units 1/gamma0) where k1 - k3 changes sign, bisected to tol."""
 
     def gap(tau):
-        row = _propagate(cfg.initial, p_t(np.array([tau / cfg.gamma0]),
-                                          cfg.gamma0, cfg.lam))[0]
-        k1 = 4.0 * (row[4] + row[5]) ** 2
-        k3 = 2.0 * ((row[0] - row[2]) ** 2 + (row[1] - row[3]) ** 2)
-        return k1 - k3
+        params = _propagate(cfg.initial, p_t(np.array([tau / cfg.gamma0]),
+                                             cfg.gamma0, cfg.lam))
+        k1, _, k3, _ = _kernels.k_eigenvalues(params)
+        return k1[0] - k3[0]
 
     taus = np.linspace(0.0, cfg.t_max, cfg.steps)
     gaps = np.array([gap(t) for t in taus])

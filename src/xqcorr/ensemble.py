@@ -23,7 +23,7 @@ from . import _kernels
 from .closest import CaseId
 from .errors import RejectionExhaustionError, SolverFailureError
 from .states import XStateParams
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import HISTOGRAM_EDGE, TG_FLOOR
 
 _BATCH = 4096
 _ACCEPTANCE_WINDOW = 20000
@@ -83,11 +83,7 @@ class HistogramSpec:
 
 
 def _case_mask(batch: np.ndarray, case_filter: CaseId) -> np.ndarray:
-    k1 = 4.0 * (batch[:, 4] + batch[:, 5]) ** 2
-    k3 = 2.0 * ((batch[:, 0] - batch[:, 2]) ** 2 + (batch[:, 1] - batch[:, 3]) ** 2)
-    if case_filter is CaseId.CASE1:
-        return k1 <= k3
-    return k1 > k3
+    return _kernels.k_eigenvalues(batch)[3] == float(case_filter)
 
 
 def _draw_batch(rng: np.random.Generator, size: int,
@@ -182,36 +178,34 @@ class HistogramResult:
         }
 
 
-def relative_quantities(reports: np.ndarray, quantity: Quantity,
-                        tols: Tolerances = DEFAULT_TOLERANCES):
+def relative_quantities(reports: np.ndarray, quantity: Quantity):
     """Per-state relative residuals from a batch report array.
 
-    States with t_g at or below ``tols.tg_floor`` carry no relative value
+    States with t_g at or below ``TG_FLOOR`` carry no relative value
     and are dropped; returns (values, dropped_count).
     """
     tg = reports[:, _kernels.COL_TG]
-    keep = tg > tols.tg_floor
+    keep = tg > TG_FLOOR
     col = (_kernels.COL_RES if quantity is Quantity.REL_RESIDUAL
            else _kernels.COL_RESL)
     return reports[keep, col] / tg[keep], int(np.count_nonzero(~keep))
 
 
-def run_histogram(cfg: SamplerConfig, spec: HistogramSpec,
-                  tols: Tolerances = DEFAULT_TOLERANCES) -> HistogramResult:
+def run_histogram(cfg: SamplerConfig, spec: HistogramSpec) -> HistogramResult:
     """Sample, compute quantifiers, and bin the requested relative residual.
 
-    Values within ``tols.histogram_edge`` past a range edge are folded into
+    Values within ``HISTOGRAM_EDGE`` past a range edge are folded into
     the edge bin (pure floating-point slack); anything farther out lands in
     the underflow/overflow counters of the sidecar.
     """
     arr, acceptance = sample_x_arrays(cfg)
-    reports = _kernels.batch_reports(arr, tols.case_boundary)
+    reports = _kernels.batch_reports(arr)
     if np.any(reports[:, _kernels.COL_CASE] == 0.0):
         raise SolverFailureError("closest-product solver failed on a sample")
-    values, dropped = relative_quantities(reports, spec.quantity, tols)
+    values, dropped = relative_quantities(reports, spec.quantity)
 
-    near_lo = (values < spec.lo) & (values >= spec.lo - tols.histogram_edge)
-    near_hi = (values > spec.hi) & (values <= spec.hi + tols.histogram_edge)
+    near_lo = (values < spec.lo) & (values >= spec.lo - HISTOGRAM_EDGE)
+    near_hi = (values > spec.hi) & (values <= spec.hi + HISTOGRAM_EDGE)
     values = np.where(near_lo, spec.lo, values)
     values = np.where(near_hi, spec.hi, values)
     underflow = int(np.count_nonzero(values < spec.lo))

@@ -29,14 +29,11 @@ from .closest import (
     closest_classical_x,
     closest_product_of_classical_x,
     k_eigenvalues_x,
+    x_report_row,
 )
-from .errors import (
-    InvalidStateError,
-    SolverFailureError,
-    UnphysicalParametersError,
-)
+from .errors import InvalidStateError, UnphysicalParametersError
 from .states import ID2, PAULI, BlochForm, DensityMatrix4, XStateParams
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import CASE_BOUNDARY, CLAMP, PSD_FLOOR
 
 REPORT_CSV_HEADER = "case,k1,k2,k3,tg,dg,cg,lg,res,res_l,a3,b3,boundary"
 
@@ -101,16 +98,14 @@ class CorrelationReport:
         }
 
 
-def _clamp(value: float, name: str, clamped: list,
-           tols: Tolerances) -> float:
-    if -tols.clamp <= value < 0.0:
+def _clamp(value: float, name: str, clamped: list) -> float:
+    if -CLAMP <= value < 0.0:
         clamped.append(name)
         return 0.0
     return value
 
 
-def geometric_discord_general(b: BlochForm,
-                              tols: Tolerances = DEFAULT_TOLERANCES) -> float:
+def geometric_discord_general(b: BlochForm) -> float:
     """Closed-form geometric discord of an arbitrary two-qubit state.
 
     One quarter of ||x||^2 + ||T||_F^2 minus the largest eigenvalue of
@@ -119,15 +114,12 @@ def geometric_discord_general(b: BlochForm,
     K = np.outer(b.x, b.x) + b.T @ b.T.T
     kmax = float(np.linalg.eigvalsh(K)[-1])
     val = 0.25 * (float(b.x @ b.x) + float(np.sum(b.T * b.T)) - kmax)
-    return _clamp(val, "dg", [], tols)
+    return _clamp(val, "dg", [])
 
 
-def quantifiers_x(p: XStateParams,
-                  tols: Tolerances = DEFAULT_TOLERANCES) -> CorrelationReport:
+def quantifiers_x(p: XStateParams) -> CorrelationReport:
     """Full correlation report of an X state from the closed forms."""
-    row = _kernels.batch_reports(p.as_array()[None, :], tols.case_boundary)[0]
-    if row[_kernels.COL_CASE] == 0.0:
-        raise SolverFailureError("closest-product solver failed")
+    row = x_report_row(p)
     case = CaseLabel(
         CaseId(int(row[_kernels.COL_CASE])),
         float(row[_kernels.COL_K1]),
@@ -136,26 +128,30 @@ def quantifiers_x(p: XStateParams,
     )
     a3 = float(row[_kernels.COL_A3])
     b3 = float(row[_kernels.COL_B3])
+    product_pair = ProductPair((0.0, 0.0, a3), (0.0, 0.0, b3))
+    # In case 1 the closest classical state shares the diagonal, and with it
+    # the closest product state: reuse the pair instead of solving again.
+    classical_product_pair = (product_pair if case.case_id is CaseId.CASE1
+                              else closest_product_of_classical_x(p))
     clamped: list = []
     return CorrelationReport(
-        t_g=_clamp(float(row[_kernels.COL_TG]), "tg", clamped, tols),
-        d_g=_clamp(float(row[_kernels.COL_DG]), "dg", clamped, tols),
-        c_g=_clamp(float(row[_kernels.COL_CG]), "cg", clamped, tols),
-        l_g=_clamp(float(row[_kernels.COL_LG]), "lg", clamped, tols),
+        t_g=_clamp(float(row[_kernels.COL_TG]), "tg", clamped),
+        d_g=_clamp(float(row[_kernels.COL_DG]), "dg", clamped),
+        c_g=_clamp(float(row[_kernels.COL_CG]), "cg", clamped),
+        l_g=_clamp(float(row[_kernels.COL_LG]), "lg", clamped),
         case=case,
         residual_closure=float(row[_kernels.COL_RES]),
         residual_with_l=float(row[_kernels.COL_RESL]),
-        product_pair=ProductPair((0.0, 0.0, a3), (0.0, 0.0, b3)),
+        product_pair=product_pair,
         classical_state=closest_classical_x(p),
-        classical_product_pair=closest_product_of_classical_x(p),
+        classical_product_pair=classical_product_pair,
         boundary_flag=bool(row[_kernels.COL_BOUNDARY]),
         clamped=tuple(clamped),
     )
 
 
-def bell_diagonal_quantifiers(t11: float, t22: float, t33: float,
-                              tols: Tolerances = DEFAULT_TOLERANCES
-                              ) -> CorrelationReport:
+def bell_diagonal_quantifiers(t11: float, t22: float,
+                              t33: float) -> CorrelationReport:
     """Quantifiers of a Bell-diagonal state from its tensor diagonal.
 
     t_g = (T11^2+T22^2+T33^2)/4, c_g = T^2/4 and d_g their difference,
@@ -173,7 +169,7 @@ def bell_diagonal_quantifiers(t11: float, t22: float, t33: float,
         1.0 + t11 - t22 + t33,
         1.0 + t11 + t22 - t33,
     ]) / 4.0
-    if eigs.min() < -tols.psd_floor:
+    if eigs.min() < -PSD_FLOOR:
         raise UnphysicalParametersError(
             "tensor diagonal (%g, %g, %g) gives eigenvalue %.3e"
             % (t11, t22, t33, eigs.min())
@@ -209,13 +205,12 @@ def bell_diagonal_quantifiers(t11: float, t22: float, t33: float,
         product_pair=zero,
         classical_state=closest_classical_x(p),
         classical_product_pair=zero,
-        boundary_flag=abs(case.k1 - case.k3) <= tols.case_boundary,
+        boundary_flag=abs(case.k1 - case.k3) <= CASE_BOUNDARY,
         clamped=(),
     )
 
 
-def discord_measurement_oracle(rho, grid_density: int = 64,
-                               tols: Tolerances = DEFAULT_TOLERANCES) -> float:
+def discord_measurement_oracle(rho, grid_density: int = 64) -> float:
     """Geometric discord by direct minimization over projective measurements.
 
     Scans measurement directions on a ``grid_density`` x ``grid_density``
@@ -227,7 +222,7 @@ def discord_measurement_oracle(rho, grid_density: int = 64,
         raise ValueError("grid_density must be at least 64")
     if not isinstance(rho, DensityMatrix4):
         rho = DensityMatrix4(rho)
-    rho.validate(tols)
+    rho.validate()
     m = np.ascontiguousarray(rho.matrix)
 
     thetas = math.pi * (np.arange(grid_density) + 0.5) / grid_density
@@ -238,7 +233,7 @@ def discord_measurement_oracle(rho, grid_density: int = 64,
 
     def objective(angles):
         th, ph = angles
-        val, _, _ = _kernels.measurement_scan_np(
+        val, _, _ = _kernels.measurement_scan(
             m,
             np.array([math.cos(th)]), np.array([math.sin(th)]),
             np.array([math.cos(ph)]), np.array([math.sin(ph)]),

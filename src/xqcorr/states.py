@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NotAnXStateError
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import (BLOCH_BOUND, BLOCK_POSITIVITY, HERMITIAN,
+                         PROB_FLOOR, PSD_FLOOR, TRACE, X_PATTERN)
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,25 +83,23 @@ class DensityMatrix4:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def from_matrix(cls, matrix, tols: Tolerances = DEFAULT_TOLERANCES,
-                    require_psd: bool = True) -> "DensityMatrix4":
+    def from_matrix(cls, matrix, require_psd: bool = True) -> "DensityMatrix4":
         rho = cls(matrix)
-        rho.validate(tols, require_psd=require_psd)
+        rho.validate(require_psd=require_psd)
         return rho
 
-    def validate(self, tols: Tolerances = DEFAULT_TOLERANCES,
-                 require_psd: bool = True) -> "DensityMatrix4":
+    def validate(self, require_psd: bool = True) -> "DensityMatrix4":
         m = self.matrix
         problems = []
         herm = np.max(np.abs(m - m.conj().T))
-        if herm > tols.hermitian:
+        if herm > HERMITIAN:
             problems.append("not Hermitian (max deviation %.3e)" % herm)
         tr = abs(m.trace() - 1.0)
-        if tr > tols.trace:
+        if tr > TRACE:
             problems.append("trace differs from 1 by %.3e" % tr)
         if require_psd and not problems:
             lo = float(np.linalg.eigvalsh(m).min())
-            if lo < -tols.psd_floor:
+            if lo < -PSD_FLOOR:
                 problems.append("negative eigenvalue %.3e" % lo)
         if problems:
             raise InvalidStateError(
@@ -143,21 +142,21 @@ class XStateParams:
             if g < 0.0:
                 g += TWO_PI
             object.__setattr__(self, name, g)
-        self._check(DEFAULT_TOLERANCES)
+        self._check()
 
-    def _check(self, tols: Tolerances):
+    def _check(self):
         problems = []
         diag = (self.rho11, self.rho22, self.rho33, self.rho44)
-        if any(d < -tols.prob_floor for d in diag):
+        if any(d < -PROB_FLOOR for d in diag):
             problems.append("negative diagonal entry")
         s = abs(sum(diag) - 1.0)
-        if s > tols.trace:
+        if s > TRACE:
             problems.append("diagonal sums to 1 off by %.3e" % s)
         if self.rho14 < 0.0 or self.rho23 < 0.0:
             problems.append("coherence magnitudes must be nonnegative")
-        if self.rho14**2 > self.rho11 * self.rho44 + tols.block_positivity:
+        if self.rho14**2 > self.rho11 * self.rho44 + BLOCK_POSITIVITY:
             problems.append("outer block not positive: rho14^2 > rho11*rho44")
-        if self.rho23**2 > self.rho22 * self.rho33 + tols.block_positivity:
+        if self.rho23**2 > self.rho22 * self.rho33 + BLOCK_POSITIVITY:
             problems.append("inner block not positive: rho23^2 > rho22*rho33")
         if problems:
             raise InvalidStateError(
@@ -196,19 +195,18 @@ class BlochForm:
         object.__setattr__(self, "x", _frozen_array(self.x, (3,)))
         object.__setattr__(self, "y", _frozen_array(self.y, (3,)))
         object.__setattr__(self, "T", _frozen_array(self.T, (3, 3)))
-        tol = DEFAULT_TOLERANCES.bloch_bound
-        if (np.linalg.norm(self.x) > 1.0 + tol
-                or np.linalg.norm(self.y) > 1.0 + tol):
+        if (np.linalg.norm(self.x) > 1.0 + BLOCH_BOUND
+                or np.linalg.norm(self.y) > 1.0 + BLOCH_BOUND):
             raise InvalidStateError("Bloch vector norm exceeds 1")
-        if np.max(np.abs(self.T)) > 1.0 + tol:
+        if np.max(np.abs(self.T)) > 1.0 + BLOCH_BOUND:
             raise InvalidStateError("correlation tensor entry exceeds 1")
 
 
-def bloch_decompose(rho, tols: Tolerances = DEFAULT_TOLERANCES) -> BlochForm:
+def bloch_decompose(rho) -> BlochForm:
     """Extract x_i, y_i, T_ij as Pauli traces of a valid density matrix."""
     if not isinstance(rho, DensityMatrix4):
         rho = DensityMatrix4(rho)
-    rho.validate(tols)
+    rho.validate()
     m = rho.matrix
     x = np.empty(3)
     y = np.empty(3)
@@ -251,18 +249,18 @@ def x_params_to_bloch(p: XStateParams) -> BlochForm:
     return BlochForm((0.0, 0.0, x3), (0.0, 0.0, y3), T)
 
 
-def matrix_to_x_params(rho, tols: Tolerances = DEFAULT_TOLERANCES) -> XStateParams:
+def matrix_to_x_params(rho) -> XStateParams:
     """Recognize the X pattern of a dense matrix and extract its parameters.
 
     Raises :class:`NotAnXStateError` listing the offending entries when any
-    of the eight non-X entries exceeds ``tols.x_pattern`` in magnitude.
+    of the eight non-X entries exceeds ``X_PATTERN`` in magnitude.
     The phase of a vanishing coherence is defined as 0.
     """
     if not isinstance(rho, DensityMatrix4):
         rho = DensityMatrix4(rho)
-    rho.validate(tols)
+    rho.validate()
     m = rho.matrix
-    bad = [(i, j) for i, j in _NON_X_ENTRIES if abs(m[i, j]) > tols.x_pattern]
+    bad = [(i, j) for i, j in _NON_X_ENTRIES if abs(m[i, j]) > X_PATTERN]
     if bad:
         raise NotAnXStateError(
             "matrix has support outside the X pattern at entries %s" % (bad,),
@@ -271,7 +269,7 @@ def matrix_to_x_params(rho, tols: Tolerances = DEFAULT_TOLERANCES) -> XStatePara
 
     def mag_phase(z):
         mag = abs(z)
-        if mag <= tols.x_pattern:
+        if mag <= X_PATTERN:
             return mag, 0.0
         return mag, math.atan2(z.imag, z.real) % TWO_PI
 

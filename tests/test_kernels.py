@@ -1,13 +1,14 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from conftest import f2_profile, quintic_roots_reference, sample_states
 from xqcorr import _kernels
+from xqcorr.closest import CaseId
+from xqcorr.ensemble import HistogramSpec, SamplerConfig, run_histogram
+from xqcorr.errors import SolverFailureError
+from xqcorr.quantifiers import quantifiers_x
 
 
 class TestQuinticSolver:
@@ -40,7 +41,7 @@ class TestBatchReports:
     def test_matches_scalar_recomputation(self):
         states = sample_states(seed=149, count=100)
         arr = np.array([p.as_array() for p in states])
-        rep = _kernels.batch_reports(arr, 1e-10)
+        rep = _kernels.batch_reports(arr)
         for i, p in enumerate(states):
             x3 = p.rho11 + p.rho22 - p.rho33 - p.rho44
             y3 = p.rho11 - p.rho22 + p.rho33 - p.rho44
@@ -59,8 +60,27 @@ class TestBatchReports:
 
     def test_boundary_column(self):
         arr = np.array([[0.375, 0.125, 0.125, 0.375, 0.25, 0.0, 0.0, 0.0]])
-        rep = _kernels.batch_reports(arr, 1e-10)
+        rep = _kernels.batch_reports(arr)
         assert rep[0, _kernels.COL_BOUNDARY] == 1.0
+
+    def test_stationarity_failure_marks_row_failed(self, monkeypatch):
+        solve = _kernels.solve_a3b3
+
+        def perturbed(x3, y3, t33):
+            a3, b3, ok = solve(x3, y3, t33)
+            return a3 + 1e-6, b3, ok
+
+        monkeypatch.setattr(_kernels, "solve_a3b3", perturbed)
+        for case in (CaseId.CASE1, CaseId.CASE2):
+            states = sample_states(seed=167, count=20, case=case)
+            rep = _kernels.batch_reports(
+                np.array([p.as_array() for p in states]))
+            assert np.all(rep == 0.0)
+            with pytest.raises(SolverFailureError):
+                quantifiers_x(states[0])
+        cfg = SamplerConfig(seed=3, count=50, case_filter=CaseId.CASE2)
+        with pytest.raises(SolverFailureError):
+            run_histogram(cfg, HistogramSpec.default_for("rel_residual"))
 
 
 class TestSurvivalKernel:
@@ -92,21 +112,6 @@ class TestSurvivalKernel:
 
 
 class TestMeasurementScanBackends:
-    def test_numpy_scan_matches_loops(self):
-        if not _kernels.USING_NUMBA:
-            pytest.skip("loop backend only meaningful under numba")
-        rng = np.random.default_rng(151)
-        for p in sample_states(seed=157, count=5):
-            m = p.to_matrix().matrix
-            g = 16
-            thetas = math.pi * (np.arange(g) + 0.5) / g
-            phis = 2 * math.pi * np.arange(g) / g
-            args = (np.ascontiguousarray(m), np.cos(thetas), np.sin(thetas),
-                    np.cos(phis), np.sin(phis))
-            v_loop, i_loop, j_loop = _kernels.measurement_scan_loops(*args)
-            v_np, i_np, j_np = _kernels.measurement_scan_np(*args)
-            assert abs(v_loop - v_np) < 1e-12
-
     def test_scan_value_is_pinched_distance(self):
         from xqcorr.quantifiers import pinched_state
         from xqcorr.states import hs_norm_sq
@@ -114,35 +119,8 @@ class TestMeasurementScanBackends:
         p = sample_states(seed=163, count=1)[0]
         m = p.to_matrix().matrix
         theta, phi = 1.1, 2.3
-        val, _, _ = _kernels.measurement_scan_np(
+        val, _, _ = _kernels.measurement_scan(
             m, np.array([math.cos(theta)]), np.array([math.sin(theta)]),
             np.array([math.cos(phi)]), np.array([math.sin(phi)]))
         direct = hs_norm_sq(m - pinched_state(p.to_matrix(), theta, phi).matrix)
         assert abs(val - direct) < 1e-14
-
-
-class TestBackendSelection:
-    def test_backend_flag_consistency(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-        assert _kernels.USING_NUMBA == (_kernels.BACKEND == "numba")
-
-    def test_env_flag_forces_numpy(self):
-        code = (
-            "import xqcorr\n"
-            "from xqcorr import quantifiers_x, XStateParams\n"
-            "r = quantifiers_x(XStateParams(0.5, 0.1, 0.1, 0.3, 0.35, 0.05))\n"
-            "print(xqcorr.BACKEND)\n"
-            "print(repr(float(r.t_g)), repr(float(r.product_pair.a[2])))\n"
-        )
-        env = dict(os.environ, XQCORR_DISABLE_NUMBA="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        lines = out.stdout.strip().split("\n")
-        assert lines[0] == "numpy"
-        from xqcorr.quantifiers import quantifiers_x
-        from xqcorr.states import XStateParams
-
-        r = quantifiers_x(XStateParams(0.5, 0.1, 0.1, 0.3, 0.35, 0.05))
-        tg_np, a3_np = lines[1].split(" ")
-        assert abs(float(tg_np) - r.t_g) < 1e-13
-        assert abs(float(a3_np) - r.product_pair.a[2]) < 1e-13

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_states
-from xqcorr.closest import CaseId
+from xqcorr.closest import CaseId, closest_product_of_classical_x
 from xqcorr.errors import UnphysicalParametersError
 from xqcorr.quantifiers import (
     REPORT_CSV_HEADER,
@@ -144,6 +144,14 @@ class TestCaseLaws:
                                 (1 - abs(t)) / 16)
             r = quantifiers_x(p_bd)
             assert abs(r.residual_closure) <= 1e-12
+
+    def test_classical_product_pair_matches_closest(self):
+        for case in (CaseId.CASE1, CaseId.CASE2):
+            for p in sample_states(seed=173, count=100, case=case):
+                got = quantifiers_x(p).classical_product_pair
+                want = closest_product_of_classical_x(p)
+                assert np.array_equal(got.a, want.a)
+                assert np.array_equal(got.b, want.b)
 
 
 def _bell_diag_tensor(rng):
