@@ -4,7 +4,11 @@ Everything here is plain numpy.  :func:`batch_reports` is the one place
 where the X-state quantifiers are computed: it takes an (n, 8) parameter
 array and returns an (n, 13) report array, and the scalar APIs in
 :mod:`xqcorr.closest` and :mod:`xqcorr.quantifiers` are one-row views of
-it.  Per-layer timings of these kernels inside the CLI commands come from
+it.  Within each chunk of ``CHUNK_ROWS`` rows every step is an array
+operation: one stacked complex companion ``eigvals`` for the quintic,
+Newton on all roots under a per-root convergence mask, the tie-broken
+argmin, and the report columns.
+Per-layer timings of these kernels inside the CLI commands come from
 ``python3 perfbench/run.py --workload <name> --seed N --trace 1``.
 """
 
@@ -20,6 +24,10 @@ COL_TG, COL_DG, COL_CG, COL_LG, COL_RES, COL_RESL, COL_BOUNDARY = (
     6, 7, 8, 9, 10, 11, 12,
 )
 REPORT_COLS = 13
+
+# Rows per chunk of batch_reports: bounds the (n, 5, 5) companion stack and
+# the (n, 5) temporaries of the solve, and so the peak memory of a batch.
+CHUNK_ROWS = 4096
 
 
 def k_eigenvalues(params):
@@ -41,80 +49,91 @@ def _quintic_eval(c4, c3, c2, c1, c0, a):
     return q, dq
 
 
-def _polish_root(c4, c3, c2, c1, c0, a):
-    # Newton refinement; linear-rate safe even at multiple roots.
-    for _ in range(60):
-        q, dq = _quintic_eval(c4, c3, c2, c1, c0, a)
-        if dq == 0.0:
-            break
-        step = q / dq
-        a -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(a)):
-            break
-    return a
-
-
 def solve_a3b3(x3, y3, t33):
-    """Global minimizer of the z-axis product-distance profile.
+    """Global minimizers of the z-axis product-distance profile.
 
-    Eliminates b3 exactly (the distance is strictly convex in b3 for fixed
-    a3), enumerates the stationary a3 values as real roots of the resulting
-    monic quintic via its companion matrix, and returns the argmin with
-    ties broken by smaller |a3| then smaller a3.
+    Takes length-n float arrays.  Eliminates b3 exactly (the distance is
+    strictly convex in b3 for fixed a3) and finds the stationary a3 values
+    as the real roots of the resulting monic quintic: the eigenvalues of
+    all n companion matrices, stacked as one (n, 5, 5) complex array, seed
+    Newton on all (n, 5) roots, each root stopping when its derivative
+    vanishes or its step falls to 1e-16 * max(1, |a|), after at most 60
+    steps.  Roots with a quintic residual above 1e-10 are dropped, and the
+    kept root of least distance wins, ties broken by smaller |a3| then
+    smaller a3, then root order.
 
-    Returns (a3, b3, ok) where ok=False means no real stationary point was
-    identified (cannot happen for a degree-5 real polynomial unless the
-    eigensolver misbehaves).
+    The companion is complex because its eigenvalues are the seeds every
+    earlier result of this package came from: a real float64 companion is
+    about twice as fast in ``eigvals``, but moves a3 in the last bits on
+    about 9% of case-2 states, which would change the CSV output.
+
+    Returns arrays (a3, b3, ok); ok=False marks a row where no real
+    stationary point was identified (cannot happen for a degree-5 real
+    polynomial unless the eigensolver misbehaves).  The origin
+    x3 = y3 = t33 = 0 is (0, 0, True).
     """
-    if x3 == 0.0 and y3 == 0.0 and t33 == 0.0:
-        return 0.0, 0.0, True
-
+    n = x3.shape[0]
     c4 = -x3
     c3 = 2.0
     c2 = y3 * t33 - 2.0 * x3
     c1 = 1.0 + y3 * y3 - t33 * t33
     c0 = -(x3 + y3 * t33)
 
-    comp = np.zeros((5, 5), dtype=np.complex128)
-    for i in range(4):
-        comp[i + 1, i] = 1.0
-    comp[0, 0] = -c4
-    comp[0, 1] = -c3
-    comp[0, 2] = -c2
-    comp[0, 3] = -c1
-    comp[0, 4] = -c0
-    roots = np.linalg.eigvals(comp)
+    comp = np.zeros((n, 5, 5), dtype=np.complex128)
+    comp[:, (1, 2, 3, 4), (0, 1, 2, 3)] = 1.0
+    comp[:, 0, 0] = -c4
+    comp[:, 0, 1] = -c3
+    comp[:, 0, 2] = -c2
+    comp[:, 0, 3] = -c1
+    comp[:, 0, 4] = -c0
+    a = np.linalg.eigvals(comp).real.flatten()
 
-    best_f = np.inf
-    best_a = 0.0
-    best_b = 0.0
-    found = False
-    for k in range(5):
-        a = _polish_root(c4, c3, c2, c1, c0, roots[k].real)
-        q, _ = _quintic_eval(c4, c3, c2, c1, c0, a)
-        if abs(q) > 1e-10:
-            continue
-        b = (y3 + t33 * a) / (1.0 + a * a)
-        da = x3 - a
-        db = y3 - b
-        dt = t33 - a * b
-        f = 0.25 * (da * da + db * db + dt * dt)
-        if not found:
-            take = True
-        elif f < best_f:
-            take = True
-        elif f == best_f and (
-            abs(a) < abs(best_a) or (abs(a) == abs(best_a) and a < best_a)
-        ):
-            take = True
-        else:
-            take = False
-        if take:
-            best_f = f
-            best_a = a
-            best_b = b
-            found = True
-    return best_a, best_b, found
+    # Newton refinement, linear-rate safe even at multiple roots; ``live``
+    # indexes the flattened (n, 5) roots still iterating.
+    c4r, c2r, c1r, c0r = (np.repeat(c, 5) for c in (c4, c2, c1, c0))
+    live = np.arange(a.size)
+    for _ in range(60):
+        if live.size == 0:
+            break
+        q, dq = _quintic_eval(c4r[live], c3, c2r[live], c1r[live],
+                              c0r[live], a[live])
+        moving = dq != 0.0
+        live = live[moving]
+        step = q[moving] / dq[moving]
+        polished = a[live] - step
+        a[live] = polished
+        live = live[~(np.abs(step) <= 1e-16 * np.fmax(1.0, np.abs(polished)))]
+
+    q, _ = _quintic_eval(c4r, c3, c2r, c1r, c0r, a)
+    kept = ~(np.abs(q) > 1e-10).reshape(n, 5)
+    a = a.reshape(n, 5)
+    x3c, y3c, t33c = x3[:, None], y3[:, None], t33[:, None]
+    b = (y3c + t33c * a) / (1.0 + a * a)
+    da = x3c - a
+    db = y3c - b
+    dt = t33c - a * b
+    f = 0.25 * (da * da + db * db + dt * dt)
+
+    # Argmin of (f, |a3|, a3) over the kept roots, the first in root order
+    # on a full tie: the root a scan in root order would end on if it moved
+    # only to a strictly better root.  Every comparison with NaN is false,
+    # so such a scan never leaves a first kept root whose f is NaN (the row
+    # then fails the stationarity check) and never moves to a later NaN.
+    first = np.argmax(kept, axis=1)
+    rows = np.arange(n)
+    cand = kept & ~np.isnan(f)
+    for key in (f, np.abs(a), a):
+        low = np.min(np.where(cand, key, np.inf), axis=1, keepdims=True)
+        cand &= key == low
+    pick = np.where(np.isnan(f[rows, first]), first, np.argmax(cand, axis=1))
+    found = kept.any(axis=1)
+    best_a = np.where(found, a[rows, pick], 0.0)
+    best_b = np.where(found, b[rows, pick], 0.0)
+
+    origin = (x3 == 0.0) & (y3 == 0.0) & (t33 == 0.0)
+    best_a[origin] = 0.0
+    best_b[origin] = 0.0
+    return best_a, best_b, found | origin
 
 
 def batch_reports(params):
@@ -129,50 +148,49 @@ def batch_reports(params):
     (case 0.0) marks a solver failure on that row (callers raise): either
     no real stationary point, or an (a3, b3) whose z-axis stationarity
     residual exceeds ``STATIONARITY``.
+
+    Works in chunks of ``CHUNK_ROWS`` rows, one :func:`solve_a3b3` call
+    each; no row's result depends on the rows batched with it.
     """
-    k1, k2, k3, case = k_eigenvalues(params)
     out = np.empty((params.shape[0], REPORT_COLS), dtype=np.float64)
-    out[:, COL_K1] = k1
-    out[:, COL_K2] = k2
-    out[:, COL_K3] = k3
-    out[:, COL_CASE] = case
-    out[:, COL_BOUNDARY] = np.abs(k1 - k3) <= CASE_BOUNDARY
-    case2 = (case == 2.0).tolist()
-    for i, (r11, r22, r33, r44, r14, r23) in enumerate(
-            params[:, :6].tolist()):
-        x3 = r11 + r22 - r33 - r44
-        y3 = r11 - r22 + r33 - r44
-        t33 = r11 - r22 - r33 + r44
-
-        a3, b3, ok = solve_a3b3(x3, y3, t33)
-        stationarity = max(abs(a3 - (x3 + t33 * b3) / (1.0 + b3 * b3)),
-                           abs(b3 - (y3 + t33 * a3) / (1.0 + a3 * a3)))
-        if not (ok and stationarity <= STATIONARITY):
-            out[i, :] = 0.0
-            continue
-
-        splus = r14 + r23
-        sminus = r14 - r23
-        u = r11 - r33
-        v = r22 - r44
-        da = x3 - a3
-        db = y3 - b3
-        dt = t33 - a3 * b3
-        fpart = 0.25 * (da * da + db * db + dt * dt)
-        block = 2.0 * (r14 * r14 + r23 * r23)
-
-        tg = fpart + block
-        if case2[i]:
-            dg = sminus * sminus + 0.5 * (u * u + v * v)
-            cg = splus * splus
-            lg = a3 * a3 * (dt * dt + 1.0 + b3 * b3) * 0.25
-        else:
-            dg = block
-            cg = fpart
-            lg = 0.0
-        out[i, COL_A3:COL_BOUNDARY] = (a3, b3, tg, dg, cg, lg,
-                                       tg - dg - cg, tg + lg - dg - cg)
+    for start in range(0, params.shape[0], CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
+        _fill_reports(params[start:stop], out[start:stop])
     return out
+
+
+def _fill_reports(params, out):
+    k1, k2, k3, case = k_eigenvalues(params)
+    r11, r22, r33, r44, r14, r23 = params[:, :6].T
+    x3 = r11 + r22 - r33 - r44
+    y3 = r11 - r22 + r33 - r44
+    t33 = r11 - r22 - r33 + r44
+
+    a3, b3, ok = solve_a3b3(x3, y3, t33)
+    stationarity = np.maximum(
+        np.abs(a3 - (x3 + t33 * b3) / (1.0 + b3 * b3)),
+        np.abs(b3 - (y3 + t33 * a3) / (1.0 + a3 * a3)))
+
+    splus = r14 + r23
+    sminus = r14 - r23
+    u = r11 - r33
+    v = r22 - r44
+    da = x3 - a3
+    db = y3 - b3
+    dt = t33 - a3 * b3
+    fpart = 0.25 * (da * da + db * db + dt * dt)
+    block = 2.0 * (r14 * r14 + r23 * r23)
+
+    tg = fpart + block
+    case2 = case == 2.0
+    dg = np.where(case2, sminus * sminus + 0.5 * (u * u + v * v), block)
+    cg = np.where(case2, splus * splus, fpart)
+    lg = np.where(case2, a3 * a3 * (dt * dt + 1.0 + b3 * b3) * 0.25, 0.0)
+
+    out[:] = np.stack([k1, k2, k3, case, a3, b3, tg, dg, cg, lg,
+                       tg - dg - cg, tg + lg - dg - cg,
+                       np.abs(k1 - k3) <= CASE_BOUNDARY], axis=1)
+    out[~(ok & (stationarity <= STATIONARITY))] = 0.0
 
 
 def pt_scalar(t, gamma0, lam):

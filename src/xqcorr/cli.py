@@ -16,6 +16,7 @@ from .closest import (
     closest_product_general,
     closest_product_x,
     product_distance,
+    x_report_rows,
 )
 from .dynamics import DynamicsConfig, evolve, write_trajectory_csv
 from .ensemble import (
@@ -24,6 +25,7 @@ from .ensemble import (
     Quantity,
     SamplerConfig,
     run_histogram,
+    sample_x_arrays,
     sample_x_states,
     write_histogram,
 )
@@ -43,6 +45,7 @@ from .quantifiers import (
 )
 from .states import (
     DensityMatrix4,
+    XStateParams,
     bloch_decompose,
     load_state_file,
     matrix_to_x_params,
@@ -112,12 +115,14 @@ def _cmd_sample(args) -> int:
         write_histogram(result, args.out)
         return EXIT_OK
 
-    states = sample_x_states(cfg)
+    params, _ = sample_x_arrays(cfg)
+    states = [XStateParams(*row) for row in params]
+    reports = x_report_rows(params)
     fmt = lambda v: format(float(v), ".17g")
     lines = ["index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
              + REPORT_CSV_HEADER]
     for i, p in enumerate(states):
-        report = quantifiers_x(p)
+        report = quantifiers_x(p, row=reports[i])
         lines.append(",".join(
             [str(i)] + [fmt(v) for v in p.as_array()]
         ) + "," + report.to_csv_row())

@@ -119,18 +119,25 @@ def stationarity_residual(b: BlochForm, pair: ProductPair) -> float:
     return float(max(np.max(np.abs(ra)), np.max(np.abs(rb))))
 
 
-def x_report_row(p: XStateParams) -> np.ndarray:
-    """One-row :func:`xqcorr._kernels.batch_reports` of an X state.
+def x_report_rows(params: np.ndarray) -> np.ndarray:
+    """:func:`xqcorr._kernels.batch_reports` of an (n, 8) X-parameter array.
 
     Raises :class:`SolverFailureError` when the closest-product solve
-    failed on the row.
+    failed on any row.
     """
-    row = _kernels.batch_reports(p.as_array()[None, :])[0]
-    if row[_kernels.COL_CASE] == 0.0:
+    rows = _kernels.batch_reports(params)
+    failed = np.flatnonzero(rows[:, _kernels.COL_CASE] == 0.0)
+    if failed.size:
         raise SolverFailureError(
-            "closest-product solver failed for %r" % (p,)
+            "closest-product solver failed on %d of %d states, first %r"
+            % (failed.size, rows.shape[0], params[failed[0]].tolist())
         )
-    return row
+    return rows
+
+
+def x_report_row(p: XStateParams) -> np.ndarray:
+    """One-row :func:`x_report_rows` of an X state."""
+    return x_report_rows(p.as_array()[None, :])[0]
 
 
 def closest_product_x(p: XStateParams) -> ProductPair:
@@ -144,10 +151,8 @@ def closest_product_x(p: XStateParams) -> ProductPair:
                        (0.0, 0.0, row[_kernels.COL_B3]))
 
 
-def closest_classical_x(p: XStateParams) -> XStateParams:
-    """Closest classical (zero-discord) state; an X state in both cases."""
-    label = k_eigenvalues_x(p)
-    if label.case_id is CaseId.CASE1:
+def _closest_classical(p: XStateParams, case_id: CaseId) -> XStateParams:
+    if case_id is CaseId.CASE1:
         return XStateParams(p.rho11, p.rho22, p.rho33, p.rho44,
                             0.0, 0.0, 0.0, 0.0)
     y3 = p.rho11 - p.rho22 + p.rho33 - p.rho44
@@ -157,6 +162,19 @@ def closest_classical_x(p: XStateParams) -> XStateParams:
     return XStateParams(hi, lo, hi, lo, coh, coh, p.gamma14, p.gamma23)
 
 
+def closest_classical_x(p: XStateParams) -> XStateParams:
+    """Closest classical (zero-discord) state; an X state in both cases."""
+    return _closest_classical(p, k_eigenvalues_x(p).case_id)
+
+
+def _classical_product_pair(p: XStateParams, case_id: CaseId,
+                            product_pair) -> ProductPair:
+    if case_id is CaseId.CASE1:
+        return product_pair
+    y3 = p.rho11 - p.rho22 + p.rho33 - p.rho44
+    return ProductPair((0.0, 0.0, 0.0), (0.0, 0.0, y3))
+
+
 def closest_product_of_classical_x(p: XStateParams) -> ProductPair:
     """Product state closest to the closest classical state.
 
@@ -164,11 +182,9 @@ def closest_product_of_classical_x(p: XStateParams) -> ProductPair:
     its diagonal, and only x3, y3, T33 enter the solver); case 2 has the
     closed form a = 0, b = (0, 0, y3).
     """
-    label = k_eigenvalues_x(p)
-    if label.case_id is CaseId.CASE1:
-        return closest_product_x(p)
-    y3 = p.rho11 - p.rho22 + p.rho33 - p.rho44
-    return ProductPair((0.0, 0.0, 0.0), (0.0, 0.0, y3))
+    case_id = k_eigenvalues_x(p).case_id
+    pair = closest_product_x(p) if case_id is CaseId.CASE1 else None
+    return _classical_product_pair(p, case_id, pair)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .closest import x_report_rows
 from .quantifiers import CorrelationReport, quantifiers_x
 from .states import XStateParams
 
@@ -93,10 +94,11 @@ def evolve(cfg: DynamicsConfig):
     taus = np.linspace(0.0, cfg.t_max, cfg.steps)
     p = p_t(taus / cfg.gamma0, cfg.gamma0, cfg.lam)
     params = _propagate(cfg.initial, p)
+    states = [XStateParams(*row) for row in params]
+    reports = x_report_rows(params)
     points = []
-    for tau, row in zip(taus, params):
-        state = XStateParams(*row)
-        report = quantifiers_x(state)
+    for tau, state, row in zip(taus, states, reports):
+        report = quantifiers_x(state, row=row)
         points.append(TrajectoryPoint(
             t=float(tau), state=state,
             k1=report.case.k1, k3=report.case.k3, report=report,
@@ -107,14 +109,14 @@ def evolve(cfg: DynamicsConfig):
 def case_crossings(cfg: DynamicsConfig, refine_tol: float = 1e-6):
     """Times (units 1/gamma0) where k1 - k3 changes sign, bisected to tol."""
 
-    def gap(tau):
-        params = _propagate(cfg.initial, p_t(np.array([tau / cfg.gamma0]),
-                                             cfg.gamma0, cfg.lam))
+    def gaps_at(taus):
+        params = _propagate(cfg.initial, p_t(taus / cfg.gamma0, cfg.gamma0,
+                                             cfg.lam))
         k1, _, k3, _ = _kernels.k_eigenvalues(params)
-        return k1[0] - k3[0]
+        return k1 - k3
 
     taus = np.linspace(0.0, cfg.t_max, cfg.steps)
-    gaps = np.array([gap(t) for t in taus])
+    gaps = gaps_at(taus)
     crossings = []
     for i in range(taus.size - 1):
         g0, g1 = gaps[i], gaps[i + 1]
@@ -126,7 +128,7 @@ def case_crossings(cfg: DynamicsConfig, refine_tol: float = 1e-6):
             glo = g0
             while hi - lo > refine_tol:
                 mid = 0.5 * (lo + hi)
-                gm = gap(mid)
+                gm = gaps_at(np.array([mid]))[0]
                 if gm == 0.0:
                     lo = hi = mid
                     break

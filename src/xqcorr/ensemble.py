@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .closest import CaseId
-from .errors import RejectionExhaustionError, SolverFailureError
+from .closest import CaseId, x_report_rows
+from .errors import RejectionExhaustionError
 from .states import XStateParams
 from .tolerances import HISTOGRAM_EDGE, TG_FLOOR
 
@@ -199,9 +199,7 @@ def run_histogram(cfg: SamplerConfig, spec: HistogramSpec) -> HistogramResult:
     the underflow/overflow counters of the sidecar.
     """
     arr, acceptance = sample_x_arrays(cfg)
-    reports = _kernels.batch_reports(arr)
-    if np.any(reports[:, _kernels.COL_CASE] == 0.0):
-        raise SolverFailureError("closest-product solver failed on a sample")
+    reports = x_report_rows(arr)
     values, dropped = relative_quantities(reports, spec.quantity)
 
     near_lo = (values < spec.lo) & (values >= spec.lo - HISTOGRAM_EDGE)

@@ -26,8 +26,8 @@ from .closest import (
     CaseId,
     CaseLabel,
     ProductPair,
-    closest_classical_x,
-    closest_product_of_classical_x,
+    _classical_product_pair,
+    _closest_classical,
     k_eigenvalues_x,
     x_report_row,
 )
@@ -117,35 +117,36 @@ def geometric_discord_general(b: BlochForm) -> float:
     return _clamp(val, "dg", [])
 
 
-def quantifiers_x(p: XStateParams) -> CorrelationReport:
-    """Full correlation report of an X state from the closed forms."""
-    row = x_report_row(p)
+def quantifiers_x(p: XStateParams, *, row=None) -> CorrelationReport:
+    """Full correlation report of an X state from the closed forms.
+
+    ``row`` is the state's row of an :func:`xqcorr.closest.x_report_rows`
+    batch, for callers that solve many states at once; without it the
+    state is solved as a batch of one.  The report is the same either way.
+    """
+    if row is None:
+        row = x_report_row(p)
+    vals = row.tolist()
     case = CaseLabel(
-        CaseId(int(row[_kernels.COL_CASE])),
-        float(row[_kernels.COL_K1]),
-        float(row[_kernels.COL_K2]),
-        float(row[_kernels.COL_K3]),
+        CaseId(int(vals[_kernels.COL_CASE])),
+        vals[_kernels.COL_K1], vals[_kernels.COL_K2], vals[_kernels.COL_K3],
     )
-    a3 = float(row[_kernels.COL_A3])
-    b3 = float(row[_kernels.COL_B3])
-    product_pair = ProductPair((0.0, 0.0, a3), (0.0, 0.0, b3))
-    # In case 1 the closest classical state shares the diagonal, and with it
-    # the closest product state: reuse the pair instead of solving again.
-    classical_product_pair = (product_pair if case.case_id is CaseId.CASE1
-                              else closest_product_of_classical_x(p))
+    product_pair = ProductPair((0.0, 0.0, vals[_kernels.COL_A3]),
+                               (0.0, 0.0, vals[_kernels.COL_B3]))
     clamped: list = []
     return CorrelationReport(
-        t_g=_clamp(float(row[_kernels.COL_TG]), "tg", clamped),
-        d_g=_clamp(float(row[_kernels.COL_DG]), "dg", clamped),
-        c_g=_clamp(float(row[_kernels.COL_CG]), "cg", clamped),
-        l_g=_clamp(float(row[_kernels.COL_LG]), "lg", clamped),
+        t_g=_clamp(vals[_kernels.COL_TG], "tg", clamped),
+        d_g=_clamp(vals[_kernels.COL_DG], "dg", clamped),
+        c_g=_clamp(vals[_kernels.COL_CG], "cg", clamped),
+        l_g=_clamp(vals[_kernels.COL_LG], "lg", clamped),
         case=case,
-        residual_closure=float(row[_kernels.COL_RES]),
-        residual_with_l=float(row[_kernels.COL_RESL]),
+        residual_closure=vals[_kernels.COL_RES],
+        residual_with_l=vals[_kernels.COL_RESL],
         product_pair=product_pair,
-        classical_state=closest_classical_x(p),
-        classical_product_pair=classical_product_pair,
-        boundary_flag=bool(row[_kernels.COL_BOUNDARY]),
+        classical_state=_closest_classical(p, case.case_id),
+        classical_product_pair=_classical_product_pair(p, case.case_id,
+                                                       product_pair),
+        boundary_flag=bool(vals[_kernels.COL_BOUNDARY]),
         clamped=tuple(clamped),
     )
 
@@ -203,7 +204,7 @@ def bell_diagonal_quantifiers(t11: float, t22: float,
         residual_closure=t_g - d_g - c_g,
         residual_with_l=t_g - d_g - c_g,
         product_pair=zero,
-        classical_state=closest_classical_x(p),
+        classical_state=_closest_classical(p, case.case_id),
         classical_product_pair=zero,
         boundary_flag=abs(case.k1 - case.k3) <= CASE_BOUNDARY,
         clamped=(),

@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.optimize
 
+from xqcorr import _kernels
 from xqcorr.closest import CaseId
 from xqcorr.ensemble import PhaseMode, SamplerConfig, sample_x_states
 
@@ -45,7 +46,68 @@ def quintic_roots_reference(x3, y3, t33):
     return np.sort(roots[np.abs(roots.imag) < 1e-7].real)
 
 
+def scalar_solve_a3b3(x3, y3, t33):
+    """Closest-product (a3, b3, ok) of one (x3, y3, t33), one root at a time.
+
+    Reference for the array solver in xqcorr._kernels: the same companion
+    eigenvalues, Newton stop rule, |q| filter and tie-break, written as a
+    scalar loop over the five roots.
+    """
+    if x3 == 0.0 and y3 == 0.0 and t33 == 0.0:
+        return 0.0, 0.0, True
+    c4, c3, c2 = -x3, 2.0, y3 * t33 - 2.0 * x3
+    c1, c0 = 1.0 + y3 * y3 - t33 * t33, -(x3 + y3 * t33)
+
+    def quintic(a):
+        q = ((((a + c4) * a + c3) * a + c2) * a + c1) * a + c0
+        dq = (((5.0 * a + 4.0 * c4) * a + 3.0 * c3) * a + 2.0 * c2) * a + c1
+        return q, dq
+
+    comp = np.zeros((5, 5), dtype=np.complex128)
+    for i in range(4):
+        comp[i + 1, i] = 1.0
+    comp[0, :] = [-c4, -c3, -c2, -c1, -c0]
+    best = None
+    for root in np.linalg.eigvals(comp):
+        a = root.real
+        for _ in range(60):
+            q, dq = quintic(a)
+            if dq == 0.0:
+                break
+            step = q / dq
+            a -= step
+            if abs(step) <= 1e-16 * max(1.0, abs(a)):
+                break
+        if abs(quintic(a)[0]) > 1e-10:
+            continue
+        b = (y3 + t33 * a) / (1.0 + a * a)
+        da, db, dt = x3 - a, y3 - b, t33 - a * b
+        f = 0.25 * (da * da + db * db + dt * dt)
+        if best is None or f < best[0] or (f == best[0] and (
+                abs(a) < abs(best[1])
+                or (abs(a) == abs(best[1]) and a < best[1]))):
+            best = (f, a, b)
+    if best is None:
+        return 0.0, 0.0, False
+    return best[1], best[2], True
+
+
 def case_of(p):
     k1 = 4.0 * (p.rho14 + p.rho23) ** 2
     k3 = 2.0 * ((p.rho11 - p.rho33) ** 2 + (p.rho22 - p.rho44) ** 2)
     return CaseId.CASE1 if k1 <= k3 else CaseId.CASE2
+
+
+def perturb_a3(monkeypatch):
+    """Make the closest-product solver return a3 + 1e-6 on every row.
+
+    The perturbed pair fails the stationarity check in batch_reports, so
+    every row comes back as a solver failure.
+    """
+    solve = _kernels.solve_a3b3
+
+    def perturbed(x3, y3, t33):
+        a3, b3, ok = solve(x3, y3, t33)
+        return a3 + 1e-6, b3, ok
+
+    monkeypatch.setattr(_kernels, "solve_a3b3", perturbed)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import perturb_a3
 from xqcorr.cli import main
 from xqcorr.states import XStateParams, state_to_json_dict
 
@@ -145,6 +146,17 @@ class TestEvolve:
         assert main(["evolve", psi, "--gamma0", "1", "--lambda", "1",
                      "--t-max", "1", "--steps", "1",
                      "--out", str(tmp_path / "t.csv")]) == 2
+
+
+class TestSolverFailure:
+    def test_sample_and_evolve_exit_numeric(self, tmp_path, monkeypatch):
+        perturb_a3(monkeypatch)
+        assert main(["sample", "--seed", "1", "--count", "20",
+                     "--out", str(tmp_path / "s.csv")]) == 4
+        psi = write(tmp_path, "psi.json", BELL_JSON)
+        assert main(["evolve", psi, "--gamma0", "1", "--lambda", "1",
+                     "--t-max", "1", "--steps", "20",
+                     "--out", str(tmp_path / "t.csv")]) == 4
 
 
 class TestOracleCheck:

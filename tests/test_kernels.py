@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import f2_profile, quintic_roots_reference, sample_states
+from conftest import (
+    f2_profile,
+    perturb_a3,
+    quintic_roots_reference,
+    sample_states,
+    scalar_solve_a3b3,
+)
 from xqcorr import _kernels
 from xqcorr.closest import CaseId
 from xqcorr.ensemble import HistogramSpec, SamplerConfig, run_histogram
@@ -11,15 +17,23 @@ from xqcorr.errors import SolverFailureError
 from xqcorr.quantifiers import quantifiers_x
 
 
+def _one(v):
+    return np.array([v], dtype=np.float64)
+
+
 class TestQuinticSolver:
     def test_degenerate_origin(self):
-        assert _kernels.solve_a3b3(0.0, 0.0, 0.0) == (0.0, 0.0, True)
+        a3, b3, ok = _kernels.solve_a3b3(_one(0.0), _one(0.0), _one(0.0))
+        assert (a3[0], b3[0], ok[0]) == (0.0, 0.0, True)
 
     def test_matches_numpy_roots_reference(self):
         rng = np.random.default_rng(139)
-        for _ in range(500):
-            x3, y3, t33 = rng.uniform(-1.0, 1.0, 3)
-            a3, b3, ok = _kernels.solve_a3b3(x3, y3, t33)
+        x3s, y3s, t33s = rng.uniform(-1.0, 1.0, (500, 3)).T
+        stacked = _kernels.solve_a3b3(x3s, y3s, t33s)
+        for i, (x3, y3, t33) in enumerate(zip(x3s, y3s, t33s)):
+            a3, b3, ok = (v[i] for v in stacked)
+            single = _kernels.solve_a3b3(_one(x3), _one(y3), _one(t33))
+            assert (a3, b3, ok) == tuple(v[0] for v in single)
             assert ok
             roots = quintic_roots_reference(x3, y3, t33)
             best_ref = min(
@@ -32,9 +46,20 @@ class TestQuinticSolver:
             assert abs(a3 - (x3 + t33 * b3) / (1 + b3 * b3)) < 1e-10
             assert abs(b3 - (y3 + t33 * a3) / (1 + a3 * a3)) < 1e-12
 
+    def test_matches_scalar_reference_bit_for_bit(self):
+        rng = np.random.default_rng(191)
+        x3, y3, t33 = rng.uniform(-1.0, 1.0, (3, 2000))
+        # x3 = y3 = 0 makes the profile even in a3: exact ties in f
+        x3[:200] = y3[:200] = 0.0
+        t33[:200] *= 2.0
+        x3[200], y3[200], t33[200] = 0.0, 0.0, 0.0
+        got = zip(*_kernels.solve_a3b3(x3, y3, t33))
+        for i, (a3, b3, ok) in enumerate(got):
+            assert (a3, b3, ok) == scalar_solve_a3b3(x3[i], y3[i], t33[i])
+
     def test_pure_state_corner(self):
-        a3, b3, ok = _kernels.solve_a3b3(1.0, 1.0, 1.0)
-        assert ok and abs(a3 - 1.0) < 1e-12 and abs(b3 - 1.0) < 1e-12
+        a3, b3, ok = _kernels.solve_a3b3(_one(1.0), _one(1.0), _one(1.0))
+        assert ok[0] and abs(a3[0] - 1.0) < 1e-12 and abs(b3[0] - 1.0) < 1e-12
 
 
 class TestBatchReports:
@@ -63,14 +88,28 @@ class TestBatchReports:
         rep = _kernels.batch_reports(arr)
         assert rep[0, _kernels.COL_BOUNDARY] == 1.0
 
+    def test_batching_changes_no_bit(self):
+        n = 2 * _kernels.CHUNK_ROWS + 3
+        arr = np.array([p.as_array() for p in sample_states(seed=181,
+                                                            count=n)])
+        arr[5] = [0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0]
+        arr[_kernels.CHUNK_ROWS] = [0.375, 0.125, 0.125, 0.375,
+                                    0.25, 0.0, 0.0, 0.0]
+        stacked = _kernels.batch_reports(arr)
+        cases = set(stacked[:, _kernels.COL_CASE].tolist())
+        assert cases == {1.0, 2.0}
+        assert stacked[5, _kernels.COL_TG] == 0.0
+        assert stacked[_kernels.CHUNK_ROWS, _kernels.COL_BOUNDARY] == 1.0
+        singles = np.concatenate(
+            [_kernels.batch_reports(arr[i:i + 1]) for i in range(n)])
+        assert np.array_equal(stacked, singles)
+
+    def test_empty_batch(self):
+        rep = _kernels.batch_reports(np.empty((0, 8)))
+        assert rep.shape == (0, _kernels.REPORT_COLS)
+
     def test_stationarity_failure_marks_row_failed(self, monkeypatch):
-        solve = _kernels.solve_a3b3
-
-        def perturbed(x3, y3, t33):
-            a3, b3, ok = solve(x3, y3, t33)
-            return a3 + 1e-6, b3, ok
-
-        monkeypatch.setattr(_kernels, "solve_a3b3", perturbed)
+        perturb_a3(monkeypatch)
         for case in (CaseId.CASE1, CaseId.CASE2):
             states = sample_states(seed=167, count=20, case=case)
             rep = _kernels.batch_reports(
