@@ -227,6 +227,28 @@ def pt_values(ts, gamma0, lam):
 _ID2 = np.eye(2, dtype=np.complex128)
 
 
+def pinched_distances(rho, n):
+    """Pinched Hilbert-Schmidt distances ||rho - Pi_n(rho)||^2.
+
+    ``rho`` is the 4x4 complex density matrix and ``n`` an (m, 3) array of
+    unit measurement directions on qubit A.  Each distance is computed by
+    explicit pinching with the projectors (I +- n.sigma)/2 (x) I; returns
+    the m distances.
+    """
+    proj = np.empty((n.shape[0], 2, 2), dtype=np.complex128)
+    proj[:, 0, 0] = 0.5 * (1.0 + n[:, 2])
+    proj[:, 0, 1] = 0.5 * (n[:, 0] - 1j * n[:, 1])
+    proj[:, 1, 0] = 0.5 * (n[:, 0] + 1j * n[:, 1])
+    proj[:, 1, 1] = 0.5 * (1.0 - n[:, 2])
+
+    pinched = np.zeros((n.shape[0], 4, 4), dtype=np.complex128)
+    for p in (proj, _ID2[None, :, :] - proj):
+        k4 = np.einsum("gab,cd->gacbd", p, _ID2).reshape(-1, 4, 4)
+        pinched += k4 @ rho[None, :, :] @ k4
+    diff = rho[None, :, :] - pinched
+    return np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
+
+
 def measurement_scan(rho, cos_t, sin_t, cos_p, sin_p):
     """Minimum pinched Hilbert-Schmidt distance over a measurement grid.
 
@@ -236,22 +258,8 @@ def measurement_scan(rho, cos_t, sin_t, cos_p, sin_p):
     """
     ct, cp = np.meshgrid(cos_t, cos_p, indexing="ij")
     st, sp = np.meshgrid(sin_t, sin_p, indexing="ij")
-    n1 = (st * cp).ravel()
-    n2 = (st * sp).ravel()
-    n3 = ct.ravel()
-
-    proj = np.empty((n1.size, 2, 2), dtype=np.complex128)
-    proj[:, 0, 0] = 0.5 * (1.0 + n3)
-    proj[:, 0, 1] = 0.5 * (n1 - 1j * n2)
-    proj[:, 1, 0] = 0.5 * (n1 + 1j * n2)
-    proj[:, 1, 1] = 0.5 * (1.0 - n3)
-
-    pinched = np.zeros((n1.size, 4, 4), dtype=np.complex128)
-    for p in (proj, _ID2[None, :, :] - proj):
-        k4 = np.einsum("gab,cd->gacbd", p, _ID2).reshape(-1, 4, 4)
-        pinched += k4 @ rho[None, :, :] @ k4
-    diff = rho[None, :, :] - pinched
-    vals = np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
+    n = np.stack([(st * cp).ravel(), (st * sp).ravel(), ct.ravel()], axis=1)
+    vals = pinched_distances(rho, n)
     flat = int(np.argmin(vals))
     return float(vals[flat]), flat // cos_p.size, flat % cos_p.size
 

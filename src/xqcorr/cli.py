@@ -10,11 +10,14 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
+from ._kernels import COL_A3, COL_B3
 from .closest import (
     CaseId,
+    ProductPair,
     closest_product_general,
-    closest_product_x,
     product_distance,
     x_report_rows,
 )
@@ -152,24 +155,23 @@ def _cmd_evolve(args) -> int:
 def _cmd_oracle_check(args) -> int:
     cfg = SamplerConfig(seed=args.seed, count=args.trials)
     states = sample_x_states(cfg)
-    max_df = 0.0
-    max_transverse = 0.0
-    max_dd = 0.0
+    reports = x_report_rows(np.array([p.as_array() for p in states]))
+    errors = []
     for i, p in enumerate(states):
         bloch = x_params_to_bloch(p)
-        analytic_pair = closest_product_x(p)
+        analytic_pair = ProductPair((0.0, 0.0, reports[i, COL_A3]),
+                                    (0.0, 0.0, reports[i, COL_B3]))
         f_analytic = product_distance(bloch, analytic_pair)
         num_pair = closest_product_general(p.to_matrix(), seed=args.seed + i)
         f_num = product_distance(bloch, num_pair)
-        max_df = max(max_df, abs(f_num - f_analytic))
-        max_transverse = max(
-            max_transverse,
-            abs(num_pair.a[0]), abs(num_pair.a[1]),
-            abs(num_pair.b[0]), abs(num_pair.b[1]),
-        )
         d_closed = geometric_discord_general(bloch)
         d_meas = discord_measurement_oracle(p.to_matrix(), args.grid)
-        max_dd = max(max_dd, abs(d_meas - d_closed))
+        errors.append((abs(f_num - f_analytic),
+                       max(abs(num_pair.a[0]), abs(num_pair.a[1]),
+                           abs(num_pair.b[0]), abs(num_pair.b[1])),
+                       abs(d_meas - d_closed)))
+    max_df, max_transverse, max_dd = np.max(errors, axis=0).tolist()
+    worst = np.argmax(errors, axis=0).tolist()
 
     rows = [
         ("closest-product distance |F_num - F_closed|", max_df, 1e-8),
@@ -185,6 +187,8 @@ def _cmd_oracle_check(args) -> int:
     sys.stdout.write(text)
     if args.out:
         doc = {name: value for name, value, _ in rows}
+        # Index (in sampling order) of the state behind each maximum.
+        doc["worst_state"] = {row[0]: i for row, i in zip(rows, worst)}
         doc["trials"] = args.trials
         doc["seed"] = args.seed
         doc["ok"] = ok

@@ -4,18 +4,18 @@ The closest product state of an X state is diagonal along sigma_3 on both
 sides; its (a3, b3) parameters solve a coupled fixed-point system that
 reduces to a monic quintic, solved globally in :mod:`xqcorr._kernels`.
 The closest classical state comes in two closed forms selected by the
-spectrum of K = x x^T + T T^T.  A derivative-free 6-parameter minimizer
-over arbitrary product states doubles as an independent numerical oracle.
+spectrum of K = x x^T + T T^T.  Multi-start alternating minimization over
+all six Bloch components of an arbitrary product state, finished by a
+Newton polish, doubles as an independent numerical oracle; it shares no
+code with the quintic solver.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import _kernels
 from .errors import (
@@ -192,23 +192,12 @@ def closest_product_of_classical_x(p: XStateParams) -> ProductPair:
 # ---------------------------------------------------------------------------
 
 
-def _objective(x, y, T):
-    x1, x2, x3 = x
-    y1, y2, y3 = y
-    t11, t12, t13 = T[0]
-    t21, t22, t23 = T[1]
-    t31, t32, t33 = T[2]
-
-    def f(v):
-        a1, a2, a3, b1, b2, b3 = v
-        s = (x1 - a1) ** 2 + (x2 - a2) ** 2 + (x3 - a3) ** 2
-        s += (y1 - b1) ** 2 + (y2 - b2) ** 2 + (y3 - b3) ** 2
-        s += (t11 - a1 * b1) ** 2 + (t12 - a1 * b2) ** 2 + (t13 - a1 * b3) ** 2
-        s += (t21 - a2 * b1) ** 2 + (t22 - a2 * b2) ** 2 + (t23 - a2 * b3) ** 2
-        s += (t31 - a3 * b1) ** 2 + (t32 - a3 * b2) ** 2 + (t33 - a3 * b3) ** 2
-        return 0.25 * s
-
-    return f
+def _objective(x, y, T, a, b):
+    # Product-state distance for Bloch vectors stacked on the last axis.
+    dt = T - a[..., :, None] * b[..., None, :]
+    return 0.25 * (np.sum((x - a) ** 2, axis=-1)
+                   + np.sum((y - b) ** 2, axis=-1)
+                   + np.sum(dt * dt, axis=(-2, -1)))
 
 
 def _fixed_point_residual(x, y, T, a, b):
@@ -245,14 +234,24 @@ def _newton_polish(x, y, T, a, b, iters=60):
     return a, b
 
 
-def _alternating_polish(x, y, T, a, b, iters=5000):
-    # Exact block-coordinate minimization; monotone in the objective.
-    for _ in range(iters):
-        a_new = (x + T @ b) / (1.0 + float(b @ b))
-        b_new = (y + T.T @ a_new) / (1.0 + float(a_new @ a_new))
-        delta = max(np.max(np.abs(a_new - a)), np.max(np.abs(b_new - b)))
-        a, b = a_new, b_new
-        if delta < 1e-16:
+def _alternating_minimization(x, y, T, a, b, sweeps=5000):
+    # Exact block-coordinate descent on every start (row of a, b) at once;
+    # monotone in the objective.  A row stops once no component moves by
+    # more than 1e-15; rows still moving after ``sweeps`` sweeps are left
+    # to the caller's Newton polish and residual check.
+    a = a.copy()
+    b = b.copy()
+    active = np.arange(b.shape[0])
+    for _ in range(sweeps):
+        ba = b[active]
+        a_new = (x + ba @ T.T) / (1.0 + np.sum(ba**2, axis=1))[:, None]
+        b_new = (y + a_new @ T) / (1.0 + np.sum(a_new**2, axis=1))[:, None]
+        delta = np.maximum(np.max(np.abs(a_new - a[active]), axis=1),
+                           np.max(np.abs(b_new - ba), axis=1))
+        a[active] = a_new
+        b[active] = b_new
+        active = active[delta > 1e-15]
+        if active.size == 0:
             break
     return a, b
 
@@ -261,40 +260,31 @@ def closest_product_general(rho, seed: int = 0,
                             n_starts: int = 32) -> ProductPair:
     """Numerically minimize the product-state distance over all (a, b).
 
-    Multi-start Nelder-Mead seeded with the marginals' Bloch vectors plus
-    ``n_starts`` pseudorandom points in [-1, 1]^6, followed by fixed-point
-    refinement of the stationarity system.  Raises
-    :class:`ConvergenceFailureError` (with the best pair attached) when the
-    fixed-point residual stays above ``ORACLE_RESIDUAL``.
+    Alternating minimization (a <- (x + T b)/(1 + |b|^2), then
+    b <- (y + T^T a)/(1 + |a|^2), each the exact minimizer with the other
+    vector fixed) runs on all starts at once: the marginals' Bloch vectors
+    plus ``n_starts`` pseudorandom points in [-1, 1]^6.  Newton's method on
+    the stationarity system then polishes the best start, and is kept only
+    if it does not raise the distance.  The oracle works on all six Bloch
+    components of an arbitrary state and shares no code with the X-state
+    quintic.  Raises :class:`ConvergenceFailureError` (with the best pair
+    attached) when the fixed-point residual stays above ``ORACLE_RESIDUAL``.
     """
     b = bloch_decompose(rho)
     x, y, T = b.x.copy(), b.y.copy(), b.T.copy()
-    fun = _objective(x, y, T)
 
     rng = np.random.default_rng(seed)
-    starts = [np.concatenate([x, y])]
-    starts.extend(rng.uniform(-1.0, 1.0, size=(n_starts, 6)))
+    starts = np.vstack([np.concatenate([x, y]),
+                        rng.uniform(-1.0, 1.0, size=(n_starts, 6))])
+    a_all, b_all = _alternating_minimization(x, y, T, starts[:, :3],
+                                             starts[:, 3:])
+    f_all = _objective(x, y, T, a_all, b_all)
+    k = int(np.argmin(f_all))
+    a_best, b_best = a_all[k], b_all[k]
+    polished = _newton_polish(x, y, T, a_best, b_best)
+    if polished is not None and _objective(x, y, T, *polished) <= f_all[k]:
+        a_best, b_best = polished
 
-    best_v = None
-    best_f = math.inf
-    for s in starts:
-        # Coarse simplex descent per start settles the basin; the
-        # fixed-point polish below supplies the final accuracy.
-        res = scipy.optimize.minimize(
-            fun, s, method="Nelder-Mead",
-            options={"xatol": 1e-5, "fatol": 1e-10,
-                     "maxiter": 600, "maxfev": 600},
-        )
-        a_cand, b_cand = res.x[:3], res.x[3:]
-        polished = _newton_polish(x, y, T, a_cand, b_cand)
-        if polished is None or fun(np.concatenate(polished)) > res.fun + 1e-12:
-            polished = _alternating_polish(x, y, T, a_cand, b_cand)
-        f = fun(np.concatenate(polished))
-        if f < best_f:
-            best_f = f
-            best_v = polished
-
-    a_best, b_best = best_v
     residual = _fixed_point_residual(x, y, T, a_best, b_best)
     np.clip(a_best, -1.0, 1.0, out=a_best)
     np.clip(b_best, -1.0, 1.0, out=b_best)

@@ -111,3 +111,17 @@ def perturb_a3(monkeypatch):
         return a3 + 1e-6, b3, ok
 
     monkeypatch.setattr(_kernels, "solve_a3b3", perturbed)
+
+
+def forbid(monkeypatch, module, *names):
+    """Make each named function of ``module`` raise when called.
+
+    Used to show that an oracle reaches none of the closed-form code it
+    validates.
+    """
+    for name in names:
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError("oracle called %s.%s"
+                                 % (module.__name__, _name))
+
+        monkeypatch.setattr(module, name, refuse)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import xqcorr
 from conftest import perturb_a3
 from xqcorr.cli import main
 from xqcorr.states import XStateParams, state_to_json_dict
@@ -169,6 +173,24 @@ class TestOracleCheck:
         doc = json.loads(out.read_text())
         assert doc["ok"] is True
         assert doc["trials"] == 3
+        names = sorted(k for k, v in doc.items() if isinstance(v, float))
+        assert len(names) == 3
+        assert sorted(doc["worst_state"]) == names
+        assert all(doc["worst_state"][n] in range(3) for n in names)
+        assert main(["oracle-check", "--seed", "0", "--trials", "3"]) == 0
+        assert capsys.readouterr().out == stdout
+
+
+class TestImports:
+    def test_no_scipy_at_import(self):
+        # The package runs on numpy alone; scipy is a test dependency.
+        code = ("import sys, xqcorr, xqcorr.cli; "
+                "sys.exit('scipy' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(xqcorr.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60)
+        assert done.returncode == 0
 
 
 class TestHelp:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     f2_profile,
+    forbid,
     grid_a3b3_oracle,
     quintic_roots_reference,
     sample_states,
@@ -20,7 +21,8 @@ from xqcorr.closest import (
     product_distance,
     stationarity_residual,
 )
-from xqcorr.errors import InvalidStateError
+from xqcorr import _kernels, closest
+from xqcorr.errors import ConvergenceFailureError, InvalidStateError
 from xqcorr.quantifiers import geometric_discord_general
 from xqcorr.states import (
     XStateParams,
@@ -168,6 +170,25 @@ class TestClosestProductGeneral:
             f_num = product_distance(bloch, num)
             f_ana = product_distance(bloch, ana)
             assert abs(f_num - f_ana) <= 1e-8
+
+    def test_independent_of_the_quintic(self, monkeypatch):
+        states = sample_states(seed=59, count=5)
+        analytic = [closest_product_x(p) for p in states]
+        forbid(monkeypatch, _kernels, "solve_a3b3", "batch_reports",
+               "k_eigenvalues")
+        for i, (p, ana) in enumerate(zip(states, analytic)):
+            bloch = x_params_to_bloch(p)
+            num = closest_product_general(p.to_matrix(), seed=i)
+            assert abs(product_distance(bloch, num)
+                       - product_distance(bloch, ana)) <= 1e-8
+
+    def test_residual_above_bound_raises_with_best_pair(self, monkeypatch):
+        monkeypatch.setattr(closest, "ORACLE_RESIDUAL", -1.0)
+        with pytest.raises(ConvergenceFailureError) as exc:
+            closest_product_general(BELL.to_matrix(), seed=2)
+        assert isinstance(exc.value.best, ProductPair)
+        f = product_distance(bloch_decompose(BELL.to_matrix()), exc.value.best)
+        assert abs(f - 0.75) < 1e-8
 
 
 def _chi_case1(p):

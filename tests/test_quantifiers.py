@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import sample_states
+from conftest import forbid, sample_states
+from xqcorr import _kernels, closest, quantifiers
 from xqcorr.closest import CaseId, closest_product_of_classical_x
 from xqcorr.errors import UnphysicalParametersError
 from xqcorr.quantifiers import (
@@ -238,6 +239,34 @@ class TestMeasurementOracle:
             val = discord_measurement_oracle(p.to_matrix())
             closed = geometric_discord_general(x_params_to_bloch(p))
             assert abs(val - closed) <= 1e-6
+
+    def test_saddle_near_the_minimum(self):
+        # In both states the z axis is a saddle of the pinched distance,
+        # 2.1e-4 and 1.3e-5 above the minimum: the 64 x 64 grid puts its
+        # best point next to the saddle, and descent must leave it along
+        # a narrow band of negative curvature.
+        for row in (
+            (0.46794650238846736, 0.33519685472497596, 0.14541937518264225,
+             0.051437267703914435, 0.14248770040959977, 0.16161966994245688,
+             2.2939789175993077, 0.945384903078164),
+            (0.30691932690353463, 0.010894390690133982, 0.2855878433067298,
+             0.3965984390996016, 0.21976937265579902, 0.053405573108069246,
+             1.630553198567886, 2.4158583503654336),
+        ):
+            p = XStateParams(*row)
+            closed = geometric_discord_general(x_params_to_bloch(p))
+            assert abs(discord_measurement_oracle(p.to_matrix())
+                       - closed) <= 1e-6
+
+    def test_independent_of_the_k_matrix(self, monkeypatch):
+        states = sample_states(seed=137, count=5)
+        closed = [geometric_discord_general(x_params_to_bloch(p))
+                  for p in states]
+        forbid(monkeypatch, quantifiers, "geometric_discord_general")
+        forbid(monkeypatch, closest, "k_matrix_general")
+        forbid(monkeypatch, _kernels, "k_eigenvalues")
+        for p, d in zip(states, closed):
+            assert abs(discord_measurement_oracle(p.to_matrix()) - d) <= 1e-6
 
     def test_grid_density_floor(self):
         with pytest.raises(ValueError):
