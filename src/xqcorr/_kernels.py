@@ -58,7 +58,8 @@ def solve_a3b3(x3, y3, t33):
     all n companion matrices, stacked as one (n, 5, 5) complex array, seed
     Newton on all (n, 5) roots, each root stopping when its derivative
     vanishes or its step falls to 1e-16 * max(1, |a|), after at most 60
-    steps.  Roots with a quintic residual above 1e-10 are dropped, and the
+    steps.  Only roots with a quintic residual |q| <= 1e-10 are kept (a NaN
+    residual is dropped, so every kept root has a finite distance), and the
     kept root of least distance wins, ties broken by smaller |a3| then
     smaller a3, then root order.
 
@@ -105,7 +106,7 @@ def solve_a3b3(x3, y3, t33):
         live = live[~(np.abs(step) <= 1e-16 * np.fmax(1.0, np.abs(polished)))]
 
     q, _ = _quintic_eval(c4r, c3, c2r, c1r, c0r, a)
-    kept = ~(np.abs(q) > 1e-10).reshape(n, 5)
+    kept = (np.abs(q) <= 1e-10).reshape(n, 5)
     a = a.reshape(n, 5)
     x3c, y3c, t33c = x3[:, None], y3[:, None], t33[:, None]
     b = (y3c + t33c * a) / (1.0 + a * a)
@@ -116,17 +117,14 @@ def solve_a3b3(x3, y3, t33):
 
     # Argmin of (f, |a3|, a3) over the kept roots, the first in root order
     # on a full tie: the root a scan in root order would end on if it moved
-    # only to a strictly better root.  Every comparison with NaN is false,
-    # so such a scan never leaves a first kept root whose f is NaN (the row
-    # then fails the stationarity check) and never moves to a later NaN.
-    first = np.argmax(kept, axis=1)
-    rows = np.arange(n)
-    cand = kept & ~np.isnan(f)
+    # only to a strictly better root.
+    found = kept.any(axis=1)
+    cand = kept
     for key in (f, np.abs(a), a):
         low = np.min(np.where(cand, key, np.inf), axis=1, keepdims=True)
-        cand &= key == low
-    pick = np.where(np.isnan(f[rows, first]), first, np.argmax(cand, axis=1))
-    found = kept.any(axis=1)
+        cand = cand & (key == low)
+    pick = np.argmax(cand, axis=1)
+    rows = np.arange(n)
     best_a = np.where(found, a[rows, pick], 0.0)
     best_b = np.where(found, b[rows, pick], 0.0)
 
@@ -218,10 +216,8 @@ def pt_scalar(t, gamma0, lam):
 
 
 def pt_values(ts, gamma0, lam):
-    out = np.empty(ts.shape[0], dtype=np.float64)
-    for i in range(ts.shape[0]):
-        out[i] = pt_scalar(ts[i], gamma0, lam)
-    return out
+    """:func:`pt_scalar` at each time of the 1-d array ``ts``."""
+    return np.array([pt_scalar(t, gamma0, lam) for t in ts], dtype=np.float64)
 
 
 _ID2 = np.eye(2, dtype=np.complex128)
@@ -249,19 +245,17 @@ def pinched_distances(rho, n):
     return np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
 
 
-def measurement_scan(rho, cos_t, sin_t, cos_p, sin_p):
-    """Minimum pinched Hilbert-Schmidt distance over a measurement grid.
+def measurement_scan(rho, n):
+    """Minimum pinched Hilbert-Schmidt distance over measurement directions.
 
-    ``rho`` is the 4x4 complex density matrix; the four angle arrays hold
-    cos/sin of the polar and azimuthal grids.  Scans all (theta, phi)
-    pairs at once; returns (best value, theta index, phi index).
+    ``rho`` is the 4x4 complex density matrix and ``n`` an (m, 3) array of
+    unit directions on qubit A, all scanned at once by
+    :func:`pinched_distances`.  Returns (best value, best direction), the
+    first direction in ``n`` on a tie.
     """
-    ct, cp = np.meshgrid(cos_t, cos_p, indexing="ij")
-    st, sp = np.meshgrid(sin_t, sin_p, indexing="ij")
-    n = np.stack([(st * cp).ravel(), (st * sp).ravel(), ct.ravel()], axis=1)
     vals = pinched_distances(rho, n)
-    flat = int(np.argmin(vals))
-    return float(vals[flat]), flat // cos_p.size, flat % cos_p.size
+    k = int(np.argmin(vals))
+    return float(vals[k]), n[k]
 
 
 # Former name of the scan, kept because the benchmark's span tracer

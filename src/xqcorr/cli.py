@@ -15,7 +15,6 @@ import numpy as np
 from . import __version__
 from ._kernels import COL_A3, COL_B3
 from .closest import (
-    CaseId,
     ProductPair,
     closest_product_general,
     product_distance,
@@ -31,6 +30,7 @@ from .ensemble import (
     sample_x_arrays,
     sample_x_states,
     write_histogram,
+    write_sidecar,
 )
 from .errors import (
     ConvergenceFailureError,
@@ -42,6 +42,7 @@ from .errors import (
 )
 from .quantifiers import (
     REPORT_CSV_HEADER,
+    csv_float,
     discord_measurement_oracle,
     geometric_discord_general,
     quantifiers_x,
@@ -104,9 +105,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    case = None if args.case is None else CaseId(args.case)
-    cfg = SamplerConfig(seed=args.seed, count=args.count, case_filter=case,
-                        phase_mode=PhaseMode(args.phase_mode))
+    cfg = SamplerConfig(seed=args.seed, count=args.count,
+                        case_filter=args.case, phase_mode=args.phase_mode)
     if args.histogram is not None:
         quantity = Quantity(args.histogram)
         if args.range is not None:
@@ -121,23 +121,15 @@ def _cmd_sample(args) -> int:
     params, _ = sample_x_arrays(cfg)
     states = [XStateParams(*row) for row in params]
     reports = x_report_rows(params)
-    fmt = lambda v: format(float(v), ".17g")
     lines = ["index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
              + REPORT_CSV_HEADER]
     for i, p in enumerate(states):
         report = quantifiers_x(p, row=reports[i])
         lines.append(",".join(
-            [str(i)] + [fmt(v) for v in p.as_array()]
+            [str(i)] + [csv_float(v) for v in p.as_array()]
         ) + "," + report.to_csv_row())
     _write_text(args.out, "\n".join(lines) + "\n")
-    meta = {
-        "seed": cfg.seed, "count": cfg.count,
-        "case_filter": None if case is None else int(case),
-        "phase_mode": cfg.phase_mode.value,
-    }
-    with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_sidecar(args.out, cfg.to_json_dict())
     return EXIT_OK
 
 
@@ -165,7 +157,7 @@ def _cmd_oracle_check(args) -> int:
         num_pair = closest_product_general(p.to_matrix(), seed=args.seed + i)
         f_num = product_distance(bloch, num_pair)
         d_closed = geometric_discord_general(bloch)
-        d_meas = discord_measurement_oracle(p.to_matrix(), args.grid)
+        d_meas = discord_measurement_oracle(p.to_matrix())
         errors.append((abs(f_num - f_analytic),
                        max(abs(num_pair.a[0]), abs(num_pair.a[1]),
                            abs(num_pair.b[0]), abs(num_pair.b[1])),
@@ -192,9 +184,7 @@ def _cmd_oracle_check(args) -> int:
         doc["trials"] = args.trials
         doc["seed"] = args.seed
         doc["ok"] = ok
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -244,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "numerical oracles")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--grid", type=int, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle_check)
     return parser

@@ -104,19 +104,12 @@ def k_matrix_general(b: BlochForm):
 
 def product_distance(b: BlochForm, pair: ProductPair) -> float:
     """Squared HS distance between a state and a product state, in Bloch form."""
-    return 0.25 * (
-        float(np.sum((b.x - pair.a) ** 2))
-        + float(np.sum((b.y - pair.b) ** 2))
-        + float(np.sum((b.T - np.outer(pair.a, pair.b)) ** 2))
-    )
+    return float(_objective(b.x, b.y, b.T, pair.a, pair.b))
 
 
 def stationarity_residual(b: BlochForm, pair: ProductPair) -> float:
     """Max-norm residual of the product-state fixed-point system."""
-    a, bb = pair.a, pair.b
-    ra = a - (b.x + b.T @ bb) / (1.0 + float(bb @ bb))
-    rb = bb - (b.y + b.T.T @ a) / (1.0 + float(a @ a))
-    return float(max(np.max(np.abs(ra)), np.max(np.abs(rb))))
+    return _fixed_point_residual(b.x, b.y, b.T, pair.a, pair.b)
 
 
 def x_report_rows(params: np.ndarray) -> np.ndarray:
@@ -256,26 +249,27 @@ def _alternating_minimization(x, y, T, a, b, sweeps=5000):
     return a, b
 
 
-def closest_product_general(rho, seed: int = 0,
-                            n_starts: int = 32) -> ProductPair:
+def closest_product_general(rho, seed: int = 0) -> ProductPair:
     """Numerically minimize the product-state distance over all (a, b).
 
     Alternating minimization (a <- (x + T b)/(1 + |b|^2), then
     b <- (y + T^T a)/(1 + |a|^2), each the exact minimizer with the other
-    vector fixed) runs on all starts at once: the marginals' Bloch vectors
-    plus ``n_starts`` pseudorandom points in [-1, 1]^6.  Newton's method on
-    the stationarity system then polishes the best start, and is kept only
-    if it does not raise the distance.  The oracle works on all six Bloch
-    components of an arbitrary state and shares no code with the X-state
-    quintic.  Raises :class:`ConvergenceFailureError` (with the best pair
-    attached) when the fixed-point residual stays above ``ORACLE_RESIDUAL``.
+    vector fixed) runs on all 33 starts at once: the marginals' Bloch
+    vectors plus 32 pseudorandom points in [-1, 1]^6 drawn from ``seed``.
+    Newton's method on the stationarity system then polishes the best
+    start, and is kept only if it does not raise the distance; near a
+    maximally entangled state alternating minimization alone stalls with a
+    residual near 1e-6.  The oracle works on all six Bloch components of an
+    arbitrary state and shares no code with the X-state quintic.  Raises
+    :class:`ConvergenceFailureError` (with the best pair attached) when the
+    fixed-point residual stays above ``ORACLE_RESIDUAL``.
     """
     b = bloch_decompose(rho)
     x, y, T = b.x.copy(), b.y.copy(), b.T.copy()
 
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.concatenate([x, y]),
-                        rng.uniform(-1.0, 1.0, size=(n_starts, 6))])
+                        rng.uniform(-1.0, 1.0, size=(32, 6))])
     a_all, b_all = _alternating_minimization(x, y, T, starts[:, :3],
                                              starts[:, 3:])
     f_all = _objective(x, y, T, a_all, b_all)

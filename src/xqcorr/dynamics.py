@@ -16,13 +16,14 @@ between the two spectral cases k1 <= k3 and k1 > k3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .closest import x_report_rows
-from .quantifiers import CorrelationReport, quantifiers_x
+from .quantifiers import CorrelationReport, csv_float, quantifiers_x
 from .states import XStateParams
 
 TRAJECTORY_CSV_HEADER = (
@@ -41,6 +42,9 @@ class DynamicsConfig:
     initial: XStateParams
 
     def __post_init__(self):
+        for name in ("gamma0", "lam", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         if not self.gamma0 > 0.0:
             raise ValueError("gamma0 must be positive")
         if not self.lam > 0.0:
@@ -65,8 +69,7 @@ def p_t(t, gamma0: float, lam: float):
     arr = np.asarray(t, dtype=np.float64)
     if arr.ndim == 0:
         return float(_kernels.pt_scalar(float(arr), gamma0, lam))
-    return _kernels.pt_values(np.ascontiguousarray(arr.ravel()), gamma0,
-                              lam).reshape(arr.shape)
+    return _kernels.pt_values(arr.ravel(), gamma0, lam).reshape(arr.shape)
 
 
 def _propagate(initial: XStateParams, p: np.ndarray) -> np.ndarray:
@@ -143,20 +146,15 @@ def case_crossings(cfg: DynamicsConfig, refine_tol: float = 1e-6):
 
 
 def trajectory_csv(points) -> str:
-    def fmt(v):
-        return format(float(v), ".17g")
-
     lines = [TRAJECTORY_CSV_HEADER]
     for pt in points:
         s = pt.state
         r = pt.report
-        lines.append(",".join([
-            fmt(pt.t), fmt(s.rho11), fmt(s.rho22), fmt(s.rho33),
-            fmt(s.rho44), fmt(s.rho14), fmt(s.rho23),
-            fmt(pt.k1), fmt(pt.k3),
-            fmt(r.t_g), fmt(r.d_g), fmt(r.c_g), fmt(r.l_g),
-            str(int(r.case.case_id)),
-        ]))
+        lines.append(",".join(
+            [csv_float(v) for v in (pt.t, s.rho11, s.rho22, s.rho33, s.rho44,
+                                    s.rho14, s.rho23, pt.k1, pt.k3,
+                                    r.t_g, r.d_g, r.c_g, r.l_g)]
+            + [str(int(r.case.case_id))]))
     return "\n".join(lines) + "\n"
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import _kernels
 from .closest import CaseId, x_report_rows
 from .errors import RejectionExhaustionError
+from .quantifiers import csv_float
 from .states import XStateParams
 from .tolerances import HISTOGRAM_EDGE, TG_FLOOR
 
@@ -59,6 +60,16 @@ class SamplerConfig:
         object.__setattr__(self, "phase_mode", PhaseMode(self.phase_mode))
         if self.case_filter is not None:
             object.__setattr__(self, "case_filter", CaseId(self.case_filter))
+
+    def to_json_dict(self) -> dict:
+        """The sampler's keys of a ``.meta.json`` sidecar."""
+        return {
+            "seed": self.seed,
+            "count": self.count,
+            "case_filter": (None if self.case_filter is None
+                            else int(self.case_filter)),
+            "phase_mode": self.phase_mode.value,
+        }
 
 
 @dataclass(frozen=True)
@@ -153,20 +164,14 @@ class HistogramResult:
     def to_csv(self) -> str:
         lines = ["bin_lo,bin_hi,count"]
         for i in range(self.counts.size):
-            lines.append("%s,%s,%d" % (
-                format(self.edges[i], ".17g"),
-                format(self.edges[i + 1], ".17g"),
-                int(self.counts[i]),
-            ))
+            lines.append("%s,%s,%d" % (csv_float(self.edges[i]),
+                                       csv_float(self.edges[i + 1]),
+                                       int(self.counts[i])))
         return "\n".join(lines) + "\n"
 
     def sidecar_dict(self) -> dict:
         return {
-            "seed": self.config.seed,
-            "count": self.config.count,
-            "case_filter": (None if self.config.case_filter is None
-                            else int(self.config.case_filter)),
-            "phase_mode": self.config.phase_mode.value,
+            **self.config.to_json_dict(),
             "quantity": self.spec.quantity.value,
             "bin_count": self.spec.bin_count,
             "range": [self.spec.lo, self.spec.hi],
@@ -219,10 +224,15 @@ def run_histogram(cfg: SamplerConfig, spec: HistogramSpec) -> HistogramResult:
     )
 
 
+def write_sidecar(path, doc: dict) -> None:
+    """Write ``doc`` as the JSON metadata sidecar ``<path>.meta.json``."""
+    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_histogram(result: HistogramResult, path) -> None:
     """Write the histogram CSV plus its JSON metadata sidecar."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(result.to_csv())
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(result.sidecar_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_sidecar(path, result.sidecar_dict())

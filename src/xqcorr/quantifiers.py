@@ -28,6 +28,7 @@ from .closest import (
     _classical_product_pair,
     _closest_classical,
     k_eigenvalues_x,
+    k_matrix_general,
     x_report_row,
 )
 from .errors import InvalidStateError, UnphysicalParametersError
@@ -37,7 +38,8 @@ from .tolerances import CASE_BOUNDARY, CLAMP, PSD_FLOOR
 REPORT_CSV_HEADER = "case,k1,k2,k3,tg,dg,cg,lg,res,res_l,a3,b3,boundary"
 
 
-def _fmt(x: float) -> str:
+def csv_float(x: float) -> str:
+    """A float as it appears in every CSV output: 17 significant digits."""
     return format(float(x), ".17g")
 
 
@@ -56,15 +58,17 @@ class CorrelationReport:
     classical_state: XStateParams
     classical_product_pair: ProductPair
     boundary_flag: bool
+    # Names of clamped quantifiers.  Always empty: the kernel's t_g, d_g,
+    # c_g and l_g are sums of squares.  The JSON report still lists it.
     clamped: tuple = field(default=())
 
     def to_csv_row(self) -> str:
         cols = [str(int(self.case.case_id))]
-        cols += [_fmt(v) for v in (self.case.k1, self.case.k2, self.case.k3,
-                                   self.t_g, self.d_g, self.c_g, self.l_g,
-                                   self.residual_closure, self.residual_with_l,
-                                   self.product_pair.a[2],
-                                   self.product_pair.b[2])]
+        cols += [csv_float(v) for v in (
+            self.case.k1, self.case.k2, self.case.k3,
+            self.t_g, self.d_g, self.c_g, self.l_g,
+            self.residual_closure, self.residual_with_l,
+            self.product_pair.a[2], self.product_pair.b[2])]
         cols.append("1" if self.boundary_flag else "0")
         return ",".join(cols)
 
@@ -97,23 +101,18 @@ class CorrelationReport:
         }
 
 
-def _clamp(value: float, name: str, clamped: list) -> float:
-    if -CLAMP <= value < 0.0:
-        clamped.append(name)
-        return 0.0
-    return value
-
-
 def geometric_discord_general(b: BlochForm) -> float:
     """Closed-form geometric discord of an arbitrary two-qubit state.
 
     One quarter of ||x||^2 + ||T||_F^2 minus the largest eigenvalue of
-    K = x x^T + T T^T; tiny negative floating-point results are clamped.
+    K = x x^T + T T^T (:func:`xqcorr.closest.k_matrix_general`).  The
+    difference can round to a tiny negative number; values down to
+    ``-CLAMP`` are returned as 0.
     """
-    K = np.outer(b.x, b.x) + b.T @ b.T.T
-    kmax = float(np.linalg.eigvalsh(K)[-1])
+    _, eigs = k_matrix_general(b)
+    kmax = float(eigs[0])
     val = 0.25 * (float(b.x @ b.x) + float(np.sum(b.T * b.T)) - kmax)
-    return _clamp(val, "dg", [])
+    return 0.0 if -CLAMP <= val < 0.0 else val
 
 
 def quantifiers_x(p: XStateParams, *, row=None) -> CorrelationReport:
@@ -132,12 +131,11 @@ def quantifiers_x(p: XStateParams, *, row=None) -> CorrelationReport:
     )
     product_pair = ProductPair((0.0, 0.0, vals[_kernels.COL_A3]),
                                (0.0, 0.0, vals[_kernels.COL_B3]))
-    clamped: list = []
     return CorrelationReport(
-        t_g=_clamp(vals[_kernels.COL_TG], "tg", clamped),
-        d_g=_clamp(vals[_kernels.COL_DG], "dg", clamped),
-        c_g=_clamp(vals[_kernels.COL_CG], "cg", clamped),
-        l_g=_clamp(vals[_kernels.COL_LG], "lg", clamped),
+        t_g=vals[_kernels.COL_TG],
+        d_g=vals[_kernels.COL_DG],
+        c_g=vals[_kernels.COL_CG],
+        l_g=vals[_kernels.COL_LG],
         case=case,
         residual_closure=vals[_kernels.COL_RES],
         residual_with_l=vals[_kernels.COL_RESL],
@@ -146,7 +144,6 @@ def quantifiers_x(p: XStateParams, *, row=None) -> CorrelationReport:
         classical_product_pair=_classical_product_pair(p, case.case_id,
                                                        product_pair),
         boundary_flag=bool(vals[_kernels.COL_BOUNDARY]),
-        clamped=tuple(clamped),
     )
 
 
@@ -206,7 +203,6 @@ def bell_diagonal_quantifiers(t11: float, t22: float,
         classical_state=_closest_classical(p, case.case_id),
         classical_product_pair=zero,
         boundary_flag=abs(case.k1 - case.k3) <= CASE_BOUNDARY,
-        clamped=(),
     )
 
 
@@ -278,17 +274,14 @@ def discord_measurement_oracle(rho, grid_density: int = 64) -> float:
     if not isinstance(rho, DensityMatrix4):
         rho = DensityMatrix4(rho)
     rho.validate()
-    m = np.ascontiguousarray(rho.matrix)
 
     thetas = math.pi * (np.arange(grid_density) + 0.5) / grid_density
     phis = 2.0 * math.pi * np.arange(grid_density) / grid_density
-    best, it, ip = _kernels.measurement_scan(
-        m, np.cos(thetas), np.sin(thetas), np.cos(phis), np.sin(phis)
-    )
-    n = np.array([math.sin(thetas[it]) * math.cos(phis[ip]),
-                  math.sin(thetas[it]) * math.sin(phis[ip]),
-                  math.cos(thetas[it])])
-    return min(best, _descend_on_sphere(m, n))
+    ct, cp = np.meshgrid(np.cos(thetas), np.cos(phis), indexing="ij")
+    st, sp = np.meshgrid(np.sin(thetas), np.sin(phis), indexing="ij")
+    grid = np.stack([(st * cp).ravel(), (st * sp).ravel(), ct.ravel()], axis=1)
+    best, n = _kernels.measurement_scan(rho.matrix, grid)
+    return min(best, _descend_on_sphere(rho.matrix, n))
 
 
 def pinched_state(rho, theta: float, phi: float) -> DensityMatrix4:

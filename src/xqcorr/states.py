@@ -66,9 +66,8 @@ def hs_norm_sq(delta):
 class DensityMatrix4:
     """Dense 4x4 density matrix in the basis {|11>,|10>,|01>,|00>}.
 
-    Construction only checks shape/finiteness; call :meth:`validate` (or
-    build through :meth:`from_matrix`) to enforce Hermiticity, unit trace
-    and positivity.
+    Construction only checks shape and finiteness; :meth:`validate`
+    enforces Hermiticity, unit trace and positivity.
     """
 
     matrix: np.ndarray
@@ -81,12 +80,6 @@ class DensityMatrix4:
             raise InvalidStateError("non-finite matrix entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_matrix(cls, matrix, require_psd: bool = True) -> "DensityMatrix4":
-        rho = cls(matrix)
-        rho.validate(require_psd=require_psd)
-        return rho
 
     def validate(self, require_psd: bool = True) -> "DensityMatrix4":
         m = self.matrix
@@ -106,9 +99,6 @@ class DensityMatrix4:
                 "invalid density matrix: " + "; ".join(problems), problems
             )
         return self
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
     def purity(self) -> float:
         return hs_norm_sq(self.matrix)

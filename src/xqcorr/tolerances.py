@@ -25,7 +25,7 @@ STATIONARITY = 1e-10
 ORACLE_RESIDUAL = 1e-8
 # |k1 - k3| below which a state is flagged as lying on the case boundary.
 CASE_BOUNDARY = 1e-10
-# Width of the clamp window for tiny negative quantifier values.
+# Width of the clamp window for a tiny negative general-state discord.
 CLAMP = 1e-12
 # States with t_g at or below this are dropped from relative histograms.
 TG_FLOOR = 1e-12

@@ -78,7 +78,7 @@ def scalar_solve_a3b3(x3, y3, t33):
             a -= step
             if abs(step) <= 1e-16 * max(1.0, abs(a)):
                 break
-        if abs(quintic(a)[0]) > 1e-10:
+        if not abs(quintic(a)[0]) <= 1e-10:
             continue
         b = (y3 + t33 * a) / (1.0 + a * a)
         da, db, dt = x3 - a, y3 - b, t33 - a * b

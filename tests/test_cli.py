@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,16 @@ from xqcorr.states import XStateParams, state_to_json_dict
 BELL_JSON = json.dumps({
     "kind": "x", "rho11": 0.5, "rho22": 0.0, "rho33": 0.0, "rho44": 0.5,
     "rho14": 0.5, "rho23": 0.0, "gamma14": 0.0, "gamma23": 0.0,
+})
+
+
+CASE2_JSON = json.dumps({
+    "kind": "x", "rho11": 0.3, "rho22": 0.2, "rho33": 0.2, "rho44": 0.3,
+    "rho14": 0.25, "rho23": 0.15, "gamma14": 0.3, "gamma23": 1.1,
+})
+FIG3_JSON = json.dumps({
+    "kind": "x", "rho11": 2.0 / 3.0, "rho22": 0.0, "rho33": 0.0,
+    "rho44": 1.0 / 3.0, "rho14": math.sqrt(2.0) / 3.0, "rho23": 0.0,
 })
 
 
@@ -130,10 +141,7 @@ class TestSample:
 
 class TestEvolve:
     def test_fig3_trajectory(self, tmp_path):
-        psi = write(tmp_path, "psi.json", json.dumps({
-            "kind": "x", "rho11": 2.0 / 3.0, "rho22": 0.0, "rho33": 0.0,
-            "rho44": 1.0 / 3.0, "rho14": math.sqrt(2.0) / 3.0, "rho23": 0.0,
-        }))
+        psi = write(tmp_path, "psi.json", FIG3_JSON)
         out = tmp_path / "traj.csv"
         assert main(["evolve", psi, "--gamma0", "1.0", "--lambda", "0.01",
                      "--t-max", "50", "--steps", "400",
@@ -150,6 +158,17 @@ class TestEvolve:
         assert main(["evolve", psi, "--gamma0", "1", "--lambda", "1",
                      "--t-max", "1", "--steps", "1",
                      "--out", str(tmp_path / "t.csv")]) == 2
+
+    def test_non_finite_parameters(self, tmp_path, capsys):
+        psi = write(tmp_path, "psi.json", BELL_JSON)
+        for flag, value in (("--gamma0", "inf"), ("--lambda", "inf"),
+                            ("--t-max", "nan"), ("--t-max", "inf")):
+            argv = ["evolve", psi, "--gamma0", "1", "--lambda", "1",
+                    "--t-max", "1", "--steps", "20",
+                    "--out", str(tmp_path / "t.csv")]
+            argv[argv.index(flag) + 1] = value
+            assert main(argv) == 2
+            assert "must be finite" in capsys.readouterr().err
 
 
 class TestSolverFailure:
@@ -202,3 +221,65 @@ class TestHelp:
         assert "|11>" in text and "|00>" in text
         assert '"kind"' in text
         assert "exit codes" in text
+
+
+GOLDEN_SHA256 = {
+    "analyze-bell":
+        "c1c14e53a5ae17bdcce237ac422be059e6bf62dde6d9844f3f931d9a9c1ca9da",
+    "analyze-case2":
+        "2707e18d5647095bf325ee5f46f78a137e4e0b4563ead0aba1f2b26f64e7a63f",
+    "sample.csv":
+        "279076fc6c1acbda2673cd03b116ad8ec3c3ca4bd2941d55f12194a4b9dc5a66",
+    "sample.csv.meta.json":
+        "bc3309ce06200ba4a933d12549d065b18e7d03602b3773091ba96f4ec308b4b2",
+    "hist.csv":
+        "7eb36f38626d3d9ed5de3f840dbe32fd44d32cd91d571bed385c0d9761e81ad6",
+    "hist.csv.meta.json":
+        "6b2833d2194455ec566ecfefd8218becbf27614e977239897bced2d6eb5b62db",
+    "evolve.csv":
+        "5b38e54fca596278ddfcbf257dce69ed83ff4e12d4867ed64cf24b5979d4100c",
+    "oracle-check":
+        "5bbdf60d1b254fa58bd278bf234437cc04ed98e7e09cd9edc76d15d17f8ac4c2",
+}
+
+
+class TestGoldenBytes:
+    """Every command's output, byte for byte, against ``GOLDEN_SHA256``.
+
+    The digests come from numpy 2.4.6 on x86-64 Linux; the last bits of
+    the floats may differ under another numpy build.  A change that does
+    not mean to change output bits leaves them alone.  A change that does
+    regenerates them and says so in CHANGES.md.
+    """
+
+    def test_outputs_match_digests(self, tmp_path, capsys):
+        def stdout_of(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out.encode()
+
+        def files(*names):
+            return {n: (tmp_path / n).read_bytes() for n in names}
+
+        out = {
+            "analyze-bell": stdout_of(
+                ["analyze", write(tmp_path, "bell.json", BELL_JSON)]),
+            "analyze-case2": stdout_of(
+                ["analyze", write(tmp_path, "case2.json", CASE2_JSON)]),
+        }
+        stdout_of(["sample", "--seed", "7", "--count", "50",
+                   "--out", str(tmp_path / "sample.csv")])
+        stdout_of(["sample", "--seed", "3", "--count", "2000", "--case", "2",
+                   "--histogram", "rel_residual",
+                   "--out", str(tmp_path / "hist.csv")])
+        stdout_of(["evolve", write(tmp_path, "psi.json", FIG3_JSON),
+                   "--gamma0", "1.0", "--lambda", "0.01", "--t-max", "50",
+                   "--steps", "200", "--out", str(tmp_path / "evolve.csv")])
+        out.update(files("sample.csv", "sample.csv.meta.json", "hist.csv",
+                         "hist.csv.meta.json", "evolve.csv"))
+        cases = {line.rsplit(",", 1)[1] for line in
+                 out["evolve.csv"].decode().split("\n")[1:-1]}
+        assert cases == {"1", "2"}
+        out["oracle-check"] = stdout_of(
+            ["oracle-check", "--seed", "0", "--trials", "3"])
+        digests = {k: hashlib.sha256(v).hexdigest() for k, v in out.items()}
+        assert digests == GOLDEN_SHA256

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,20 @@ class TestClosestProductGeneral:
             f_num = product_distance(bloch, num)
             f_ana = product_distance(bloch, ana)
             assert abs(f_num - f_ana) <= 1e-8
+
+    def test_near_maximally_entangled_needs_the_newton_polish(self):
+        # cos(t)|11> + sin(t)|00> just off t = pi/4.  Alternating
+        # minimization alone stops at a fixed-point residual of up to
+        # 8.7e-7 here (seeds 0-2), above ORACLE_RESIDUAL, so the oracle
+        # passes only with its Newton polish.
+        t = math.pi / 4 + 5.15067807627112e-07
+        c, s = math.cos(t), math.sin(t)
+        p = XStateParams(c * c, 0.0, 0.0, s * s, c * s, 0.0)
+        bloch = x_params_to_bloch(p)
+        f_ana = product_distance(bloch, closest_product_x(p))
+        for seed in range(3):
+            num = closest_product_general(p.to_matrix(), seed=seed)
+            assert abs(product_distance(bloch, num) - f_ana) <= 1e-8
 
     def test_independent_of_the_quintic(self, monkeypatch):
         states = sample_states(seed=59, count=5)

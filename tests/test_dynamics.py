@@ -116,6 +116,12 @@ class TestEvolve:
         with pytest.raises(ValueError):
             DynamicsConfig(1.0, 1.0, 1.0, 1, FIG3_INITIAL)
 
+    def test_config_rejects_non_finite(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    DynamicsConfig(*args, 10, FIG3_INITIAL)
+
 
 class TestCaseCrossings:
     def test_fig3_crossings(self):

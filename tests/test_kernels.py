@@ -104,6 +104,21 @@ class TestBatchReports:
             [_kernels.batch_reports(arr[i:i + 1]) for i in range(n)])
         assert np.array_equal(stacked, singles)
 
+    def test_quantifier_columns_are_nonnegative(self):
+        # Why quantifiers_x does not clamp: t_g, d_g, c_g and l_g are sums
+        # of squares, so no row gives a negative value or -0.0.
+        rows = [p.as_array() for case in (CaseId.CASE1, CaseId.CASE2)
+                for p in sample_states(seed=193, count=2000, case=case)]
+        rows += [[0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0],  # origin
+                 [0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0],  # pure (Bell)
+                 [0.375, 0.125, 0.125, 0.375, 0.25, 0.0, 0.0, 0.0]]  # k1=k3
+        rep = _kernels.batch_reports(np.array(rows))
+        assert set(rep[:, _kernels.COL_CASE].tolist()) == {1.0, 2.0}
+        quantifiers = rep[:, [_kernels.COL_TG, _kernels.COL_DG,
+                              _kernels.COL_CG, _kernels.COL_LG]]
+        assert np.all(quantifiers >= 0.0)
+        assert not np.any(np.signbit(quantifiers))
+
     def test_empty_batch(self):
         rep = _kernels.batch_reports(np.empty((0, 8)))
         assert rep.shape == (0, _kernels.REPORT_COLS)
@@ -158,8 +173,8 @@ class TestMeasurementScanBackends:
         p = sample_states(seed=163, count=1)[0]
         m = p.to_matrix().matrix
         theta, phi = 1.1, 2.3
-        val, _, _ = _kernels.measurement_scan(
-            m, np.array([math.cos(theta)]), np.array([math.sin(theta)]),
-            np.array([math.cos(phi)]), np.array([math.sin(phi)]))
+        n = np.array([[math.sin(theta) * math.cos(phi),
+                       math.sin(theta) * math.sin(phi), math.cos(theta)]])
+        val, _ = _kernels.measurement_scan(m, n)
         direct = hs_norm_sq(m - pinched_state(p.to_matrix(), theta, phi).matrix)
         assert abs(val - direct) < 1e-14
