@@ -29,6 +29,7 @@ from .dynamics import (
     case_crossings,
     evolve,
     p_t,
+    trajectory,
     trajectory_csv,
     write_trajectory_csv,
 )
@@ -65,6 +66,7 @@ from .states import (
     XStateParams,
     bloch_compose,
     bloch_decompose,
+    check_x_rows,
     hs_norm_sq,
     load_state_file,
     matrix_to_x_params,

@@ -193,31 +193,39 @@ def _fill_reports(params, out):
 
 def pt_scalar(t, gamma0, lam):
     """Excited-state survival probability of the damped qubit at time t."""
-    d2 = 2.0 * gamma0 * lam - lam * lam
-    ad = math.sqrt(abs(d2))
-    if ad * t < 1e-6:
-        # Series in d^2; also covers the d -> 0 boundary exactly.
-        bracket = 1.0 + 0.5 * lam * t - d2 * t * t / 8.0 - lam * d2 * t**3 / 48.0
+    overdamped = lam > 2.0 * gamma0
+    if overdamped:
+        # |d| = lam*s without forming lam^2, which overflows from lam ~ 1e154.
+        s = math.sqrt(1.0 - 2.0 * gamma0 / lam)
+        ad = lam * s
+    else:
+        ad = math.sqrt(2.0 * gamma0 * lam - lam * lam)
+    x = ad * t
+    if x < 1e-6:
+        # Series in d^2 t^2 (x^2, or -x^2 when overdamped); also covers the
+        # d -> 0 boundary exactly.
+        d2t2 = -x * x if overdamped else x * x
+        bracket = 1.0 + 0.5 * lam * t - d2t2 / 8.0 - lam * t * d2t2 / 48.0
         return math.exp(-lam * t) * bracket * bracket
-    half = 0.5 * ad * t
-    if d2 > 0.0:
-        bracket = math.cos(half) + (lam / ad) * math.sin(half)
+    if not overdamped:
+        bracket = math.cos(0.5 * x) + (lam / ad) * math.sin(0.5 * x)
         return math.exp(-lam * t) * bracket * bracket
-    # Overdamped regime: evaluate through logs to avoid cosh overflow.
-    r = lam / ad
+    # Overdamped, through logs to avoid cosh overflow.  -lam*t + ad*t is
+    # written as -2*gamma0*t/(1 + s), which does not cancel as lam grows.
+    r = 1.0 / s
     xi = (1.0 - r) / (1.0 + r)
     logp = (
-        -lam * t
-        + ad * t
+        -2.0 * gamma0 * t / (1.0 + s)
         + 2.0 * math.log(0.5 * (1.0 + r))
-        + 2.0 * math.log1p(xi * math.exp(-2.0 * half))
+        + 2.0 * math.log1p(xi * math.exp(-x))
     )
     return math.exp(logp)
 
 
 def pt_values(ts, gamma0, lam):
     """:func:`pt_scalar` at each time of the 1-d array ``ts``."""
-    return np.array([pt_scalar(t, gamma0, lam) for t in ts], dtype=np.float64)
+    return np.array([pt_scalar(t, gamma0, lam) for t in ts.tolist()],
+                    dtype=np.float64)
 
 
 _ID2 = np.eye(2, dtype=np.complex128)

@@ -20,7 +20,7 @@ from .closest import (
     product_distance,
     x_report_rows,
 )
-from .dynamics import DynamicsConfig, evolve, write_trajectory_csv
+from .dynamics import DynamicsConfig, trajectory, write_trajectory_csv
 from .ensemble import (
     HistogramSpec,
     PhaseMode,
@@ -139,8 +139,7 @@ def _cmd_evolve(args) -> int:
         state = matrix_to_x_params(state)
     cfg = DynamicsConfig(gamma0=args.gamma0, lam=args.lam,
                          t_max=args.t_max, steps=args.steps, initial=state)
-    points = evolve(cfg)
-    write_trajectory_csv(points, args.out)
+    write_trajectory_csv(*trajectory(cfg), args.out)
     return EXIT_OK
 
 

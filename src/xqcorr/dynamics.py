@@ -12,6 +12,14 @@ continues analytically to hyperbolic functions; the d -> 0 boundary uses a
 series branch.  The map preserves the X structure, so trajectories stay in
 the closed-form regime of the correlation quantifiers and can wander
 between the two spectral cases k1 <= k3 and k1 > k3.
+
+:func:`trajectory` computes a whole trajectory as three arrays: the time
+grid, the (n, 8) evolved parameters, validated once as an array by
+:func:`xqcorr.states.check_x_rows`, and their (n, 13) report array from one
+:func:`xqcorr.closest.x_report_rows` solve.  ``xqcorr evolve`` writes its
+CSV straight from those arrays and builds no per-point objects;
+:func:`evolve` is the per-point view of the same arrays, one
+:class:`TrajectoryPoint` with a full :class:`CorrelationReport` per time.
 """
 
 from __future__ import annotations
@@ -23,12 +31,17 @@ import numpy as np
 
 from . import _kernels
 from .closest import x_report_rows
-from .quantifiers import CorrelationReport, csv_float, quantifiers_x
-from .states import XStateParams
+from .quantifiers import CSV_FLOAT, CorrelationReport, quantifiers_x
+from .states import XStateParams, check_x_rows
 
 TRAJECTORY_CSV_HEADER = (
     "t,rho11,rho22,rho33,rho44,rho14,rho23,k1,k3,tg,dg,cg,lg,case"
 )
+# One CSV row: t, rho11 .. rho23, then these report columns, the case last.
+_ROW_FORMAT = ",".join([CSV_FLOAT] * 13 + ["%d"])
+_REPORT_COLUMNS = [_kernels.COL_K1, _kernels.COL_K3, _kernels.COL_TG,
+                   _kernels.COL_DG, _kernels.COL_CG, _kernels.COL_LG,
+                   _kernels.COL_CASE]
 
 
 @dataclass(frozen=True)
@@ -88,22 +101,40 @@ def _propagate(initial: XStateParams, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve(cfg: DynamicsConfig):
+def _params_at(cfg: DynamicsConfig, taus: np.ndarray) -> np.ndarray:
+    """Evolved (n, 8) parameters at the times ``taus`` (units 1/gamma0)."""
+    return _propagate(cfg.initial,
+                      p_t(taus / cfg.gamma0, cfg.gamma0, cfg.lam))
+
+
+def trajectory(cfg: DynamicsConfig):
     """Trajectory on a uniform grid of ``cfg.steps`` times in [0, t_max].
 
-    Every point carries the evolved state (validated), the two competing
-    K eigenvalues and the full correlation report.
+    Returns arrays (taus, params, reports): the times, the (n, 8) evolved
+    X-state parameters and their (n, 13) report array (columns as in
+    :func:`xqcorr._kernels.batch_reports`).  The parameters are validated
+    before the solve, so an invalid evolved state raises
+    :class:`InvalidStateError` ahead of any solver failure.
     """
     taus = np.linspace(0.0, cfg.t_max, cfg.steps)
-    p = p_t(taus / cfg.gamma0, cfg.gamma0, cfg.lam)
-    params = _propagate(cfg.initial, p)
-    states = [XStateParams(*row) for row in params]
-    reports = x_report_rows(params)
+    params = _params_at(cfg, taus)
+    check_x_rows(params)
+    return taus, params, x_report_rows(params)
+
+
+def evolve(cfg: DynamicsConfig):
+    """:func:`trajectory` as a list of :class:`TrajectoryPoint`.
+
+    Every point carries the evolved state, the two competing K eigenvalues
+    and the full correlation report.
+    """
+    taus, params, reports = trajectory(cfg)
     points = []
-    for tau, state, row in zip(taus, states, reports):
+    for tau, vals, row in zip(taus.tolist(), params.tolist(), reports):
+        state = XStateParams(*vals)
         report = quantifiers_x(state, row=row)
         points.append(TrajectoryPoint(
-            t=float(tau), state=state,
+            t=tau, state=state,
             k1=report.case.k1, k3=report.case.k3, report=report,
         ))
     return points
@@ -113,9 +144,7 @@ def case_crossings(cfg: DynamicsConfig, refine_tol: float = 1e-6):
     """Times (units 1/gamma0) where k1 - k3 changes sign, bisected to tol."""
 
     def gaps_at(taus):
-        params = _propagate(cfg.initial, p_t(taus / cfg.gamma0, cfg.gamma0,
-                                             cfg.lam))
-        k1, _, k3, _ = _kernels.k_eigenvalues(params)
+        k1, _, k3, _ = _kernels.k_eigenvalues(_params_at(cfg, taus))
         return k1 - k3
 
     taus = np.linspace(0.0, cfg.t_max, cfg.steps)
@@ -145,19 +174,14 @@ def case_crossings(cfg: DynamicsConfig, refine_tol: float = 1e-6):
     return crossings
 
 
-def trajectory_csv(points) -> str:
+def trajectory_csv(taus, params, reports) -> str:
+    """CSV text of the :func:`trajectory` arrays, one row per time."""
+    table = np.column_stack([taus, params[:, :6], reports[:, _REPORT_COLUMNS]])
     lines = [TRAJECTORY_CSV_HEADER]
-    for pt in points:
-        s = pt.state
-        r = pt.report
-        lines.append(",".join(
-            [csv_float(v) for v in (pt.t, s.rho11, s.rho22, s.rho33, s.rho44,
-                                    s.rho14, s.rho23, pt.k1, pt.k3,
-                                    r.t_g, r.d_g, r.c_g, r.l_g)]
-            + [str(int(r.case.case_id))]))
+    lines += [_ROW_FORMAT % tuple(row) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
-def write_trajectory_csv(points, path) -> None:
+def write_trajectory_csv(taus, params, reports, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory_csv(points))
+        fh.write(trajectory_csv(taus, params, reports))

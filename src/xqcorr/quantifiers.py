@@ -37,10 +37,14 @@ from .tolerances import CASE_BOUNDARY, CLAMP, PSD_FLOOR
 
 REPORT_CSV_HEADER = "case,k1,k2,k3,tg,dg,cg,lg,res,res_l,a3,b3,boundary"
 
+# The %-format of a float in every CSV output: 17 significant digits, which
+# round-trip any float64.
+CSV_FLOAT = "%.17g"
+
 
 def csv_float(x: float) -> str:
-    """A float as it appears in every CSV output: 17 significant digits."""
-    return format(float(x), ".17g")
+    """A float as it appears in every CSV output, by :data:`CSV_FLOAT`."""
+    return CSV_FLOAT % float(x)
 
 
 @dataclass(frozen=True)

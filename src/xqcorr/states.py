@@ -144,9 +144,11 @@ class XStateParams:
             problems.append("diagonal sums to 1 off by %.3e" % s)
         if self.rho14 < 0.0 or self.rho23 < 0.0:
             problems.append("coherence magnitudes must be nonnegative")
-        if self.rho14**2 > self.rho11 * self.rho44 + BLOCK_POSITIVITY:
+        if (self.rho14 * self.rho14
+                > self.rho11 * self.rho44 + BLOCK_POSITIVITY):
             problems.append("outer block not positive: rho14^2 > rho11*rho44")
-        if self.rho23**2 > self.rho22 * self.rho33 + BLOCK_POSITIVITY:
+        if (self.rho23 * self.rho23
+                > self.rho22 * self.rho33 + BLOCK_POSITIVITY):
             problems.append("inner block not positive: rho23^2 > rho22*rho33")
         if problems:
             raise InvalidStateError(
@@ -171,6 +173,28 @@ class XStateParams:
         m[1, 2] = c23
         m[2, 1] = c23.conjugate()
         return DensityMatrix4(m)
+
+
+def check_x_rows(params: np.ndarray) -> None:
+    """Validate an (n, 8) X-parameter array as :class:`XStateParams` would.
+
+    Each row is held to the same thresholds, with the same arithmetic, as
+    ``XStateParams(*row)``.  On a bad row the first one is constructed as
+    an :class:`XStateParams`, whose :class:`InvalidStateError` carries the
+    message.
+    """
+    r11, r22, r33, r44, r14, r23 = params[:, :6].T
+    ok = np.isfinite(params).all(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok &= (params[:, :4] >= -PROB_FLOOR).all(axis=1)
+        ok &= np.abs(r11 + r22 + r33 + r44 - 1.0) <= TRACE
+        ok &= (r14 >= 0.0) & (r23 >= 0.0)
+        ok &= r14 * r14 <= r11 * r44 + BLOCK_POSITIVITY
+        ok &= r23 * r23 <= r22 * r33 + BLOCK_POSITIVITY
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        XStateParams(*params[bad[0]].tolist())
+        raise AssertionError("row %d failed the array check only" % bad[0])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import xqcorr
-from conftest import perturb_a3
+from conftest import forbid, perturb_a3
+from xqcorr import dynamics, quantifiers
 from xqcorr.cli import main
 from xqcorr.states import XStateParams, state_to_json_dict
 
@@ -158,6 +159,51 @@ class TestEvolve:
         assert main(["evolve", psi, "--gamma0", "1", "--lambda", "1",
                      "--t-max", "1", "--steps", "1",
                      "--out", str(tmp_path / "t.csv")]) == 2
+
+    def test_builds_no_per_point_objects(self, tmp_path, monkeypatch):
+        psi = write(tmp_path, "psi.json", FIG3_JSON)
+        argv = ["evolve", psi, "--gamma0", "1.0", "--lambda", "0.01",
+                "--t-max", "50", "--steps", "400", "--out"]
+        assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+        forbid(monkeypatch, dynamics, "evolve", "quantifiers_x",
+               "TrajectoryPoint", "XStateParams")
+        forbid(monkeypatch, quantifiers, "quantifiers_x", "CorrelationReport")
+        assert main(argv + [str(tmp_path / "rows.csv")]) == 0
+        assert ((tmp_path / "rows.csv").read_bytes()
+                == (tmp_path / "plain.csv").read_bytes())
+
+    def test_invalid_evolved_state_exits_before_the_solve(
+            self, tmp_path, monkeypatch, capsys):
+        # The solver would fail too (exit 4); the invalid row is seen first.
+        propagate = dynamics._propagate
+        bad = []
+
+        def propagate_one_bad_row(initial, p):
+            rows = propagate(initial, p)
+            rows[7, 1] = -1e-6
+            bad.append(rows[7].tolist())
+            return rows
+
+        monkeypatch.setattr(dynamics, "_propagate", propagate_one_bad_row)
+        perturb_a3(monkeypatch)
+        psi = write(tmp_path, "psi.json", CASE2_JSON)
+        assert main(["evolve", psi, "--gamma0", "1", "--lambda", "1",
+                     "--t-max", "1", "--steps", "20",
+                     "--out", str(tmp_path / "t.csv")]) == 3
+        with pytest.raises(xqcorr.InvalidStateError) as exc:
+            XStateParams(*bad[0])
+        assert capsys.readouterr().err == "invalid state: %s\n" % exc.value
+
+    @pytest.mark.filterwarnings("error")
+    def test_lambda_past_the_square_overflow(self, tmp_path):
+        # lambda^2 overflows; P_t must still reach the Markov limit exp(-t).
+        out = tmp_path / "t.csv"
+        assert main(["evolve", write(tmp_path, "psi.json", FIG3_JSON),
+                     "--gamma0", "1", "--lambda", "1e300", "--t-max", "1",
+                     "--steps", "50", "--out", str(out)]) == 0
+        last = [float(v) for v in out.read_text().split("\n")[-2].split(",")]
+        assert last[0] == 1.0
+        assert abs(last[1] - (2.0 / 3.0) * math.exp(-2.0)) <= 1e-15
 
     def test_non_finite_parameters(self, tmp_path, capsys):
         psi = write(tmp_path, "psi.json", BELL_JSON)

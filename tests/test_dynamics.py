@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import sample_states
+from xqcorr import _kernels
 from xqcorr.dynamics import (
     TRAJECTORY_CSV_HEADER,
     DynamicsConfig,
     case_crossings,
     evolve,
     p_t,
+    trajectory,
     trajectory_csv,
 )
+from xqcorr.quantifiers import csv_float
 from xqcorr.states import XStateParams
 
 FIG3_INITIAL = XStateParams(2.0 / 3.0, 0.0, 0.0, 1.0 / 3.0,
@@ -59,6 +62,14 @@ class TestSurvivalProbability:
 
     def test_overdamped_no_overflow(self):
         assert p_t(500.0, 1.0, 50.0) >= 0.0
+
+    def test_overdamped_tends_to_markov_limit(self):
+        # P_t -> exp(-gamma0 t) as lambda grows, with an O(gamma0/lambda)
+        # error; lambda^2 overflows from about 1e154.
+        for lam in 10.0 ** np.arange(3, 301, 3):
+            p = _kernels.pt_scalar(0.5, 1.0, lam)
+            assert abs(p - math.exp(-0.5)) <= 1.0 / lam + 1e-16
+            assert _kernels.pt_scalar(0.0, 1.0, lam) == 1.0
 
     def test_array_shape(self):
         ts = np.linspace(0, 5, 7).reshape(7, 1)
@@ -151,7 +162,7 @@ class TestCaseCrossings:
 class TestTrajectoryCsv:
     def test_schema_and_parse(self):
         cfg = DynamicsConfig(1.0, 0.5, 5.0, 10, FIG3_INITIAL)
-        text = trajectory_csv(evolve(cfg))
+        text = trajectory_csv(*trajectory(cfg))
         lines = text.strip().split("\n")
         assert lines[0] == TRAJECTORY_CSV_HEADER
         assert len(lines) == 11
@@ -159,3 +170,18 @@ class TestTrajectoryCsv:
         assert len(row) == 14
         assert float(row[0]) == 0.0
         assert row[13] in ("1", "2")
+
+    def test_arrays_match_the_per_point_view(self):
+        # Per-point formatting of evolve(), as the CSV was once written.
+        cfg = DynamicsConfig(1.0, 0.01, 50.0, 500, FIG3_INITIAL)
+        points = evolve(cfg)
+        assert {int(pt.report.case.case_id) for pt in points} == {1, 2}
+        lines = [TRAJECTORY_CSV_HEADER]
+        for pt in points:
+            s, r = pt.state, pt.report
+            lines.append(",".join(
+                [csv_float(v) for v in (pt.t, s.rho11, s.rho22, s.rho33,
+                                        s.rho44, s.rho14, s.rho23, pt.k1,
+                                        pt.k3, r.t_g, r.d_g, r.c_g, r.l_g)]
+                + [str(int(r.case.case_id))]))
+        assert trajectory_csv(*trajectory(cfg)) == "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from xqcorr.states import (
     XStateParams,
     bloch_compose,
     bloch_decompose,
+    check_x_rows,
     matrix_to_x_params,
     parse_state_json,
     state_to_json_dict,
@@ -219,6 +220,87 @@ class TestXStateParamsInvariants:
         with pytest.raises(InvalidStateError):
             XStateParams(float("nan"), 0.25, 0.25, 0.25, 0.0, 0.0)
 
+
+def _accepted(row):
+    try:
+        XStateParams(*row)
+    except InvalidStateError:
+        return False
+    return True
+
+
+def _threshold_rows(make, ok, bad):
+    """Rows make(ok), make(bad) with ok, bad adjacent floats.
+
+    Bisects between a value XStateParams accepts and one it rejects, so
+    the two rows sit on either side of the threshold to the last bit.
+    """
+    while np.nextafter(ok, bad) != bad:
+        mid = 0.5 * (ok + bad)
+        if _accepted(make(mid)):
+            ok = mid
+        else:
+            bad = mid
+    return make(ok), make(bad)
+
+
+def _scalar_message(row):
+    with pytest.raises(InvalidStateError) as exc:
+        XStateParams(*row)
+    return str(exc.value)
+
+
+class TestCheckXRows:
+    # For each threshold of XStateParams: (row family, accepted value,
+    # rejected value, expected message part).
+    THRESHOLDS = (
+        (lambda x: [0.6, x, 0.2, 0.2 - x, 0.0, 0.0, 0.0, 0.0],
+         0.0, -1e-11, "negative diagonal entry"),
+        (lambda x: [0.4, 0.2, 0.2, 0.2 + x, 0.1, 0.05, 1.0, 2.5],
+         0.0, 1e-11, "diagonal sums to 1"),
+        (lambda x: [0.4, 0.2, 0.2, 0.2 + x, 0.1, 0.05, 1.0, 2.5],
+         0.0, -1e-11, "diagonal sums to 1"),
+        (lambda x: [0.4, 0.2, 0.2, 0.2, x, 0.05, 0.0, 0.0],
+         0.0, -1e-300, "coherence magnitudes must be nonnegative"),
+        (lambda x: [0.4, 0.2, 0.2, 0.2, 0.1, x, 0.0, 0.0],
+         0.0, -1e-300, "coherence magnitudes must be nonnegative"),
+        (lambda x: [0.4, 0.2, 0.2, 0.2, x, 0.05, 0.0, 0.0],
+         0.0, 1.0, "outer block not positive"),
+        (lambda x: [0.4, 0.2, 0.2, 0.2, 0.1, x, 0.0, 0.0],
+         0.0, 1.0, "inner block not positive"),
+    )
+
+    def test_thresholds_match_xstateparams(self):
+        for make, ok, bad, message in self.THRESHOLDS:
+            inside, outside = _threshold_rows(make, ok, bad)
+            XStateParams(*inside)
+            expected = _scalar_message(outside)
+            assert message in expected
+            check_x_rows(np.array([inside]))
+            with pytest.raises(InvalidStateError) as exc:
+                check_x_rows(np.array([outside]))
+            assert str(exc.value) == expected
+
+    def test_non_finite_entries(self):
+        base = [0.4, 0.2, 0.2, 0.2, 0.1, 0.05, 1.0, 2.5]
+        for col in range(8):
+            for value in (math.nan, math.inf, -math.inf):
+                row = list(base)
+                row[col] = value
+                with pytest.raises(InvalidStateError,
+                                   match="non-finite X-state parameter"):
+                    check_x_rows(np.array([base, row]))
+
+    def test_reports_the_first_bad_row(self):
+        good = [make(ok) for make, ok, _, _ in self.THRESHOLDS]
+        bad = [_threshold_rows(make, ok, bad)[1]
+               for make, ok, bad, _ in self.THRESHOLDS]
+        check_x_rows(np.array(good))
+        for i, row in enumerate(bad):
+            rows = np.array(good + bad[i:] + good)
+            with pytest.raises(InvalidStateError) as exc:
+                check_x_rows(rows)
+            assert str(exc.value) == _scalar_message(row)
 
 class TestStateJson:
     def test_x_roundtrip(self):
