@@ -5,9 +5,11 @@ where the X-state quantifiers are computed: it takes an (n, 8) parameter
 array and returns an (n, 13) report array, and the scalar APIs in
 :mod:`xqcorr.closest` and :mod:`xqcorr.quantifiers` are one-row views of
 it.  Within each chunk of ``CHUNK_ROWS`` rows every step is an array
-operation: one stacked complex companion ``eigvals`` for the quintic,
-Newton on all roots under a per-root convergence mask, the tie-broken
-argmin, and the report columns.
+operation: one stacked real companion ``eigvals`` seeds the quintic's
+roots, Newton polishes them all under a per-root convergence mask, an ulp
+walk on the compensated-Horner sign of the quintic moves each root to its
+canonical float (so a root is defined by the polynomial, not by its
+seed), then the tie-broken argmin and the report columns.
 Per-layer timings of these kernels inside the CLI commands come from
 ``python3 perfbench/run.py --workload <name> --seed N --trace 1``.
 """
@@ -43,61 +45,136 @@ def k_eigenvalues(params):
     return k1, k2, k3, np.where(k1 <= k3, 1.0, 2.0)
 
 
-def _quintic_eval(c4, c3, c2, c1, c0, a):
-    q = ((((a + c4) * a + c3) * a + c2) * a + c1) * a + c0
-    dq = (((5.0 * a + 4.0 * c4) * a + 3.0 * c3) * a + 2.0 * c2) * a + c1
+# Dekker's splitting constant 2^27 + 1.  numpy has no fused multiply-add, so
+# exact products go through halves of 26 bits whose products are exact.
+_SPLIT = 134217729.0
+
+
+def _two_sum(x, y):
+    """fl(x + y) and its rounding error: x + y == s + e exactly (Knuth)."""
+    s = x + y
+    z = s - x
+    return s, (x - (s - z)) + (y - z)
+
+
+def _split(x):
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_product(x, y, yh, yl):
+    """fl(x * y) and its rounding error, with y split as yh + yl (Dekker)."""
+    p = x * y
+    xh, xl = _split(x)
+    return p, xl * yl - (((p - xh * yh) - xl * yh) - xh * yl)
+
+
+def _quintic_eval(c4, c2, c1, c0, a):
+    """The monic quintic and its derivative at a, by Horner."""
+    q = ((((a + c4) * a + 2.0) * a + c2) * a + c1) * a + c0
+    dq = (((5.0 * a + 4.0 * c4) * a + 6.0) * a + 2.0 * c2) * a + c1
     return q, dq
 
 
-def solve_a3b3(x3, y3, t33):
-    """Global minimizers of the z-axis product-distance profile.
+def _quintic_compensated(c4, c2, c1, c0, a):
+    """The monic quintic at a by compensated Horner.
+
+    Each Horner step's product and sum errors are captured exactly (Dekker's
+    TwoProduct and Knuth's TwoSum) and summed in a second Horner pass, so the
+    value is as accurate as Horner in twice the working precision, rounded
+    once (Ogita, Rump & Oishi 2005; Graillat, Langlois & Louvet 2009).
+    """
+    ah, al = _split(a)
+    s, err = _two_sum(a, c4)
+    for c in (2.0, c2, c1, c0):
+        p, perr = _two_product(s, a, ah, al)
+        s, serr = _two_sum(p, c)
+        err = err * a + (perr + serr)
+    return s + err
+
+
+def _canonicalize(c4, c2, c1, c0, a, dq, kept):
+    """Move each ``kept`` root of ``a``, in place, to its canonical float.
+
+    ``a``, ``dq`` and ``kept`` are (n, 5) and the coefficients length n.
+    The canonical root is the one of two adjacent floats, between which the
+    compensated q changes sign (or reaches zero), with the smaller |q|; on
+    an exact tie the smaller |a|, so the rule commutes with negation.  From
+    each root the walk goes by ulps towards the sign change (the Newton
+    direction, from the sign of q * dq), at most 64 steps, with ``rows``
+    and ``cols`` indexing the roots still walking.  A root with q = 0 or
+    dq = 0, or with no sign change in reach, keeps its value.
+    """
+    # The first step is taken by every root, on the full arrays; later ones
+    # only by the roots still walking, gathered.
+    cc = (c4[:, None], c2[:, None], c1[:, None], c0[:, None])
+    q = _quintic_compensated(*cc, a)
+    down = (q > 0.0) == (dq > 0.0)
+    nxt = np.nextafter(a, np.where(down, -np.inf, np.inf))
+    qnxt = _quintic_compensated(*cc, nxt)
+    rows, cols = np.nonzero(kept & (q != 0.0) & (dq != 0.0))
+    cur, qcur, nxt, qnxt, down = (
+        v[rows, cols] for v in (a, q, nxt, qnxt, down))
+    for step in range(64):
+        if step:
+            nxt = np.nextafter(cur, np.where(down, -np.inf, np.inf))
+            qnxt = _quintic_compensated(c4[rows], c2[rows], c1[rows],
+                                        c0[rows], nxt)
+        change = (qnxt == 0.0) | ((qnxt > 0.0) != (qcur > 0.0))
+        qc, qn = np.abs(qcur[change]), np.abs(qnxt[change])
+        ac, an = cur[change], nxt[change]
+        take = (qn < qc) | ((qn == qc) & (np.abs(an) < np.abs(ac)))
+        a[rows[change], cols[change]] = np.where(take, an, ac)
+        walking = ~change
+        rows, cols, cur, qcur, down = (
+            v[walking] for v in (rows, cols, nxt, qnxt, down))
+        if rows.size == 0:
+            break
+
+
+def quintic_roots(x3, y3, t33):
+    """Canonical real stationary a3 values of the z-axis profile.
 
     Takes length-n float arrays.  Eliminates b3 exactly (the distance is
-    strictly convex in b3 for fixed a3) and finds the stationary a3 values
-    as the real roots of the resulting monic quintic: the eigenvalues of
-    all n companion matrices, stacked as one (n, 5, 5) complex array, seed
-    Newton on all (n, 5) roots, each root stopping when its derivative
-    vanishes or its step falls to 1e-16 * max(1, |a|), after at most 60
-    steps.  Only roots with a quintic residual |q| <= 1e-10 are kept (a NaN
-    residual is dropped, so every kept root has a finite distance), and the
-    kept root of least distance wins, ties broken by smaller |a3| then
-    smaller a3, then root order.
+    strictly convex in b3 for fixed a3); the stationary a3 values are the
+    real roots of the resulting monic quintic.  Its seeds are the
+    eigenvalues of all n companion matrices, stacked as one (n, 5, 5)
+    float64 array.  Newton refines all (n, 5) seeds, each stopping when its
+    derivative vanishes or its step falls to 1e-16 * max(1, |a|), after at
+    most 60 steps.  A root is kept when its quintic residual is
+    |q| <= 1e-10 (a NaN residual is dropped, so every kept root has a finite
+    distance), and each kept root is then replaced by its canonical float
+    (:func:`_canonicalize`).  A canonical root depends on the polynomial
+    alone, not on the seed or the iteration that reached it.
 
-    The companion is complex because its eigenvalues are the seeds every
-    earlier result of this package came from: a real float64 companion is
-    about twice as fast in ``eigvals``, but moves a3 in the last bits on
-    about 9% of case-2 states, which would change the CSV output.
-
-    Returns arrays (a3, b3, ok); ok=False marks a row where no real
-    stationary point was identified (cannot happen for a degree-5 real
-    polynomial unless the eigensolver misbehaves).  The origin
-    x3 = y3 = t33 = 0 is (0, 0, True).
+    Returns (a, kept), both (n, 5).
     """
     n = x3.shape[0]
     c4 = -x3
-    c3 = 2.0
     c2 = y3 * t33 - 2.0 * x3
     c1 = 1.0 + y3 * y3 - t33 * t33
     c0 = -(x3 + y3 * t33)
 
-    comp = np.zeros((n, 5, 5), dtype=np.complex128)
+    comp = np.zeros((n, 5, 5))
     comp[:, (1, 2, 3, 4), (0, 1, 2, 3)] = 1.0
     comp[:, 0, 0] = -c4
-    comp[:, 0, 1] = -c3
+    comp[:, 0, 1] = -2.0
     comp[:, 0, 2] = -c2
     comp[:, 0, 3] = -c1
     comp[:, 0, 4] = -c0
     a = np.linalg.eigvals(comp).real.flatten()
+    del comp  # not needed past the seeds; lowers the chunk's peak memory
 
     # Newton refinement, linear-rate safe even at multiple roots; ``live``
-    # indexes the flattened (n, 5) roots still iterating.
-    c4r, c2r, c1r, c0r = (np.repeat(c, 5) for c in (c4, c2, c1, c0))
+    # indexes the flattened (n, 5) roots still iterating, ``live // 5``
+    # their rows.
     live = np.arange(a.size)
     for _ in range(60):
         if live.size == 0:
             break
-        q, dq = _quintic_eval(c4r[live], c3, c2r[live], c1r[live],
-                              c0r[live], a[live])
+        r = live // 5
+        q, dq = _quintic_eval(c4[r], c2[r], c1[r], c0[r], a[live])
         moving = dq != 0.0
         live = live[moving]
         step = q[moving] / dq[moving]
@@ -105,9 +182,29 @@ def solve_a3b3(x3, y3, t33):
         a[live] = polished
         live = live[~(np.abs(step) <= 1e-16 * np.fmax(1.0, np.abs(polished)))]
 
-    q, _ = _quintic_eval(c4r, c3, c2r, c1r, c0r, a)
-    kept = (np.abs(q) <= 1e-10).reshape(n, 5)
     a = a.reshape(n, 5)
+    q, dq = _quintic_eval(c4[:, None], c2[:, None], c1[:, None], c0[:, None],
+                          a)
+    kept = np.abs(q) <= 1e-10
+    _canonicalize(c4, c2, c1, c0, a, dq, kept)
+    return a, kept
+
+
+def solve_a3b3(x3, y3, t33):
+    """Global minimizers of the z-axis product-distance profile.
+
+    Takes length-n float arrays.  Of the kept canonical roots of
+    :func:`quintic_roots`, the one of least distance wins, ties broken by
+    smaller |a3| then smaller a3, then root order.  b3 is the exact
+    minimizer for that a3.
+
+    Returns arrays (a3, b3, ok); ok=False marks a row where no real
+    stationary point was identified (cannot happen for a degree-5 real
+    polynomial unless the eigensolver misbehaves).  The origin
+    x3 = y3 = t33 = 0 is (0, 0, True).
+    """
+    n = x3.shape[0]
+    a, kept = quintic_roots(x3, y3, t33)
     x3c, y3c, t33c = x3[:, None], y3[:, None], t33[:, None]
     b = (y3c + t33c * a) / (1.0 + a * a)
     da = x3c - a
@@ -199,7 +296,12 @@ def pt_scalar(t, gamma0, lam):
         s = math.sqrt(1.0 - 2.0 * gamma0 / lam)
         ad = lam * s
     else:
-        ad = math.sqrt(2.0 * gamma0 * lam - lam * lam)
+        d2 = 2.0 * gamma0 * lam - lam * lam
+        # 2*gamma0*lam overflows from ~1e308 (to inf, or to inf - inf); the
+        # factored form does not, and where d2 is finite the bits stay as
+        # they are.  Underdamped means gamma0/lam >= 1/2.
+        ad = (math.sqrt(d2) if math.isfinite(d2)
+              else lam * math.sqrt(2.0 * (gamma0 / lam) - 1.0))
     x = ad * t
     if x < 1e-6:
         # Series in d^2 t^2 (x^2, or -x^2 when overdamped); also covers the

@@ -1,5 +1,7 @@
 """Shared helpers: deterministic state samples and independent oracles."""
 
+import math
+
 import numpy as np
 import scipy.optimize
 
@@ -46,12 +48,63 @@ def quintic_roots_reference(x3, y3, t33):
     return np.sort(roots[np.abs(roots.imag) < 1e-7].real)
 
 
+def _scalar_two_sum(x, y):
+    s = x + y
+    z = s - x
+    return s, (x - (s - z)) + (y - z)
+
+
+def _scalar_split(x):
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _scalar_quintic_compensated(c4, c2, c1, c0, a):
+    """Compensated Horner value of the monic quintic at one float."""
+    ah, al = _scalar_split(a)
+    s, err = _scalar_two_sum(a, c4)
+    for c in (2.0, c2, c1, c0):
+        p = s * a
+        sh, sl = _scalar_split(s)
+        perr = sl * al - (((p - sh * ah) - sl * ah) - sh * al)
+        s, serr = _scalar_two_sum(p, c)
+        err = err * a + (perr + serr)
+    return s + err
+
+
+def _scalar_canonical_root(c4, c2, c1, c0, a, dq):
+    """The canonical float of one Newton root.
+
+    Of the two adjacent floats where the compensated quintic changes sign,
+    the one of smaller |q|, then of smaller |a|, walked to by at most 64
+    ulps in the Newton direction; ``a`` itself without a sign change.
+    """
+    start = a
+    qa = _scalar_quintic_compensated(c4, c2, c1, c0, a)
+    if qa == 0.0 or dq == 0.0:
+        return a
+    toward = -math.inf if (qa > 0.0) == (dq > 0.0) else math.inf
+    for _ in range(64):
+        nxt = math.nextafter(a, toward)
+        qn = _scalar_quintic_compensated(c4, c2, c1, c0, nxt)
+        if qn == 0.0 or (qn > 0.0) != (qa > 0.0):
+            if abs(qn) < abs(qa) or (abs(qn) == abs(qa)
+                                     and abs(nxt) < abs(a)):
+                return nxt
+            return a
+        a, qa = nxt, qn
+    return start
+
+
 def scalar_solve_a3b3(x3, y3, t33):
     """Closest-product (a3, b3, ok) of one (x3, y3, t33), one root at a time.
 
-    Reference for the array solver in xqcorr._kernels: the same companion
-    eigenvalues, Newton stop rule, |q| filter and tie-break, written as a
-    scalar loop over the five roots.
+    Reference for the array solver in xqcorr._kernels: the same Newton stop
+    rule, |q| filter, canonical root and tie-break, written as a scalar loop
+    over the five roots.  Its seeds are the eigenvalues of the complex
+    companion, not the real one the array solver uses, so agreement bit for
+    bit shows that the canonical roots do not depend on the seeds.
     """
     if x3 == 0.0 and y3 == 0.0 and t33 == 0.0:
         return 0.0, 0.0, True
@@ -69,7 +122,7 @@ def scalar_solve_a3b3(x3, y3, t33):
     comp[0, :] = [-c4, -c3, -c2, -c1, -c0]
     best = None
     for root in np.linalg.eigvals(comp):
-        a = root.real
+        a = float(root.real)
         for _ in range(60):
             q, dq = quintic(a)
             if dq == 0.0:
@@ -78,8 +131,10 @@ def scalar_solve_a3b3(x3, y3, t33):
             a -= step
             if abs(step) <= 1e-16 * max(1.0, abs(a)):
                 break
-        if not abs(quintic(a)[0]) <= 1e-10:
+        q, dq = quintic(a)
+        if not abs(q) <= 1e-10:
             continue
+        a = _scalar_canonical_root(c4, c2, c1, c0, a, dq)
         b = (y3 + t33 * a) / (1.0 + a * a)
         da, db, dt = x3 - a, y3 - b, t33 - a * b
         f = 0.25 * (da * da + db * db + dt * dt)

@@ -275,7 +275,7 @@ GOLDEN_SHA256 = {
     "analyze-case2":
         "2707e18d5647095bf325ee5f46f78a137e4e0b4563ead0aba1f2b26f64e7a63f",
     "sample.csv":
-        "279076fc6c1acbda2673cd03b116ad8ec3c3ca4bd2941d55f12194a4b9dc5a66",
+        "34dcf8e2def8b58503ae7d09232a397b891e64f0f0a97327afbed7d9318ba7e9",
     "sample.csv.meta.json":
         "bc3309ce06200ba4a933d12549d065b18e7d03602b3773091ba96f4ec308b4b2",
     "hist.csv":
@@ -283,7 +283,7 @@ GOLDEN_SHA256 = {
     "hist.csv.meta.json":
         "6b2833d2194455ec566ecfefd8218becbf27614e977239897bced2d6eb5b62db",
     "evolve.csv":
-        "5b38e54fca596278ddfcbf257dce69ed83ff4e12d4867ed64cf24b5979d4100c",
+        "6e4e76255935eaf984c925934f6e815c07fdc006fcebbe7aa244d802b2b4b649",
     "oracle-check":
         "5bbdf60d1b254fa58bd278bf234437cc04ed98e7e09cd9edc76d15d17f8ac4c2",
 }

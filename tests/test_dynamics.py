@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import sample_states
 from xqcorr import _kernels
+from xqcorr.cli import main
 from xqcorr.dynamics import (
     TRAJECTORY_CSV_HEADER,
     DynamicsConfig,
@@ -15,7 +17,7 @@ from xqcorr.dynamics import (
     trajectory_csv,
 )
 from xqcorr.quantifiers import csv_float
-from xqcorr.states import XStateParams
+from xqcorr.states import XStateParams, state_to_json_dict
 
 FIG3_INITIAL = XStateParams(2.0 / 3.0, 0.0, 0.0, 1.0 / 3.0,
                             math.sqrt(2.0) / 3.0, 0.0)
@@ -132,6 +134,30 @@ class TestEvolve:
             for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
                 with pytest.raises(ValueError, match="must be finite"):
                     DynamicsConfig(*args, 10, FIG3_INITIAL)
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_underdamped_past_the_product_overflow(self, tmp_path):
+        # 2*gamma0*lambda overflows to inf (first run) or gives inf - inf
+        # (second).  At times in units of 1/gamma0, P depends only on
+        # lambda/gamma0: 1e-290 keeps the state frozen, and 1 reproduces the
+        # gamma0 = lambda = 1 run.
+        psi = tmp_path / "psi.json"
+        psi.write_text(json.dumps(state_to_json_dict(FIG3_INITIAL)))
+
+        def run(gamma0, lam):
+            out = tmp_path / ("%s-%s.csv" % (gamma0, lam))
+            assert main(["evolve", str(psi), "--gamma0", gamma0,
+                         "--lambda", lam, "--t-max", "1", "--steps", "5",
+                         "--out", str(out)]) == 0
+            return np.loadtxt(out, delimiter=",", skiprows=1)
+
+        frozen = run("1e300", "1e10")
+        assert np.all(frozen[:, 1:] == frozen[0, 1:])
+        unit = run("1", "1")
+        assert not np.array_equal(unit[0, 1:], unit[-1, 1:])
+        assert np.allclose(run("1e200", "1e200"), unit, rtol=1e-13,
+                           atol=1e-16)
 
 
 class TestCaseCrossings:

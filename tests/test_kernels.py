@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +48,9 @@ class TestQuinticSolver:
             assert abs(b3 - (y3 + t33 * a3) / (1 + a3 * a3)) < 1e-12
 
     def test_matches_scalar_reference_bit_for_bit(self):
+        # The reference seeds Newton from the complex companion, the solver
+        # from the real one: equal bits mean the canonical roots do not
+        # depend on the seeds.
         rng = np.random.default_rng(191)
         x3, y3, t33 = rng.uniform(-1.0, 1.0, (3, 2000))
         # x3 = y3 = 0 makes the profile even in a3: exact ties in f
@@ -56,6 +60,36 @@ class TestQuinticSolver:
         got = zip(*_kernels.solve_a3b3(x3, y3, t33))
         for i, (a3, b3, ok) in enumerate(got):
             assert (a3, b3, ok) == scalar_solve_a3b3(x3[i], y3[i], t33[i])
+
+    def test_canonical_roots_bracket_the_exact_sign_change(self):
+        # Exact rational arithmetic on the float coefficients: each kept root
+        # and one of its two neighbouring floats bracket a sign change of q,
+        # and the kept root has the smaller |q| of that pair.
+        states = [p for case in (None, CaseId.CASE2)
+                  for p in sample_states(seed=5, count=150, case=case)]
+        r11, r22, r33, r44 = np.array([p.as_array() for p in states])[:, :4].T
+        x3s, y3s, t33s = (r11 + r22 - r33 - r44, r11 - r22 + r33 - r44,
+                          r11 - r22 - r33 + r44)
+        roots, kept = _kernels.quintic_roots(x3s, y3s, t33s)
+        assert kept.sum() >= 1000
+        for i, j in zip(*np.nonzero(kept)):
+            x3, y3, t33 = float(x3s[i]), float(y3s[i]), float(t33s[i])
+            coeffs = [Fraction(c) for c in (
+                1.0, -x3, 2.0, y3 * t33 - 2.0 * x3,
+                1.0 + y3 * y3 - t33 * t33, -(x3 + y3 * t33))]
+
+            def q(v):
+                s = Fraction(0)
+                for c in coeffs:
+                    s = s * Fraction(v) + c
+                return s
+
+            a = float(roots[i, j])
+            qa = q(a)
+            pair = [abs(qn) for qn in (q(math.nextafter(a, -math.inf)),
+                                       q(math.nextafter(a, math.inf)))
+                    if qa * qn <= 0]
+            assert pair and abs(qa) <= min(pair), (x3, y3, t33, a)
 
     def test_pure_state_corner(self):
         a3, b3, ok = _kernels.solve_a3b3(_one(1.0), _one(1.0), _one(1.0))
