@@ -45,6 +45,12 @@ def k_eigenvalues(params):
     return k1, k2, k3, np.where(k1 <= k3, 1.0, 2.0)
 
 
+def z_bloch(r11, r22, r33, r44):
+    """The z-axis Bloch components (x3, y3, T33); floats or arrays alike."""
+    return (r11 + r22 - r33 - r44, r11 - r22 + r33 - r44,
+            r11 - r22 - r33 + r44)
+
+
 # Dekker's splitting constant 2^27 + 1.  numpy has no fused multiply-add, so
 # exact products go through halves of 26 bits whose products are exact.
 _SPLIT = 134217729.0
@@ -141,12 +147,12 @@ def quintic_roots(x3, y3, t33):
     real roots of the resulting monic quintic.  Its seeds are the
     eigenvalues of all n companion matrices, stacked as one (n, 5, 5)
     float64 array.  Newton refines all (n, 5) seeds, each stopping when its
-    derivative vanishes or its step falls to 1e-16 * max(1, |a|), after at
-    most 60 steps.  A root is kept when its quintic residual is
-    |q| <= 1e-10 (a NaN residual is dropped, so every kept root has a finite
-    distance), and each kept root is then replaced by its canonical float
-    (:func:`_canonicalize`).  A canonical root depends on the polynomial
-    alone, not on the seed or the iteration that reached it.
+    derivative vanishes or its step falls to 1e-15 * max(1, |a|), at least
+    4.5 ulps of a, or after 60 steps.  A root is kept when its quintic
+    residual is |q| <= 1e-10 (a NaN residual is dropped, so every kept root
+    has a finite distance), and each kept root is then replaced by its
+    canonical float (:func:`_canonicalize`).  A canonical root depends on
+    the polynomial alone, not on the seed or the iteration that reached it.
 
     Returns (a, kept), both (n, 5).
     """
@@ -180,7 +186,7 @@ def quintic_roots(x3, y3, t33):
         step = q[moving] / dq[moving]
         polished = a[live] - step
         a[live] = polished
-        live = live[~(np.abs(step) <= 1e-16 * np.fmax(1.0, np.abs(polished)))]
+        live = live[~(np.abs(step) <= 1e-15 * np.fmax(1.0, np.abs(polished)))]
 
     a = a.reshape(n, 5)
     q, dq = _quintic_eval(c4[:, None], c2[:, None], c1[:, None], c0[:, None],
@@ -257,9 +263,7 @@ def batch_reports(params):
 def _fill_reports(params, out):
     k1, k2, k3, case = k_eigenvalues(params)
     r11, r22, r33, r44, r14, r23 = params[:, :6].T
-    x3 = r11 + r22 - r33 - r44
-    y3 = r11 - r22 + r33 - r44
-    t33 = r11 - r22 - r33 + r44
+    x3, y3, t33 = z_bloch(r11, r22, r33, r44)
 
     a3, b3, ok = solve_a3b3(x3, y3, t33)
     stationarity = np.maximum(

@@ -28,7 +28,6 @@ from .ensemble import (
     SamplerConfig,
     run_histogram,
     sample_x_arrays,
-    sample_x_states,
     write_histogram,
     write_sidecar,
 )
@@ -119,12 +118,12 @@ def _cmd_sample(args) -> int:
         return EXIT_OK
 
     params, _ = sample_x_arrays(cfg)
-    states = [XStateParams(*row) for row in params]
     reports = x_report_rows(params)
     lines = ["index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
              + REPORT_CSV_HEADER]
-    for i, p in enumerate(states):
-        report = quantifiers_x(p, row=reports[i])
+    for i, row in enumerate(reports):
+        p = XStateParams(*params[i])
+        report = quantifiers_x(p, row=row)
         lines.append(",".join(
             [str(i)] + [csv_float(v) for v in p.as_array()]
         ) + "," + report.to_csv_row())
@@ -144,22 +143,23 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    cfg = SamplerConfig(seed=args.seed, count=args.trials)
-    states = sample_x_states(cfg)
-    reports = x_report_rows(np.array([p.as_array() for p in states]))
+    params, _ = sample_x_arrays(SamplerConfig(seed=args.seed,
+                                              count=args.trials))
+    reports = x_report_rows(params)
     errors = []
-    for i, p in enumerate(states):
+    for i, (vals, row) in enumerate(zip(params.tolist(), reports)):
+        p = XStateParams(*vals)
+        rho = p.to_matrix()
         bloch = x_params_to_bloch(p)
-        analytic_pair = ProductPair((0.0, 0.0, reports[i, COL_A3]),
-                                    (0.0, 0.0, reports[i, COL_B3]))
+        analytic_pair = ProductPair((0.0, 0.0, row[COL_A3]),
+                                    (0.0, 0.0, row[COL_B3]))
         f_analytic = product_distance(bloch, analytic_pair)
-        num_pair = closest_product_general(p.to_matrix(), seed=args.seed + i)
+        num_pair = closest_product_general(rho, seed=args.seed + i)
         f_num = product_distance(bloch, num_pair)
         d_closed = geometric_discord_general(bloch)
-        d_meas = discord_measurement_oracle(p.to_matrix())
-        errors.append((abs(f_num - f_analytic),
-                       max(abs(num_pair.a[0]), abs(num_pair.a[1]),
-                           abs(num_pair.b[0]), abs(num_pair.b[1])),
+        d_meas = discord_measurement_oracle(rho)
+        transverse = np.abs([*num_pair.a[:2], *num_pair.b[:2]]).max()
+        errors.append((abs(f_num - f_analytic), transverse,
                        abs(d_meas - d_closed)))
     max_df, max_transverse, max_dd = np.max(errors, axis=0).tolist()
     worst = np.argmax(errors, axis=0).tolist()

@@ -148,7 +148,7 @@ def _closest_classical(p: XStateParams, case_id: CaseId) -> XStateParams:
     if case_id is CaseId.CASE1:
         return XStateParams(p.rho11, p.rho22, p.rho33, p.rho44,
                             0.0, 0.0, 0.0, 0.0)
-    y3 = p.rho11 - p.rho22 + p.rho33 - p.rho44
+    y3 = _kernels.z_bloch(p.rho11, p.rho22, p.rho33, p.rho44)[1]
     coh = 0.5 * (p.rho14 + p.rho23)
     hi = 0.25 * (1.0 + y3)
     lo = 0.25 * (1.0 - y3)
@@ -164,7 +164,7 @@ def _classical_product_pair(p: XStateParams, case_id: CaseId,
                             product_pair) -> ProductPair:
     if case_id is CaseId.CASE1:
         return product_pair
-    y3 = p.rho11 - p.rho22 + p.rho33 - p.rho44
+    y3 = _kernels.z_bloch(p.rho11, p.rho22, p.rho33, p.rho44)[1]
     return ProductPair((0.0, 0.0, 0.0), (0.0, 0.0, y3))
 
 

@@ -42,6 +42,8 @@ _ROW_FORMAT = ",".join([CSV_FLOAT] * 13 + ["%d"])
 _REPORT_COLUMNS = [_kernels.COL_K1, _kernels.COL_K3, _kernels.COL_TG,
                    _kernels.COL_DG, _kernels.COL_CG, _kernels.COL_LG,
                    _kernels.COL_CASE]
+# Width (units 1/gamma0) to which case_crossings bisects each crossing.
+CROSSING_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,8 @@ def evolve(cfg: DynamicsConfig):
     return points
 
 
-def case_crossings(cfg: DynamicsConfig, refine_tol: float = 1e-6):
-    """Times (units 1/gamma0) where k1 - k3 changes sign, bisected to tol."""
+def case_crossings(cfg: DynamicsConfig):
+    """Times (units 1/gamma0) where k1 - k3 changes sign, to CROSSING_TOL."""
 
     def gaps_at(taus):
         k1, _, k3, _ = _kernels.k_eigenvalues(_params_at(cfg, taus))
@@ -158,7 +160,7 @@ def case_crossings(cfg: DynamicsConfig, refine_tol: float = 1e-6):
         if g0 * g1 < 0.0:
             lo, hi = taus[i], taus[i + 1]
             glo = g0
-            while hi - lo > refine_tol:
+            while hi - lo > CROSSING_TOL:
                 mid = 0.5 * (lo + hi)
                 gm = gaps_at(np.array([mid]))[0]
                 if gm == 0.0:

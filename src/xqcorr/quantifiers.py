@@ -16,7 +16,7 @@ and t_g + l_g - d_g - c_g = a3^2 (T33 - a3 b3)^2 / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,16 +87,7 @@ class CorrelationReport:
                           "with_l": self.residual_with_l},
             "closest_product": {"a": self.product_pair.a.tolist(),
                                 "b": self.product_pair.b.tolist()},
-            "closest_classical": {
-                "rho11": self.classical_state.rho11,
-                "rho22": self.classical_state.rho22,
-                "rho33": self.classical_state.rho33,
-                "rho44": self.classical_state.rho44,
-                "rho14": self.classical_state.rho14,
-                "rho23": self.classical_state.rho23,
-                "gamma14": self.classical_state.gamma14,
-                "gamma23": self.classical_state.gamma23,
-            },
+            "closest_classical": asdict(self.classical_state),
             "classical_closest_product": {
                 "a": self.classical_product_pair.a.tolist(),
                 "b": self.classical_product_pair.b.tolist(),

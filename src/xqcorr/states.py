@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._kernels import z_bloch
 from .errors import InvalidStateError, NotAnXStateError
 from .tolerances import (BLOCH_BOUND, BLOCK_POSITIVITY, HERMITIAN,
                          PROB_FLOOR, PSD_FLOOR, TRACE, X_PATTERN)
@@ -104,6 +105,16 @@ class DensityMatrix4:
         return hs_norm_sq(self.matrix)
 
 
+# The messages of the x_state_violations flags, in their order.
+_VIOLATIONS = (
+    "negative diagonal entry",
+    "diagonal sums to 1 off by {:.3e}",
+    "coherence magnitudes must be nonnegative",
+    "outer block not positive: rho14^2 > rho11*rho44",
+    "inner block not positive: rho23^2 > rho22*rho33",
+)
+
+
 @dataclass(frozen=True)
 class XStateParams:
     """The eight real parameters of an X-shaped density matrix.
@@ -135,22 +146,12 @@ class XStateParams:
         self._check()
 
     def _check(self):
-        problems = []
-        diag = (self.rho11, self.rho22, self.rho33, self.rho44)
-        if any(d < -PROB_FLOOR for d in diag):
-            problems.append("negative diagonal entry")
-        s = abs(sum(diag) - 1.0)
-        if s > TRACE:
-            problems.append("diagonal sums to 1 off by %.3e" % s)
-        if self.rho14 < 0.0 or self.rho23 < 0.0:
-            problems.append("coherence magnitudes must be nonnegative")
-        if (self.rho14 * self.rho14
-                > self.rho11 * self.rho44 + BLOCK_POSITIVITY):
-            problems.append("outer block not positive: rho14^2 > rho11*rho44")
-        if (self.rho23 * self.rho23
-                > self.rho22 * self.rho33 + BLOCK_POSITIVITY):
-            problems.append("inner block not positive: rho23^2 > rho22*rho33")
-        if problems:
+        flags, trace_off = x_state_violations(
+            self.rho11, self.rho22, self.rho33, self.rho44,
+            self.rho14, self.rho23)
+        if any(flags):
+            problems = [text.format(trace_off)
+                        for text, bad in zip(_VIOLATIONS, flags) if bad]
             raise InvalidStateError(
                 "invalid X-state parameters: " + "; ".join(problems), problems
             )
@@ -175,26 +176,34 @@ class XStateParams:
         return DensityMatrix4(m)
 
 
+def x_state_violations(r11, r22, r33, r44, r14, r23):
+    """The five X-state thresholds, on floats or numpy columns alike.
+
+    Returns one violation flag per threshold (negative diagonal, trace,
+    negative coherence, outer block, inner block) and |trace - 1|.  Floats
+    and arrays get the same bits; NaN violates nothing, so check finiteness.
+    """
+    trace_off = abs(r11 + r22 + r33 + r44 - 1.0)
+    return ((r11 < -PROB_FLOOR) | (r22 < -PROB_FLOOR)
+            | (r33 < -PROB_FLOOR) | (r44 < -PROB_FLOOR),
+            trace_off > TRACE,
+            (r14 < 0.0) | (r23 < 0.0),
+            r14 * r14 > r11 * r44 + BLOCK_POSITIVITY,
+            r23 * r23 > r22 * r33 + BLOCK_POSITIVITY), trace_off
+
+
 def check_x_rows(params: np.ndarray) -> None:
     """Validate an (n, 8) X-parameter array as :class:`XStateParams` would.
 
-    Each row is held to the same thresholds, with the same arithmetic, as
-    ``XStateParams(*row)``.  On a bad row the first one is constructed as
-    an :class:`XStateParams`, whose :class:`InvalidStateError` carries the
-    message.
+    The first row that is not finite or that :func:`x_state_violations`
+    flags is built as an :class:`XStateParams`, which raises the error.
     """
-    r11, r22, r33, r44, r14, r23 = params[:, :6].T
-    ok = np.isfinite(params).all(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
-        ok &= (params[:, :4] >= -PROB_FLOOR).all(axis=1)
-        ok &= np.abs(r11 + r22 + r33 + r44 - 1.0) <= TRACE
-        ok &= (r14 >= 0.0) & (r23 >= 0.0)
-        ok &= r14 * r14 <= r11 * r44 + BLOCK_POSITIVITY
-        ok &= r23 * r23 <= r22 * r33 + BLOCK_POSITIVITY
-    bad = np.flatnonzero(~ok)
+        flags, _ = x_state_violations(*params[:, :6].T)
+    bad = np.flatnonzero(~np.isfinite(params).all(axis=1)
+                         | np.any(flags, axis=0))
     if bad.size:
         XStateParams(*params[bad[0]].tolist())
-        raise AssertionError("row %d failed the array check only" % bad[0])
 
 
 @dataclass(frozen=True)
@@ -252,14 +261,13 @@ def x_params_to_bloch(p: XStateParams) -> BlochForm:
     """Seven nonzero Bloch components of an X state."""
     c14, s14 = math.cos(p.gamma14), math.sin(p.gamma14)
     c23, s23 = math.cos(p.gamma23), math.sin(p.gamma23)
-    x3 = p.rho11 + p.rho22 - p.rho33 - p.rho44
-    y3 = p.rho11 - p.rho22 + p.rho33 - p.rho44
+    x3, y3, t33 = z_bloch(p.rho11, p.rho22, p.rho33, p.rho44)
     T = np.zeros((3, 3))
     T[0, 0] = 2.0 * c14 * p.rho14 + 2.0 * c23 * p.rho23
     T[0, 1] = -2.0 * s14 * p.rho14 + 2.0 * s23 * p.rho23
     T[1, 0] = -2.0 * s14 * p.rho14 - 2.0 * s23 * p.rho23
     T[1, 1] = -2.0 * c14 * p.rho14 + 2.0 * c23 * p.rho23
-    T[2, 2] = p.rho11 - p.rho22 - p.rho33 + p.rho44
+    T[2, 2] = t33
     return BlochForm((0.0, 0.0, x3), (0.0, 0.0, y3), T)
 
 
@@ -363,13 +371,7 @@ def load_state_file(path):
 
 def state_to_json_dict(state) -> dict:
     if isinstance(state, XStateParams):
-        return {
-            "kind": "x",
-            "rho11": state.rho11, "rho22": state.rho22,
-            "rho33": state.rho33, "rho44": state.rho44,
-            "rho14": state.rho14, "rho23": state.rho23,
-            "gamma14": state.gamma14, "gamma23": state.gamma23,
-        }
+        return {"kind": "x", **asdict(state)}
     if isinstance(state, DensityMatrix4):
         return {
             "kind": "dense",

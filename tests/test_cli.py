@@ -10,7 +10,7 @@ import pytest
 
 import xqcorr
 from conftest import forbid, perturb_a3
-from xqcorr import dynamics, quantifiers
+from xqcorr import dynamics, ensemble, quantifiers
 from xqcorr.cli import main
 from xqcorr.states import XStateParams, state_to_json_dict
 
@@ -245,6 +245,26 @@ class TestOracleCheck:
         assert main(["oracle-check", "--seed", "0", "--trials", "3"]) == 0
         assert capsys.readouterr().out == stdout
 
+    def test_solves_the_sampled_array_once(self, monkeypatch, capsys):
+        # One matrix per state, for the oracles only; no state objects are
+        # sampled and none is turned back into an array.
+        argv = ["oracle-check", "--seed", "0", "--trials", "3"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        forbid(monkeypatch, ensemble, "sample_x_states")
+        forbid(monkeypatch, XStateParams, "as_array")
+        to_matrix = XStateParams.to_matrix
+        matrices = []
+
+        def counted(p):
+            matrices.append(p)
+            return to_matrix(p)
+
+        monkeypatch.setattr(XStateParams, "to_matrix", counted)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+        assert len(matrices) == 3
+
 
 class TestImports:
     def test_no_scipy_at_import(self):
@@ -284,8 +304,12 @@ GOLDEN_SHA256 = {
         "6b2833d2194455ec566ecfefd8218becbf27614e977239897bced2d6eb5b62db",
     "evolve.csv":
         "6e4e76255935eaf984c925934f6e815c07fdc006fcebbe7aa244d802b2b4b649",
+    "evolve-overdamped.csv":
+        "56219963406aaeca624d9cb1087fb4201f7774416266da5ba2066c78232f7545",
     "oracle-check":
         "5bbdf60d1b254fa58bd278bf234437cc04ed98e7e09cd9edc76d15d17f8ac4c2",
+    "oracle.json":
+        "a5e930921bdb4848e18863abca057802d1ad9f69d1b6934d53c9e2fa3e335be6",
 }
 
 
@@ -317,15 +341,22 @@ class TestGoldenBytes:
         stdout_of(["sample", "--seed", "3", "--count", "2000", "--case", "2",
                    "--histogram", "rel_residual",
                    "--out", str(tmp_path / "hist.csv")])
-        stdout_of(["evolve", write(tmp_path, "psi.json", FIG3_JSON),
-                   "--gamma0", "1.0", "--lambda", "0.01", "--t-max", "50",
-                   "--steps", "200", "--out", str(tmp_path / "evolve.csv")])
+        psi = write(tmp_path, "psi.json", FIG3_JSON)
+        stdout_of(["evolve", psi, "--gamma0", "1.0", "--lambda", "0.01",
+                   "--t-max", "50", "--steps", "200",
+                   "--out", str(tmp_path / "evolve.csv")])
+        # lambda > 2*gamma0: the overdamped branch of P_t.
+        stdout_of(["evolve", psi, "--gamma0", "1.0", "--lambda", "5",
+                   "--t-max", "20", "--steps", "200",
+                   "--out", str(tmp_path / "evolve-overdamped.csv")])
+        out["oracle-check"] = stdout_of(
+            ["oracle-check", "--seed", "0", "--trials", "3",
+             "--out", str(tmp_path / "oracle.json")])
         out.update(files("sample.csv", "sample.csv.meta.json", "hist.csv",
-                         "hist.csv.meta.json", "evolve.csv"))
+                         "hist.csv.meta.json", "evolve.csv",
+                         "evolve-overdamped.csv", "oracle.json"))
         cases = {line.rsplit(",", 1)[1] for line in
                  out["evolve.csv"].decode().split("\n")[1:-1]}
         assert cases == {"1", "2"}
-        out["oracle-check"] = stdout_of(
-            ["oracle-check", "--seed", "0", "--trials", "3"])
         digests = {k: hashlib.sha256(v).hexdigest() for k, v in out.items()}
         assert digests == GOLDEN_SHA256

@@ -172,7 +172,7 @@ class TestCaseCrossings:
         from xqcorr.dynamics import _propagate
 
         cfg = DynamicsConfig(1.0, 0.01, 50.0, 500, FIG3_INITIAL)
-        crossings = case_crossings(cfg, refine_tol=1e-6)
+        crossings = case_crossings(cfg)
         assert len(crossings) >= 2
 
         def gap(tau):
