@@ -18,6 +18,7 @@ from .closest import (
     closest_product_general,
     closest_product_of_classical_x,
     closest_product_x,
+    closest_products_general,
     k_eigenvalues_x,
     k_matrix_general,
     product_distance,
@@ -56,6 +57,7 @@ from .quantifiers import (
     CorrelationReport,
     bell_diagonal_quantifiers,
     discord_measurement_oracle,
+    discord_measurement_oracles,
     geometric_discord_general,
     pinched_state,
     quantifiers_x,

@@ -334,29 +334,42 @@ def pt_values(ts, gamma0, lam):
                     dtype=np.float64)
 
 
-_ID2 = np.eye(2, dtype=np.complex128)
+# sigma_i (x) I for i = 1, 2, 3: the Pauli matrices acting on qubit A.
+_SIGMA_A = np.kron(
+    np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]],
+              [[1.0, 0.0], [0.0, -1.0]]]),
+    np.eye(2))
 
 
 def pinched_distances(rho, n):
     """Pinched Hilbert-Schmidt distances ||rho - Pi_n(rho)||^2.
 
-    ``rho`` is the 4x4 complex density matrix and ``n`` an (m, 3) array of
-    unit measurement directions on qubit A.  Each distance is computed by
-    explicit pinching with the projectors (I +- n.sigma)/2 (x) I; returns
-    the m distances.
-    """
-    proj = np.empty((n.shape[0], 2, 2), dtype=np.complex128)
-    proj[:, 0, 0] = 0.5 * (1.0 + n[:, 2])
-    proj[:, 0, 1] = 0.5 * (n[:, 0] - 1j * n[:, 1])
-    proj[:, 1, 0] = 0.5 * (n[:, 0] + 1j * n[:, 1])
-    proj[:, 1, 1] = 0.5 * (1.0 - n[:, 2])
+    ``rho`` is a (..., 4, 4) stack of complex density matrices and ``n`` a
+    (..., m, 3) stack of unit measurement directions on qubit A; the
+    leading axes broadcast, so one state (4, 4) with (m, 3) directions
+    gives (m,) and S states (S, 4, 4) with (S, m, 3) give (S, m).
 
-    pinched = np.zeros((n.shape[0], 4, 4), dtype=np.complex128)
-    for p in (proj, _ID2[None, :, :] - proj):
-        k4 = np.einsum("gab,cd->gacbd", p, _ID2).reshape(-1, 4, 4)
-        pinched += k4 @ rho[None, :, :] @ k4
-    diff = rho[None, :, :] - pinched
-    return np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
+    The pinching is explicit, on the matrix.  With N = (n.sigma) (x) I the
+    projectors are (I +- N)/2, so Pi_n(rho) = (rho + N rho N)/2 and the
+    distance is ||rho - N rho N||^2 / 4: one sandwich per direction.  The
+    sandwich is bilinear in n, N rho N = sum_ij n_i n_j (sigma_i (x) I) rho
+    (sigma_j (x) I), so each state's nine Pauli sandwiches are formed once
+    and every direction's N rho N is one row of an (m, 9) @ (9, 16) product
+    (real and imaginary parts side by side).  That product is a BLAS
+    matrix product per state, so a direction's value can move in its last
+    bit with the number m of directions in the call, though not with the
+    states stacked beside it.
+    """
+    sandwiches = (_SIGMA_A[:, None] @ rho[..., None, None, :, :]
+                  @ _SIGMA_A).reshape(rho.shape[:-2] + (9, 16))
+    sandwiches = np.concatenate([sandwiches.real, sandwiches.imag], axis=-1)
+    flat = rho.reshape(rho.shape[:-2] + (1, 16))
+    flat = np.concatenate([flat.real, flat.imag], axis=-1)
+    nn = (n[..., :, None] * n[..., None, :]).reshape(n.shape[:-1] + (9,))
+    diff = nn @ sandwiches
+    np.subtract(flat, diff, out=diff)  # in place: (m, 32) per state
+    diff *= diff
+    return 0.25 * np.sum(diff, axis=-1)
 
 
 def measurement_scan(rho, n):

@@ -13,13 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._kernels import COL_A3, COL_B3
-from .closest import (
-    ProductPair,
-    closest_product_general,
-    product_distance,
-    x_report_rows,
-)
+from .closest import x_report_rows
 from .dynamics import DynamicsConfig, trajectory, write_trajectory_csv
 from .ensemble import (
     HistogramSpec,
@@ -42,8 +36,8 @@ from .errors import (
 from .quantifiers import (
     REPORT_CSV_HEADER,
     csv_float,
-    discord_measurement_oracle,
     geometric_discord_general,
+    oracle_errors,
     quantifiers_x,
 )
 from .states import (
@@ -52,7 +46,6 @@ from .states import (
     bloch_decompose,
     load_state_file,
     matrix_to_x_params,
-    x_params_to_bloch,
 )
 
 EXIT_OK = 0
@@ -145,22 +138,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_oracle_check(args) -> int:
     params, _ = sample_x_arrays(SamplerConfig(seed=args.seed,
                                               count=args.trials))
-    reports = x_report_rows(params)
-    errors = []
-    for i, (vals, row) in enumerate(zip(params.tolist(), reports)):
-        p = XStateParams(*vals)
-        rho = p.to_matrix()
-        bloch = x_params_to_bloch(p)
-        analytic_pair = ProductPair((0.0, 0.0, row[COL_A3]),
-                                    (0.0, 0.0, row[COL_B3]))
-        f_analytic = product_distance(bloch, analytic_pair)
-        num_pair = closest_product_general(rho, seed=args.seed + i)
-        f_num = product_distance(bloch, num_pair)
-        d_closed = geometric_discord_general(bloch)
-        d_meas = discord_measurement_oracle(rho)
-        transverse = np.abs([*num_pair.a[:2], *num_pair.b[:2]]).max()
-        errors.append((abs(f_num - f_analytic), transverse,
-                       abs(d_meas - d_closed)))
+    errors = oracle_errors(params, args.seed)
     max_df, max_transverse, max_dd = np.max(errors, axis=0).tolist()
     worst = np.argmax(errors, axis=0).tolist()
 

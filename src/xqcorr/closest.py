@@ -228,64 +228,108 @@ def _newton_polish(x, y, T, a, b, iters=60):
 
 
 def _alternating_minimization(x, y, T, a, b, sweeps=5000):
-    # Exact block-coordinate descent on every start (row of a, b) at once;
-    # monotone in the objective.  A row stops once no component moves by
-    # more than 1e-15; rows still moving after ``sweeps`` sweeps are left
-    # to the caller's Newton polish and residual check.
-    a = a.copy()
-    b = b.copy()
-    active = np.arange(b.shape[0])
+    # Exact block-coordinate descent on every start of every state at once:
+    # x, y are (S, 3), T is (S, 3, 3) and the starts a, b are (S, R, 3).
+    # Monotone in the objective.  ``live`` indexes the flattened (S * R)
+    # starts still moving and ``live // R`` their states; a start stops
+    # once no component moves by more than 1e-15, and starts still moving
+    # after ``sweeps`` sweeps are left to the caller's Newton polish and
+    # residual check.  Products are written as sums over the last axis, so
+    # no start's bits depend on the starts or states it is stacked with.
+    starts = a.shape[1]
+    a = a.reshape(-1, 3).copy()
+    b = b.reshape(-1, 3).copy()
+    live = np.arange(b.shape[0])
     for _ in range(sweeps):
-        ba = b[active]
-        a_new = (x + ba @ T.T) / (1.0 + np.sum(ba**2, axis=1))[:, None]
-        b_new = (y + a_new @ T) / (1.0 + np.sum(a_new**2, axis=1))[:, None]
-        delta = np.maximum(np.max(np.abs(a_new - a[active]), axis=1),
-                           np.max(np.abs(b_new - ba), axis=1))
-        a[active] = a_new
-        b[active] = b_new
-        active = active[delta > 1e-15]
-        if active.size == 0:
+        s = live // starts
+        ts = T[s]
+        bl = b[live]
+        a_new = ((x[s] + np.sum(ts * bl[:, None, :], axis=2))
+                 / (1.0 + np.sum(bl * bl, axis=1))[:, None])
+        b_new = ((y[s] + np.sum(ts * a_new[:, :, None], axis=1))
+                 / (1.0 + np.sum(a_new * a_new, axis=1))[:, None])
+        delta = np.maximum(np.max(np.abs(a_new - a[live]), axis=1),
+                           np.max(np.abs(b_new - bl), axis=1))
+        a[live] = a_new
+        b[live] = b_new
+        live = live[delta > 1e-15]
+        if live.size == 0:
             break
-    return a, b
+    return a.reshape(-1, starts, 3), b.reshape(-1, starts, 3)
+
+
+# Random starts per state, and states per batch of the product oracle: a
+# batch's stacked starts stay within about CHUNK_ROWS.
+_RANDOM_STARTS = 32
+_PRODUCT_STATES = _kernels.CHUNK_ROWS // (_RANDOM_STARTS + 1)
+
+
+def closest_products_general(states, seeds) -> list:
+    """Numerically minimize the product-state distance over all (a, b).
+
+    ``states`` is a sequence of density matrices and ``seeds`` one integer
+    per state.  Alternating minimization (a <- (x + T b)/(1 + |b|^2), then
+    b <- (y + T^T a)/(1 + |a|^2), each the exact minimizer with the other
+    vector fixed) runs on 33 starts per state, for all states at once in
+    batches of a fixed size: the marginals' Bloch vectors plus 32
+    pseudorandom points in [-1, 1]^6 drawn from ``default_rng(seed)``.
+    Newton's method on the stationarity system then polishes each state's
+    best start, and is kept only if it does not raise the distance; near a
+    maximally entangled state alternating minimization alone stalls with a
+    residual near 1e-6.  The oracle works on all six Bloch components of an
+    arbitrary state and shares no code with the X-state quintic.  Returns
+    one :class:`ProductPair` per state; no state's pair depends on the
+    states batched with it.  Raises :class:`ConvergenceFailureError` (with
+    that state's best pair attached) for the first state whose fixed-point
+    residual stays above ``ORACLE_RESIDUAL``.
+    """
+    blochs = [bloch_decompose(rho) for rho in states]
+    seeds = list(seeds)
+    if len(seeds) != len(blochs):
+        raise ValueError("one seed per state is required")
+    pairs = []
+    for lo in range(0, len(blochs), _PRODUCT_STATES):
+        pairs += _closest_products(blochs[lo:lo + _PRODUCT_STATES],
+                                   seeds[lo:lo + _PRODUCT_STATES])
+    return pairs
+
+
+def _closest_products(blochs, seeds):
+    x = np.array([b.x for b in blochs])
+    y = np.array([b.y for b in blochs])
+    T = np.array([b.T for b in blochs])
+    starts = np.empty((len(blochs), _RANDOM_STARTS + 1, 6))
+    starts[:, 0, :3] = x
+    starts[:, 0, 3:] = y
+    for i, seed in enumerate(seeds):
+        starts[i, 1:] = np.random.default_rng(seed).uniform(
+            -1.0, 1.0, size=(_RANDOM_STARTS, 6))
+    a_all, b_all = _alternating_minimization(x, y, T, starts[..., :3],
+                                             starts[..., 3:])
+    f_all = _objective(x[:, None], y[:, None], T[:, None], a_all, b_all)
+    best = np.argmin(f_all, axis=1)
+
+    pairs = []
+    for i, k in enumerate(best.tolist()):
+        xi, yi, ti = x[i], y[i], T[i]
+        a_best, b_best = a_all[i, k], b_all[i, k]
+        polished = _newton_polish(xi, yi, ti, a_best, b_best)
+        if (polished is not None
+                and _objective(xi, yi, ti, *polished) <= f_all[i, k]):
+            a_best, b_best = polished
+        residual = _fixed_point_residual(xi, yi, ti, a_best, b_best)
+        pair = ProductPair(np.clip(a_best, -1.0, 1.0),
+                           np.clip(b_best, -1.0, 1.0))
+        if residual > ORACLE_RESIDUAL:
+            raise ConvergenceFailureError(
+                "fixed-point residual %.3e exceeds %.1e"
+                % (residual, ORACLE_RESIDUAL),
+                best=pair,
+            )
+        pairs.append(pair)
+    return pairs
 
 
 def closest_product_general(rho, seed: int = 0) -> ProductPair:
-    """Numerically minimize the product-state distance over all (a, b).
-
-    Alternating minimization (a <- (x + T b)/(1 + |b|^2), then
-    b <- (y + T^T a)/(1 + |a|^2), each the exact minimizer with the other
-    vector fixed) runs on all 33 starts at once: the marginals' Bloch
-    vectors plus 32 pseudorandom points in [-1, 1]^6 drawn from ``seed``.
-    Newton's method on the stationarity system then polishes the best
-    start, and is kept only if it does not raise the distance; near a
-    maximally entangled state alternating minimization alone stalls with a
-    residual near 1e-6.  The oracle works on all six Bloch components of an
-    arbitrary state and shares no code with the X-state quintic.  Raises
-    :class:`ConvergenceFailureError` (with the best pair attached) when the
-    fixed-point residual stays above ``ORACLE_RESIDUAL``.
-    """
-    b = bloch_decompose(rho)
-    x, y, T = b.x.copy(), b.y.copy(), b.T.copy()
-
-    rng = np.random.default_rng(seed)
-    starts = np.vstack([np.concatenate([x, y]),
-                        rng.uniform(-1.0, 1.0, size=(32, 6))])
-    a_all, b_all = _alternating_minimization(x, y, T, starts[:, :3],
-                                             starts[:, 3:])
-    f_all = _objective(x, y, T, a_all, b_all)
-    k = int(np.argmin(f_all))
-    a_best, b_best = a_all[k], b_all[k]
-    polished = _newton_polish(x, y, T, a_best, b_best)
-    if polished is not None and _objective(x, y, T, *polished) <= f_all[k]:
-        a_best, b_best = polished
-
-    residual = _fixed_point_residual(x, y, T, a_best, b_best)
-    np.clip(a_best, -1.0, 1.0, out=a_best)
-    np.clip(b_best, -1.0, 1.0, out=b_best)
-    pair = ProductPair(a_best, b_best)
-    if residual > ORACLE_RESIDUAL:
-        raise ConvergenceFailureError(
-            "fixed-point residual %.3e exceeds %.1e" % (residual, ORACLE_RESIDUAL),
-            best=pair,
-        )
-    return pair
+    """One-state view of :func:`closest_products_general`."""
+    return closest_products_general([rho], [seed])[0]

@@ -27,12 +27,16 @@ from .closest import (
     ProductPair,
     _classical_product_pair,
     _closest_classical,
+    closest_products_general,
     k_eigenvalues_x,
     k_matrix_general,
+    product_distance,
     x_report_row,
+    x_report_rows,
 )
 from .errors import InvalidStateError, UnphysicalParametersError
-from .states import ID2, PAULI, BlochForm, DensityMatrix4, XStateParams
+from .states import (ID2, PAULI, BlochForm, DensityMatrix4, XStateParams,
+                     x_params_to_bloch)
 from .tolerances import CASE_BOUNDARY, CLAMP, PSD_FLOOR
 
 REPORT_CSV_HEADER = "case,k1,k2,k3,tg,dg,cg,lg,res,res_l,a3,b3,boundary"
@@ -209,6 +213,10 @@ _STEP_SCALES = 0.5 ** np.arange(40)
 # Stencil spacing: the Hessian's truncation error (~h^2) and rounding
 # error (~1e-16/h^2) both stay near 1e-8, far below the 1e-6 bound.
 _FD_STEP = 1e-4
+_EYE3 = np.eye(3)
+# States per descent batch: bounds its stacked trial directions (the
+# line search's 40 per state) to about CHUNK_ROWS.
+_DESCENT_STATES = _kernels.CHUNK_ROWS // _STEP_SCALES.size
 
 
 def _on_sphere(n, w):
@@ -217,66 +225,146 @@ def _on_sphere(n, w):
 
 
 def _descend_on_sphere(m, n):
-    # Saddle-free Newton on the pinched distance over unit vectors n:
-    # gradient and Hessian by central differences in a tangent chart at n,
-    # step -V |L|^-1 V^T g from the Hessian's eigenpairs (so negative
+    # Saddle-free Newton on the pinched distance over unit vectors, for
+    # the (S, 4, 4) states m from their (S, 3) start directions n at once:
+    # gradient and Hessian by central differences in a tangent chart at
+    # n, step -V |L|^-1 V^T g from the Hessian's eigenpairs (so negative
     # curvature pushes away from a saddle instead of toward it), at most
     # 0.5 long, then the best of its halvings if that lowers the distance.
-    # Returns the smallest distance evaluated.
+    # ``live`` indexes the states still descending; a state stops when no
+    # halving improves on its center point, or after 100 steps.  Returns
+    # the smallest distance evaluated per state.
     h = _FD_STEP
-    best = math.inf
+    n = n.copy()
+    best = np.full(n.shape[0], np.inf)
+    live = np.arange(n.shape[0])
     for _ in range(100):
-        e1 = np.cross(n, np.eye(3)[np.argmin(np.abs(n))])
-        e1 /= np.linalg.norm(e1)
-        tangent = np.stack([e1, np.cross(n, e1)])
-        f = _kernels.pinched_distances(
-            m, _on_sphere(n, h * _STENCIL @ tangent)).reshape(3, 3)
-        best = min(best, float(f.min()))
-        grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
-        h01 = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
-        hess = np.array([[f[2, 1] - 2.0 * f[1, 1] + f[0, 1], h01],
-                         [h01, f[1, 2] - 2.0 * f[1, 1] + f[1, 0]]]) / (h * h)
-        w, v = np.linalg.eigh(hess)
-        step = -v @ ((v.T @ grad) / np.maximum(np.abs(w), 1e-12))
-        length = float(np.linalg.norm(step))
-        if length > 0.5:
-            step *= 0.5 / length
-        trial = _on_sphere(n, _STEP_SCALES[:, None] * (step @ tangent))
-        vals = _kernels.pinched_distances(m, trial)
-        k = int(np.argmin(vals))
-        if vals[k] >= f[1, 1]:
+        if live.size == 0:
             break
-        n = trial[k]
-        best = min(best, float(vals[k]))
+        ml, nl = m[live], n[live]
+        e1 = np.cross(nl, _EYE3[np.argmin(np.abs(nl), axis=1)])
+        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+        e2 = np.cross(nl, e1)
+        w = h * (_STENCIL[:, :1] * e1[:, None] + _STENCIL[:, 1:] * e2[:, None])
+        f = _kernels.pinched_distances(ml, _on_sphere(nl[:, None], w))
+        best[live] = np.minimum(best[live], f.min(axis=1))
+        f = f.reshape(-1, 3, 3)
+        grad = np.stack([f[:, 2, 1] - f[:, 0, 1],
+                         f[:, 1, 2] - f[:, 1, 0]], axis=1) / (2.0 * h)
+        hess = np.empty((live.size, 2, 2))
+        hess[:, 0, 0] = f[:, 2, 1] - 2.0 * f[:, 1, 1] + f[:, 0, 1]
+        hess[:, 1, 1] = f[:, 1, 2] - 2.0 * f[:, 1, 1] + f[:, 1, 0]
+        hess[:, 0, 1] = hess[:, 1, 0] = (
+            f[:, 2, 2] - f[:, 2, 0] - f[:, 0, 2] + f[:, 0, 0]) / 4.0
+        hess /= h * h
+        ev, v = np.linalg.eigh(hess)
+        along = np.sum(v * grad[:, :, None], axis=1)  # V^T g
+        along /= np.maximum(np.abs(ev), 1e-12)
+        step = -np.sum(v * along[:, None, :], axis=2)
+        step *= 0.5 / np.maximum(np.linalg.norm(step, axis=1), 0.5)[:, None]
+        move = step[:, :1] * e1 + step[:, 1:] * e2
+        trial = _on_sphere(nl[:, None], _STEP_SCALES[:, None] * move[:, None])
+        vals = _kernels.pinched_distances(ml, trial)
+        k = np.argmin(vals, axis=1)
+        rows = np.arange(live.size)
+        low = vals[rows, k]
+        better = ~(low >= f[:, 1, 1])
+        live, rows, low = live[better], rows[better], low[better]
+        n[live] = trial[rows, k[better]]
+        best[live] = np.minimum(best[live], low)
+    return best
+
+
+def _measurement_grid(grid_density):
+    # Rows i < grid_density/2 of the (theta, phi) grid, flattened row by
+    # row.  Row (i, j) and row (grid_density-1-i, j+grid_density/2) are
+    # antipodes, n and -n, whose measurements pinch alike; the first of
+    # each pair is in the rows kept.
+    thetas = math.pi * (np.arange(grid_density // 2) + 0.5) / grid_density
+    phis = 2.0 * math.pi * np.arange(grid_density) / grid_density
+    ct, cp = np.meshgrid(np.cos(thetas), np.cos(phis), indexing="ij")
+    st, sp = np.meshgrid(np.sin(thetas), np.sin(phis), indexing="ij")
+    return np.stack([(st * cp).ravel(), (st * sp).ravel(), ct.ravel()],
+                    axis=1)
+
+
+def discord_measurement_oracles(states, grid_density: int = 64) -> np.ndarray:
+    """Geometric discord of each state by minimization over measurements.
+
+    ``states`` is a sequence of density matrices (``DensityMatrix4`` or
+    4x4 arrays), each validated.  Each state's measurement directions are
+    scanned on a ``grid_density`` x ``grid_density`` (theta, phi) grid,
+    computing ||rho - Pi^A(rho)||^2 by explicit matrix pinching
+    (:func:`xqcorr._kernels.pinched_distances`).  Only the rows with
+    theta < pi/2 are scanned: the grid holds every direction's antipode,
+    and n and -n give the same measurement, so ``grid_density`` must be
+    even (and at least 64).  The best grid point of each state is then
+    refined by a deterministic saddle-free Newton descent over unit
+    vectors, with derivatives taken by finite differences of the pinched
+    distance; the descent runs on all states at once, in batches of a
+    fixed size.  A saddle of the distance can lie within the grid's
+    resolution of the minimum, up to ~2e-4 above it; the descent leaves
+    such a saddle along its negative curvature.  Returns the smallest
+    distance evaluated for each state, as a float array; no state's value
+    depends on the states batched with it.  Validation oracle: independent
+    of the K-matrix closed form.
+    """
+    if grid_density < 64:
+        raise ValueError("grid_density must be at least 64")
+    if grid_density % 2:
+        raise ValueError("grid_density must be even: the scan keeps one "
+                         "of each pair of antipodal grid directions")
+    rhos = np.empty((len(states), 4, 4), dtype=np.complex128)
+    for i, rho in enumerate(states):
+        if not isinstance(rho, DensityMatrix4):
+            rho = DensityMatrix4(rho)
+        rhos[i] = rho.validate().matrix
+
+    grid = _measurement_grid(grid_density)
+    best = np.empty(rhos.shape[0])
+    starts = np.empty((rhos.shape[0], 3))
+    for i, m in enumerate(rhos):
+        best[i], starts[i] = _kernels.measurement_scan(m, grid)
+    for lo in range(0, rhos.shape[0], _DESCENT_STATES):
+        batch = slice(lo, lo + _DESCENT_STATES)
+        best[batch] = np.minimum(
+            best[batch], _descend_on_sphere(rhos[batch], starts[batch]))
     return best
 
 
 def discord_measurement_oracle(rho, grid_density: int = 64) -> float:
-    """Geometric discord by direct minimization over projective measurements.
+    """One-state view of :func:`discord_measurement_oracles`."""
+    return float(discord_measurement_oracles([rho], grid_density)[0])
 
-    Scans measurement directions on a ``grid_density`` x ``grid_density``
-    (theta, phi) grid, computing ||rho - Pi^A(rho)||^2 by explicit matrix
-    pinching, then refines the best grid point by a deterministic
-    saddle-free Newton descent over unit vectors, with derivatives taken
-    by finite differences of the pinched distance.  A saddle of the
-    distance can lie within the grid's resolution of the minimum, up to
-    ~2e-4 above it; the descent leaves such a saddle along its negative
-    curvature.  Returns the smallest distance evaluated.  Validation
-    oracle: independent of the K-matrix closed form.
+
+def oracle_errors(params: np.ndarray, seed: int) -> np.ndarray:
+    """The oracle-check comparisons for an (n, 8) X-parameter array.
+
+    The closed forms are solved in one :func:`x_report_rows` batch, and
+    each numerical oracle is called once on all n states, the product
+    oracle with seed ``seed + i`` for state i.  Returns an (n, 3) array:
+    per state |F_num - F_closed| (the closest-product distances),
+    the largest transverse component of the numerical closest product
+    (zero for an X state), and |D_meas - D_closed| (geometric discord).
     """
-    if grid_density < 64:
-        raise ValueError("grid_density must be at least 64")
-    if not isinstance(rho, DensityMatrix4):
-        rho = DensityMatrix4(rho)
-    rho.validate()
-
-    thetas = math.pi * (np.arange(grid_density) + 0.5) / grid_density
-    phis = 2.0 * math.pi * np.arange(grid_density) / grid_density
-    ct, cp = np.meshgrid(np.cos(thetas), np.cos(phis), indexing="ij")
-    st, sp = np.meshgrid(np.sin(thetas), np.sin(phis), indexing="ij")
-    grid = np.stack([(st * cp).ravel(), (st * sp).ravel(), ct.ravel()], axis=1)
-    best, n = _kernels.measurement_scan(rho.matrix, grid)
-    return min(best, _descend_on_sphere(rho.matrix, n))
+    reports = x_report_rows(params)
+    states = [XStateParams(*vals) for vals in params.tolist()]
+    rhos = [p.to_matrix() for p in states]
+    num_pairs = closest_products_general(
+        rhos, [seed + i for i in range(len(rhos))])
+    d_meas = discord_measurement_oracles(rhos)
+    errors = np.empty((len(states), 3))
+    for i, (p, row, num_pair) in enumerate(zip(states, reports, num_pairs)):
+        bloch = x_params_to_bloch(p)
+        analytic_pair = ProductPair((0.0, 0.0, row[_kernels.COL_A3]),
+                                    (0.0, 0.0, row[_kernels.COL_B3]))
+        f_analytic = product_distance(bloch, analytic_pair)
+        f_num = product_distance(bloch, num_pair)
+        d_closed = geometric_discord_general(bloch)
+        transverse = np.abs([*num_pair.a[:2], *num_pair.b[:2]]).max()
+        errors[i] = (abs(f_num - f_analytic), transverse,
+                     abs(d_meas[i] - d_closed))
+    return errors
 
 
 def pinched_state(rho, theta: float, phi: float) -> DensityMatrix4:

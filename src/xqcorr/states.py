@@ -42,6 +42,13 @@ ID2 = np.eye(2, dtype=np.complex128)
 PAULI = (SIGMA1, SIGMA2, SIGMA3)
 for _m in (*PAULI, ID2):
     _m.setflags(write=False)
+# _PAULI_PRODUCTS[i, j] = s_i (x) s_j with s_0 = I and s_1..3 = PAULI: the
+# entrywise products np.kron forms, without its 16 calls at import.
+_ID_AND_PAULI = np.array([ID2, *PAULI])
+_PAULI_PRODUCTS = (
+    _ID_AND_PAULI[:, None, :, None, :, None]
+    * _ID_AND_PAULI[None, :, None, :, None, :]).reshape(4, 4, 4, 4)
+_PAULI_PRODUCTS.setflags(write=False)
 
 # Index pairs (0-based) that must vanish for the X pattern.
 _NON_X_ENTRIES = (
@@ -234,11 +241,11 @@ def bloch_decompose(rho) -> BlochForm:
     x = np.empty(3)
     y = np.empty(3)
     T = np.empty((3, 3))
-    for i, si in enumerate(PAULI):
-        x[i] = np.trace(m @ np.kron(si, ID2)).real
-        y[i] = np.trace(m @ np.kron(ID2, si)).real
-        for j, sj in enumerate(PAULI):
-            T[i, j] = np.trace(m @ np.kron(si, sj)).real
+    for i in range(3):
+        x[i] = np.trace(m @ _PAULI_PRODUCTS[i + 1, 0]).real
+        y[i] = np.trace(m @ _PAULI_PRODUCTS[0, i + 1]).real
+        for j in range(3):
+            T[i, j] = np.trace(m @ _PAULI_PRODUCTS[i + 1, j + 1]).real
     return BlochForm(x, y, T)
 
 
@@ -248,12 +255,12 @@ def bloch_compose(b: BlochForm) -> DensityMatrix4:
     The result is Hermitian with unit trace by construction; positivity is
     *not* guaranteed and is checked separately via ``validate``.
     """
-    m = np.kron(ID2, ID2).astype(np.complex128)
-    for i, si in enumerate(PAULI):
-        m += b.x[i] * np.kron(si, ID2)
-        m += b.y[i] * np.kron(ID2, si)
-        for j, sj in enumerate(PAULI):
-            m += b.T[i, j] * np.kron(si, sj)
+    m = _PAULI_PRODUCTS[0, 0].copy()
+    for i in range(3):
+        m += b.x[i] * _PAULI_PRODUCTS[i + 1, 0]
+        m += b.y[i] * _PAULI_PRODUCTS[0, i + 1]
+        for j in range(3):
+            m += b.T[i, j] * _PAULI_PRODUCTS[i + 1, j + 1]
     return DensityMatrix4(m / 4.0)
 
 

@@ -8,12 +8,36 @@ import scipy.optimize
 from xqcorr import _kernels
 from xqcorr.closest import CaseId
 from xqcorr.ensemble import PhaseMode, SamplerConfig, sample_x_states
+from xqcorr.states import DensityMatrix4, XStateParams
+
+# Two states in which the z axis is a saddle of the pinched distance,
+# 2.1e-4 and 1.3e-5 above the minimum: the 64 x 64 measurement grid puts
+# its best point next to the saddle.
+SADDLE_STATES = (
+    XStateParams(0.46794650238846736, 0.33519685472497596,
+                 0.14541937518264225, 0.051437267703914435,
+                 0.14248770040959977, 0.16161966994245688,
+                 2.2939789175993077, 0.945384903078164),
+    XStateParams(0.30691932690353463, 0.010894390690133982,
+                 0.2855878433067298, 0.3965984390996016,
+                 0.21976937265579902, 0.053405573108069246,
+                 1.630553198567886, 2.4158583503654336),
+)
 
 
 def sample_states(seed, count, case=None, phase_mode=PhaseMode.FREE):
     cfg = SamplerConfig(seed=seed, count=count, case_filter=case,
                         phase_mode=phase_mode)
     return sample_x_states(cfg)
+
+
+def dense_state(seed):
+    """A full-rank two-qubit state with no zero entry: G G^+ / Tr, for a
+    complex Gaussian 4x4 matrix G drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = g @ g.conj().T
+    return DensityMatrix4(m / m.trace().real)
 
 
 def f2_profile(x3, y3, t33, a3, b3):

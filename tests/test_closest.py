@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    SADDLE_STATES,
+    dense_state,
     f2_profile,
     forbid,
     grid_a3b3_oracle,
@@ -17,6 +19,7 @@ from xqcorr.closest import (
     closest_classical_x,
     closest_product_general,
     closest_product_of_classical_x,
+    closest_products_general,
     closest_product_x,
     k_eigenvalues_x,
     k_matrix_general,
@@ -192,11 +195,25 @@ class TestClosestProductGeneral:
         analytic = [closest_product_x(p) for p in states]
         forbid(monkeypatch, _kernels, "solve_a3b3", "batch_reports",
                "k_eigenvalues")
-        for i, (p, ana) in enumerate(zip(states, analytic)):
+        numeric = closest_products_general([p.to_matrix() for p in states],
+                                           range(len(states)))
+        for p, ana, num in zip(states, analytic, numeric):
             bloch = x_params_to_bloch(p)
-            num = closest_product_general(p.to_matrix(), seed=i)
             assert abs(product_distance(bloch, num)
                        - product_distance(bloch, ana)) <= 1e-8
+
+    def test_batching_changes_no_bit(self):
+        states = [p.to_matrix() for p in sample_states(seed=61, count=20)]
+        states += [BELL.to_matrix(), *(p.to_matrix() for p in SADDLE_STATES),
+                   dense_state(149)]
+        seeds = [7 * i for i in range(len(states))]
+        single = [closest_product_general(rho, seed=seed)
+                  for rho, seed in zip(states, seeds)]
+        batched = closest_products_general(states, seeds)
+        assert len(batched) == len(states)
+        for one, many in zip(single, batched):
+            assert one.a.tobytes() == many.a.tobytes()
+            assert one.b.tobytes() == many.b.tobytes()
 
     def test_residual_above_bound_raises_with_best_pair(self, monkeypatch):
         monkeypatch.setattr(closest, "ORACLE_RESIDUAL", -1.0)

@@ -212,3 +212,25 @@ class TestMeasurementScanBackends:
         val, _ = _kernels.measurement_scan(m, n)
         direct = hs_norm_sq(m - pinched_state(p.to_matrix(), theta, phi).matrix)
         assert abs(val - direct) < 1e-14
+
+    def test_stacked_states_match_two_projector_pinching(self):
+        # (S, 4, 4) states with (S, m, 3) directions give (S, m) distances,
+        # each the distance to the state pinched by both projectors.
+        from xqcorr.quantifiers import pinched_state
+        from xqcorr.states import hs_norm_sq
+
+        states = sample_states(seed=167, count=3)
+        rng = np.random.default_rng(167)
+        theta = rng.uniform(0.0, math.pi, size=(3, 5))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=(3, 5))
+        n = np.stack([np.sin(theta) * np.cos(phi),
+                      np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+        vals = _kernels.pinched_distances(
+            np.stack([p.to_matrix().matrix for p in states]), n)
+        assert vals.shape == (3, 5)
+        for s, p in enumerate(states):
+            rho = p.to_matrix()
+            for k in range(5):
+                pinched = pinched_state(rho, theta[s, k], phi[s, k]).matrix
+                direct = hs_norm_sq(rho.matrix - pinched)
+                assert abs(vals[s, k] - direct) < 1e-14

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import forbid, sample_states
+from conftest import SADDLE_STATES, dense_state, forbid, sample_states
 from xqcorr import _kernels, closest, quantifiers
 from xqcorr.closest import CaseId, closest_product_of_classical_x
+from xqcorr.ensemble import SamplerConfig, sample_x_arrays
 from xqcorr.errors import UnphysicalParametersError
 from xqcorr.quantifiers import (
     REPORT_CSV_HEADER,
     bell_diagonal_quantifiers,
     discord_measurement_oracle,
+    discord_measurement_oracles,
     geometric_discord_general,
+    oracle_errors,
     pinched_state,
     quantifiers_x,
 )
@@ -241,22 +244,26 @@ class TestMeasurementOracle:
             assert abs(val - closed) <= 1e-6
 
     def test_saddle_near_the_minimum(self):
-        # In both states the z axis is a saddle of the pinched distance,
-        # 2.1e-4 and 1.3e-5 above the minimum: the 64 x 64 grid puts its
-        # best point next to the saddle, and descent must leave it along
+        # In both states the z axis is a saddle of the pinched distance
+        # next to the grid's best point, and descent must leave it along
         # a narrow band of negative curvature.
-        for row in (
-            (0.46794650238846736, 0.33519685472497596, 0.14541937518264225,
-             0.051437267703914435, 0.14248770040959977, 0.16161966994245688,
-             2.2939789175993077, 0.945384903078164),
-            (0.30691932690353463, 0.010894390690133982, 0.2855878433067298,
-             0.3965984390996016, 0.21976937265579902, 0.053405573108069246,
-             1.630553198567886, 2.4158583503654336),
-        ):
-            p = XStateParams(*row)
+        for p in SADDLE_STATES:
             closed = geometric_discord_general(x_params_to_bloch(p))
             assert abs(discord_measurement_oracle(p.to_matrix())
                        - closed) <= 1e-6
+
+    def test_dense_state_matches_closed_form(self):
+        rho = dense_state(149)
+        closed = geometric_discord_general(bloch_decompose(rho))
+        assert abs(discord_measurement_oracle(rho) - closed) <= 1e-6
+
+    def test_batching_changes_no_bit(self):
+        states = [p.to_matrix() for p in sample_states(seed=139, count=20)]
+        states += [BELL.to_matrix(), *(p.to_matrix() for p in SADDLE_STATES),
+                   dense_state(149)]
+        single = [discord_measurement_oracle(rho) for rho in states]
+        batched = discord_measurement_oracles(states)
+        assert batched.tobytes() == np.array(single).tobytes()
 
     def test_independent_of_the_k_matrix(self, monkeypatch):
         states = sample_states(seed=137, count=5)
@@ -265,12 +272,19 @@ class TestMeasurementOracle:
         forbid(monkeypatch, quantifiers, "geometric_discord_general")
         forbid(monkeypatch, closest, "k_matrix_general")
         forbid(monkeypatch, _kernels, "k_eigenvalues")
-        for p, d in zip(states, closed):
-            assert abs(discord_measurement_oracle(p.to_matrix()) - d) <= 1e-6
+        measured = discord_measurement_oracles([p.to_matrix()
+                                                for p in states])
+        assert np.all(np.abs(measured - closed) <= 1e-6)
 
     def test_grid_density_floor(self):
         with pytest.raises(ValueError):
             discord_measurement_oracle(BELL.to_matrix(), grid_density=32)
+
+    def test_odd_grid_density(self):
+        # The scan keeps one direction of each antipodal pair of the
+        # grid, and an odd density has no antipodal pairs.
+        with pytest.raises(ValueError):
+            discord_measurement_oracle(BELL.to_matrix(), grid_density=65)
 
     def test_pinched_state_is_classical(self):
         rho = WITNESS.to_matrix()
@@ -278,6 +292,65 @@ class TestMeasurementOracle:
         pinched.validate(require_psd=True)
         dg = geometric_discord_general(bloch_decompose(pinched))
         assert dg <= 1e-12
+
+
+def _k1_equal_to_k3_states(count, seed):
+    # Entries are multiples of 2^-12 with |rho11 - rho33| = |rho22 - rho44|
+    # = rho14 + rho23 = s, so k1 = 4 (rho14 + rho23)^2 and k3 = 2 ((rho11 -
+    # rho33)^2 + (rho22 - rho44)^2) are both 4 s^2, each computed exactly.
+    rng = np.random.default_rng(seed)
+    n = 4096
+    rows = []
+    while len(rows) < count:
+        s = int(rng.integers(0, n // 4 + 1))
+        r33 = int(rng.integers(0, n // 2 + 1))
+        sg1, sg2 = rng.choice((-1, 1), size=2).tolist()
+        r11 = r33 + sg1 * s
+        r44 = (n - 2 * r33 - (sg1 + sg2) * s) // 2
+        r22 = r44 + sg2 * s
+        t = int(rng.integers(0, s + 1))
+        if (min(r11, r22, r33, r44) < 0 or t * t > r11 * r44
+                or (s - t) ** 2 > r22 * r33):
+            continue
+        rows.append([r11 / n, r22 / n, r33 / n, r44 / n, t / n, (s - t) / n,
+                     *rng.uniform(0.0, 2.0 * np.pi, size=2)])
+    return np.array(rows)
+
+
+class TestDegenerateFamilies:
+    """The oracle-check comparisons, with its bounds, on 300 states from
+    each family where the closed forms are least generic."""
+
+    COUNT = 300
+
+    def assert_oracles_agree(self, params):
+        assert params.shape == (self.COUNT, 8)
+        df, transverse, dd = oracle_errors(params, 0).max(axis=0)
+        assert df <= 1e-8
+        assert transverse <= 1e-6
+        assert dd <= 1e-6
+
+    def test_k1_equal_to_k3(self):
+        params = _k1_equal_to_k3_states(self.COUNT, seed=151)
+        k1, _, k3, _ = _kernels.k_eigenvalues(params)
+        assert np.array_equal(k1, k3)
+        self.assert_oracles_agree(params)
+
+    def test_case2_nearest_the_equality_manifold(self):
+        # Least |x3 + y3 T33| among 4x10^4 case-2 states.
+        pool, _ = sample_x_arrays(SamplerConfig(seed=157, count=40000,
+                                                case_filter=2))
+        x3, y3, t33 = _kernels.z_bloch(*pool[:, :4].T)
+        order = np.argsort(np.abs(x3 + y3 * t33), kind="stable")
+        self.assert_oracles_agree(pool[order[:self.COUNT]])
+
+    def test_most_nearly_pure(self):
+        # Largest purity Tr(rho^2) among 4x10^4 states.
+        pool, _ = sample_x_arrays(SamplerConfig(seed=163, count=40000))
+        purity = (np.sum(pool[:, :4] ** 2, axis=1)
+                  + 2.0 * np.sum(pool[:, 4:6] ** 2, axis=1))
+        order = np.argsort(-purity, kind="stable")
+        self.assert_oracles_agree(pool[order[:self.COUNT]])
 
 
 class TestReportSerialization:
