@@ -5,10 +5,12 @@ where the X-state quantifiers are computed: it takes an (n, 8) parameter
 array and returns an (n, 13) report array, and the scalar APIs in
 :mod:`xqcorr.closest` and :mod:`xqcorr.quantifiers` are one-row views of
 it.  Within each chunk of ``CHUNK_ROWS`` rows every step is an array
-operation: one stacked real companion ``eigvals`` seeds the quintic's
-roots, Newton polishes them all under a per-root convergence mask, an ulp
-walk on the compensated-Horner sign of the quintic moves each root to its
-canonical float (so a root is defined by the polynomial, not by its
+operation.  Where a proof shows the quintic increasing, its one real
+root is seeded by a safeguarded Newton on a known bracket; only the other
+rows (such as the Bell states) are seeded by one stacked real companion
+``eigvals``.  Newton polishes every seed under a per-root convergence mask,
+an ulp walk on the compensated-Horner sign of the quintic moves each root
+to its canonical float (so a root is defined by the polynomial, not by its
 seed), then the tie-broken argmin and the report columns.
 Per-layer timings of these kernels inside the CLI commands come from
 ``python3 perfbench/run.py --workload <name> --seed N --trace 1``.
@@ -27,8 +29,9 @@ COL_TG, COL_DG, COL_CG, COL_LG, COL_RES, COL_RESL, COL_BOUNDARY = (
 )
 REPORT_COLS = 13
 
-# Rows per chunk of batch_reports: bounds the (n, 5, 5) companion stack and
-# the (n, 5) temporaries of the solve, and so the peak memory of a batch.
+# Rows per chunk of batch_reports: bounds the (n, 5) temporaries of the
+# solve (and the companion stack of the rows that need one), and so the peak
+# memory of a batch.
 CHUNK_ROWS = 4096
 
 
@@ -112,21 +115,19 @@ def _canonicalize(c4, c2, c1, c0, a, dq, kept):
     and ``cols`` indexing the roots still walking.  A root with q = 0 or
     dq = 0, or with no sign change in reach, keeps its value.
     """
-    # The first step is taken by every root, on the full arrays; later ones
-    # only by the roots still walking, gathered.
-    cc = (c4[:, None], c2[:, None], c1[:, None], c0[:, None])
-    q = _quintic_compensated(*cc, a)
-    down = (q > 0.0) == (dq > 0.0)
-    nxt = np.nextafter(a, np.where(down, -np.inf, np.inf))
-    qnxt = _quintic_compensated(*cc, nxt)
-    rows, cols = np.nonzero(kept & (q != 0.0) & (dq != 0.0))
-    cur, qcur, nxt, qnxt, down = (
-        v[rows, cols] for v in (a, q, nxt, qnxt, down))
-    for step in range(64):
-        if step:
-            nxt = np.nextafter(cur, np.where(down, -np.inf, np.inf))
-            qnxt = _quintic_compensated(c4[rows], c2[rows], c1[rows],
-                                        c0[rows], nxt)
+    rows, cols = np.nonzero(kept)
+    cur, dq = a[rows, cols], dq[rows, cols]
+    qcur = _quintic_compensated(c4[rows], c2[rows], c1[rows], c0[rows], cur)
+    walking = (qcur != 0.0) & (dq != 0.0)
+    down = (qcur > 0.0) == (dq > 0.0)
+    rows, cols, cur, qcur, down = (
+        v[walking] for v in (rows, cols, cur, qcur, down))
+    for _ in range(64):
+        if rows.size == 0:
+            break
+        nxt = np.nextafter(cur, np.where(down, -np.inf, np.inf))
+        qnxt = _quintic_compensated(c4[rows], c2[rows], c1[rows], c0[rows],
+                                    nxt)
         change = (qnxt == 0.0) | ((qnxt > 0.0) != (qcur > 0.0))
         qc, qn = np.abs(qcur[change]), np.abs(qnxt[change])
         ac, an = cur[change], nxt[change]
@@ -135,8 +136,42 @@ def _canonicalize(c4, c2, c1, c0, a, dq, kept):
         walking = ~change
         rows, cols, cur, qcur, down = (
             v[walking] for v in (rows, cols, nxt, qnxt, down))
-        if rows.size == 0:
+
+
+def _one_simple_root(x3, c2, c1):
+    """Where the quintic of :func:`quintic_roots` has one real root, simple.
+
+    Its derivative is q' = 5 (a^2 - 0.4 x3 a)^2 + g a^2 + 2 c2 a + c1 with
+    g = 6 - 0.8 x3^2, so q' > 0 everywhere where the quadratic is positive
+    definite: c1 > 0 and c2^2 < g c1, here with a relative margin of 1e-12
+    for rounding.  Then q increases, and its one real root is simple.
+    """
+    return (c1 > 0.0) & (c2 * c2 < (1.0 - 1e-12) * (6.0 - 0.8 * x3 * x3) * c1)
+
+
+def _bracketed_roots(c4, c2, c1, c0, lo, hi):
+    """The one real root of each increasing quintic, to about 1e-8.
+
+    Takes length-m arrays, each row's root inside [lo, hi].  Safeguarded
+    Newton from the midpoint: each value of q moves the bracket end on its
+    side to the iterate (``lo`` and ``hi`` are narrowed in place), and a
+    Newton step that leaves the bracket becomes a bisection.  A row stops when its step falls to 1e-8 * max(1, |a|),
+    or after 100 steps, with ``live`` indexing the rows still iterating.
+    """
+    a = 0.5 * (lo + hi)
+    live = np.arange(a.size)
+    for _ in range(100):
+        if live.size == 0:
             break
+        cur, low, high = a[live], lo[live], hi[live]
+        q, dq = _quintic_eval(c4[live], c2[live], c1[live], c0[live], cur)
+        low = np.where(q < 0.0, cur, low)
+        high = np.where(q > 0.0, cur, high)
+        nxt = cur - q / dq
+        nxt = np.where((nxt >= low) & (nxt <= high), nxt, 0.5 * (low + high))
+        lo[live], hi[live], a[live] = low, high, nxt
+        live = live[~(np.abs(nxt - cur) <= 1e-8 * np.fmax(1.0, np.abs(nxt)))]
+    return a
 
 
 def quintic_roots(x3, y3, t33):
@@ -144,15 +179,32 @@ def quintic_roots(x3, y3, t33):
 
     Takes length-n float arrays.  Eliminates b3 exactly (the distance is
     strictly convex in b3 for fixed a3); the stationary a3 values are the
-    real roots of the resulting monic quintic.  Its seeds are the
-    eigenvalues of all n companion matrices, stacked as one (n, 5, 5)
-    float64 array.  Newton refines all (n, 5) seeds, each stopping when its
-    derivative vanishes or its step falls to 1e-15 * max(1, |a|), at least
-    4.5 ulps of a, or after 60 steps.  A root is kept when its quintic
-    residual is |q| <= 1e-10 (a NaN residual is dropped, so every kept root
-    has a finite distance), and each kept root is then replaced by its
-    canonical float (:func:`_canonicalize`).  A canonical root depends on
-    the polynomial alone, not on the seed or the iteration that reached it.
+    real roots of the resulting monic quintic
+
+        q(a) = (a - x3)(1 + a^2)^2 + (y3 + T33 a)(y3 a - T33).
+
+    Each row's seeds come from one of two sources, chosen by a proof.
+    Where :func:`_one_simple_root` holds, the one real root lies in
+    [x3 - R^2/2, x3 + R^2/2] with R^2 = y3^2 + T33^2: with y3 = R cos(phi),
+    T33 = R sin(phi) and a = tan(theta),
+
+        q / (1 + a^2) = (a - x3)(1 + a^2) + (R^2 / 2) sin 2(theta - phi).
+
+    It is seeded by :func:`_bracketed_roots` in slot 0 of the row, or as
+    exactly 0.0 where c0 = q(0) is 0, and the other four slots are NaN.
+    Every other row (the Bell states (0, 0, +-1), where q = a^3 (a^2 + 2)
+    has a triple root at 0, and rows outside the validity tetrahedron) is
+    seeded by the real parts of the eigenvalues of its 5x5 companion
+    matrix, all such rows stacked as one float64 array.
+
+    Newton refines every seed, each stopping when its derivative vanishes
+    or its step falls to 1e-15 * max(1, |a|), at least 4.5 ulps of a, or
+    after 60 steps.  A root is kept when its quintic residual is
+    |q| <= 1e-10 (a NaN residual, as in an unused slot, is dropped, so
+    every kept root has a finite distance), and each kept root is then
+    replaced by its canonical float (:func:`_canonicalize`).  A canonical
+    root depends on the polynomial alone, not on the seed or the iteration
+    that reached it.
 
     Returns (a, kept), both (n, 5).
     """
@@ -162,20 +214,31 @@ def quintic_roots(x3, y3, t33):
     c1 = 1.0 + y3 * y3 - t33 * t33
     c0 = -(x3 + y3 * t33)
 
-    comp = np.zeros((n, 5, 5))
-    comp[:, (1, 2, 3, 4), (0, 1, 2, 3)] = 1.0
-    comp[:, 0, 0] = -c4
-    comp[:, 0, 1] = -2.0
-    comp[:, 0, 2] = -c2
-    comp[:, 0, 3] = -c1
-    comp[:, 0, 4] = -c0
-    a = np.linalg.eigvals(comp).real.flatten()
-    del comp  # not needed past the seeds; lowers the chunk's peak memory
+    a = np.full((n, 5), np.nan)
+    one = _one_simple_root(x3, c2, c1)
+    i = np.flatnonzero(one)
+    half = 0.5 * (y3[i] * y3[i] + t33[i] * t33[i])
+    # A root at exactly 0 is seeded as 0: Newton from the bracket can stop
+    # at a tiny nonzero float, from which the ulp walk cannot reach 0.
+    a[i, 0] = np.where(c0[i] == 0.0, 0.0, _bracketed_roots(
+        c4[i], c2[i], c1[i], c0[i], x3[i] - half, x3[i] + half))
+
+    j = np.flatnonzero(~one)
+    if j.size:
+        comp = np.zeros((j.size, 5, 5))
+        comp[:, (1, 2, 3, 4), (0, 1, 2, 3)] = 1.0
+        comp[:, 0, 0] = -c4[j]
+        comp[:, 0, 1] = -2.0
+        comp[:, 0, 2] = -c2[j]
+        comp[:, 0, 3] = -c1[j]
+        comp[:, 0, 4] = -c0[j]
+        a[j] = np.linalg.eigvals(comp).real
 
     # Newton refinement, linear-rate safe even at multiple roots; ``live``
-    # indexes the flattened (n, 5) roots still iterating, ``live // 5``
+    # indexes the flattened (n, 5) seeds still iterating, ``live // 5``
     # their rows.
-    live = np.arange(a.size)
+    a = a.reshape(-1)
+    live = np.flatnonzero(~np.isnan(a))
     for _ in range(60):
         if live.size == 0:
             break
@@ -205,8 +268,10 @@ def solve_a3b3(x3, y3, t33):
     minimizer for that a3.
 
     Returns arrays (a3, b3, ok); ok=False marks a row where no real
-    stationary point was identified (cannot happen for a degree-5 real
-    polynomial unless the eigensolver misbehaves).  The origin
+    stationary point was identified: every root of a degree-5 real
+    polynomial is seeded, from a bracket or from the companion's
+    eigenvalues, so only a seed that Newton cannot polish to |q| <= 1e-10
+    gives it, as with inputs so large that q overflows.  The origin
     x3 = y3 = t33 = 0 is (0, 0, True).
     """
     n = x3.shape[0]

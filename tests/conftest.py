@@ -127,8 +127,9 @@ def scalar_solve_a3b3(x3, y3, t33):
     Reference for the array solver in xqcorr._kernels: the same Newton stop
     rule, |q| filter, canonical root and tie-break, written as a scalar loop
     over the five roots.  Its seeds are the eigenvalues of the complex
-    companion, not the real one the array solver uses, so agreement bit for
-    bit shows that the canonical roots do not depend on the seeds.
+    companion, not the bracket or the real companion the array solver
+    uses, so agreement bit for bit shows that the canonical roots do not
+    depend on the seeds.
     """
     if x3 == 0.0 and y3 == 0.0 and t33 == 0.0:
         return 0.0, 0.0, True

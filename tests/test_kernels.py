@@ -1,4 +1,6 @@
+import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from conftest import (
     f2_profile,
+    forbid,
     perturb_a3,
     quintic_roots_reference,
     sample_states,
@@ -13,13 +16,36 @@ from conftest import (
 )
 from xqcorr import _kernels
 from xqcorr.closest import CaseId
-from xqcorr.ensemble import HistogramSpec, SamplerConfig, run_histogram
+from xqcorr.dynamics import DynamicsConfig, trajectory
+from xqcorr.ensemble import (
+    HistogramSpec,
+    SamplerConfig,
+    run_histogram,
+    sample_x_arrays,
+)
 from xqcorr.errors import SolverFailureError
 from xqcorr.quantifiers import quantifiers_x
+from xqcorr.states import parse_state_json
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _one(v):
     return np.array([v], dtype=np.float64)
+
+
+def _exact_quintic(x3, y3, t33):
+    """The quintic's coefficients, highest first, in exact arithmetic."""
+    x3, y3, t33 = Fraction(x3), Fraction(y3), Fraction(t33)
+    return [Fraction(1), -x3, Fraction(2), y3 * t33 - 2 * x3,
+            1 + y3 * y3 - t33 * t33, -(x3 + y3 * t33)]
+
+
+def _horner(coeffs, v):
+    s = Fraction(0)
+    for c in coeffs:
+        s = s * v + c
+    return s
 
 
 class TestQuinticSolver:
@@ -49,14 +75,45 @@ class TestQuinticSolver:
 
     def test_matches_scalar_reference_bit_for_bit(self):
         # The reference seeds Newton from the complex companion, the solver
-        # from the real one: equal bits mean the canonical roots do not
-        # depend on the seeds.
+        # from a bracket or the real companion: equal bits mean the
+        # canonical roots do not depend on the seeds.
         rng = np.random.default_rng(191)
         x3, y3, t33 = rng.uniform(-1.0, 1.0, (3, 2000))
         # x3 = y3 = 0 makes the profile even in a3: exact ties in f
         x3[:200] = y3[:200] = 0.0
         t33[:200] *= 2.0
         x3[200], y3[200], t33[200] = 0.0, 0.0, 0.0
+        # Rows at the edges of the bracket seeds: c0 = q(0) = 0 with
+        # x3 != 0 (seeded as exactly 0), rows within 1e-12 of
+        # x3 + y3 T33 = 0, the validity tetrahedron's vertices, edges and
+        # faces, and the Bell points (0, 0, +-1), which the companion seeds.
+        yc, tc = rng.uniform(-1.0, 1.0, (2, 300))
+        zero_c0 = np.stack([-(yc * tc), yc, tc])
+        delta = (rng.choice([-1.0, 1.0], 300)
+                 * 10.0 ** rng.uniform(-18.0, -12.0, 300))
+        near = np.stack([delta - yc * tc, yc, tc])
+        diag = [np.eye(4)]
+        for k, l in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+            w = rng.uniform(0.0, 1.0, 50)
+            edge = np.zeros((50, 4))
+            edge[:, k], edge[:, l] = w, 1.0 - w
+            diag.append(edge)
+        for drop in range(4):
+            face = np.zeros((50, 4))
+            face[:, [c for c in range(4) if c != drop]] = rng.dirichlet(
+                np.ones(3), 50)
+            diag.append(face)
+        corners = np.stack(_kernels.z_bloch(*np.concatenate(diag).T))
+        bell = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+        x3, y3, t33 = np.concatenate(
+            [(x3, y3, t33), zero_c0, near, corners, bell], axis=1)
+        c0 = -(x3 + y3 * t33)
+        assert np.all(c0[2000:2300] == 0.0) and np.all(x3[2000:2300] != 0.0)
+        assert np.all(np.abs(c0[2300:2600]) <= 1e-12)
+        one = _kernels._one_simple_root(x3, y3 * t33 - 2.0 * x3,
+                                        1.0 + y3 * y3 - t33 * t33)
+        assert one[2000:2300].any() and one[2300:2600].any()
+        assert not one[-2:].any()
         got = zip(*_kernels.solve_a3b3(x3, y3, t33))
         for i, (a3, b3, ok) in enumerate(got):
             assert (a3, b3, ok) == scalar_solve_a3b3(x3[i], y3[i], t33[i])
@@ -66,7 +123,7 @@ class TestQuinticSolver:
         # and one of its two neighbouring floats bracket a sign change of q,
         # and the kept root has the smaller |q| of that pair.
         states = [p for case in (None, CaseId.CASE2)
-                  for p in sample_states(seed=5, count=150, case=case)]
+                  for p in sample_states(seed=5, count=500, case=case)]
         r11, r22, r33, r44 = np.array([p.as_array() for p in states])[:, :4].T
         x3s, y3s, t33s = (r11 + r22 - r33 - r44, r11 - r22 + r33 - r44,
                           r11 - r22 - r33 + r44)
@@ -79,10 +136,7 @@ class TestQuinticSolver:
                 1.0 + y3 * y3 - t33 * t33, -(x3 + y3 * t33))]
 
             def q(v):
-                s = Fraction(0)
-                for c in coeffs:
-                    s = s * Fraction(v) + c
-                return s
+                return _horner(coeffs, Fraction(v))
 
             a = float(roots[i, j])
             qa = q(a)
@@ -90,6 +144,67 @@ class TestQuinticSolver:
                                        q(math.nextafter(a, math.inf)))
                     if qa * qn <= 0]
             assert pair and abs(qa) <= min(pair), (x3, y3, t33, a)
+
+    def test_bracket_ends_have_the_signs_of_the_root(self):
+        # Exact arithmetic: every real root lies in [x3 - R^2/2,
+        # x3 + R^2/2], with q <= 0 at its low end and q >= 0 at its high end.
+        states = [p for case in (None, CaseId.CASE2)
+                  for p in sample_states(seed=199, count=150, case=case)]
+        rng = np.random.default_rng(199)
+        bloch = [_kernels.z_bloch(p.rho11, p.rho22, p.rho33, p.rho44)
+                 for p in states]
+        bloch += [tuple(v) for v in rng.uniform(-1.0, 1.0, (100, 3))]
+        bloch += [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 1.0, 1.0)]
+        for x3, y3, t33 in bloch:
+            coeffs = _exact_quintic(x3, y3, t33)
+            half = (Fraction(y3) ** 2 + Fraction(t33) ** 2) / 2
+            assert _horner(coeffs, Fraction(x3) - half) <= 0
+            assert _horner(coeffs, Fraction(x3) + half) >= 0
+
+    def test_derivative_is_the_completed_square(self):
+        # q' = 5 (a^2 - 0.4 x3 a)^2 + (6 - 0.8 x3^2) a^2 + 2 c2 a + c1.
+        rng = np.random.default_rng(211)
+        for _ in range(8):
+            a, x3, y3, t33 = (Fraction(int(v), 97)
+                              for v in rng.integers(-200, 200, 4))
+            c = _exact_quintic(x3, y3, t33)
+            derivative = _horner([5 * c[0], 4 * c[1], 3 * c[2], 2 * c[3],
+                                  c[4]], a)
+            square = (5 * (a * a - Fraction(2, 5) * x3 * a) ** 2
+                      + (6 - Fraction(4, 5) * x3 * x3) * a * a
+                      + 2 * c[3] * a + c[4])
+            assert derivative == square
+
+    def test_certificate_rejects_the_bell_points(self):
+        # (0, 0, +-1): q = a^3 (a^2 + 2) has a triple root at 0, where
+        # q' = c1 = 0, so no proof of one simple root can hold.
+        for t33 in (1.0, -1.0):
+            c = _exact_quintic(0.0, 0.0, t33)
+            assert c == [1, 0, 2, 0, 0, 0]
+            x3, y3, t33 = _one(0.0), _one(0.0), _one(t33)
+            assert not _kernels._one_simple_root(
+                x3, y3 * t33 - 2.0 * x3, 1.0 + y3 * y3 - t33 * t33)[0]
+
+    def test_sampled_rows_skip_the_eigensolver(self, monkeypatch):
+        # The benchmarked inputs are all seeded from the bracket; a Bell
+        # state still reaches the companion.
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        import workloads
+
+        initial = parse_state_json(json.dumps(workloads.case2_state(1)))
+        forbid(monkeypatch, np.linalg, "eigvals")
+        for case in (None, CaseId.CASE2):
+            arr, _ = sample_x_arrays(SamplerConfig(seed=1, count=20000,
+                                                   case_filter=case))
+            rep = _kernels.batch_reports(arr)
+            assert np.all(rep[:, _kernels.COL_CASE] != 0.0)
+        _, _, rep = trajectory(DynamicsConfig(
+            gamma0=1.0, lam=0.01, t_max=50.0, steps=workloads.TRAJ_STEPS,
+            initial=initial))
+        assert np.all(rep[:, _kernels.COL_CASE] != 0.0)
+        bell = np.array([[0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0]])
+        with pytest.raises(AssertionError, match="eigvals"):
+            _kernels.batch_reports(bell)
 
     def test_pure_state_corner(self):
         a3, b3, ok = _kernels.solve_a3b3(_one(1.0), _one(1.0), _one(1.0))
