@@ -195,7 +195,8 @@ def quintic_roots(x3, y3, t33):
     Every other row (the Bell states (0, 0, +-1), where q = a^3 (a^2 + 2)
     has a triple root at 0, and rows outside the validity tetrahedron) is
     seeded by the real parts of the eigenvalues of its 5x5 companion
-    matrix, all such rows stacked as one float64 array.
+    matrix, all such rows stacked as one float64 array; where c0 = 0 the
+    seed of least |a| is replaced by exactly 0.0.
 
     Newton refines every seed, each stopping when its derivative vanishes
     or its step falls to 1e-15 * max(1, |a|), at least 4.5 ulps of a, or
@@ -232,7 +233,12 @@ def quintic_roots(x3, y3, t33):
         comp[:, 0, 2] = -c2[j]
         comp[:, 0, 3] = -c1[j]
         comp[:, 0, 4] = -c0[j]
-        a[j] = np.linalg.eigvals(comp).real
+        seeds = np.linalg.eigvals(comp).real
+        # Likewise the companion seed nearest a root at exactly 0 is 0: a
+        # tiny nonzero eigenvalue there would stay as a kept root.
+        z = np.flatnonzero(c0[j] == 0.0)
+        seeds[z, np.argmin(np.abs(seeds[z]), axis=1)] = 0.0
+        a[j] = seeds
 
     # Newton refinement, linear-rate safe even at multiple roots; ``live``
     # indexes the flattened (n, 5) seeds still iterating, ``live // 5``
@@ -276,25 +282,28 @@ def solve_a3b3(x3, y3, t33):
     """
     n = x3.shape[0]
     a, kept = quintic_roots(x3, y3, t33)
-    x3c, y3c, t33c = x3[:, None], y3[:, None], t33[:, None]
-    b = (y3c + t33c * a) / (1.0 + a * a)
-    da = x3c - a
-    db = y3c - b
-    dt = t33c - a * b
-    f = 0.25 * (da * da + db * db + dt * dt)
-
-    # Argmin of (f, |a3|, a3) over the kept roots, the first in root order
-    # on a full tie: the root a scan in root order would end on if it moved
-    # only to a strictly better root.
     found = kept.any(axis=1)
-    cand = kept
-    for key in (f, np.abs(a), a):
-        low = np.min(np.where(cand, key, np.inf), axis=1, keepdims=True)
-        cand = cand & (key == low)
-    pick = np.argmax(cand, axis=1)
-    rows = np.arange(n)
-    best_a = np.where(found, a[rows, pick], 0.0)
-    best_b = np.where(found, b[rows, pick], 0.0)
+    # The first kept root; on rows with more than one (never a row seeded
+    # from the bracket), the argmin of (f, |a3|, a3) over the kept roots,
+    # the first in root order on a full tie: the root a scan in root order
+    # would end on if it moved only to a strictly better root.
+    pick = np.argmax(kept, axis=1)
+    m = np.flatnonzero(np.count_nonzero(kept, axis=1) > 1)
+    if m.size:
+        am, cand = a[m], kept[m]
+        x3c, y3c, t33c = x3[m, None], y3[m, None], t33[m, None]
+        b = (y3c + t33c * am) / (1.0 + am * am)
+        da = x3c - am
+        db = y3c - b
+        dt = t33c - am * b
+        f = 0.25 * (da * da + db * db + dt * dt)
+        for key in (f, np.abs(am), am):
+            low = np.min(np.where(cand, key, np.inf), axis=1, keepdims=True)
+            cand = cand & (key == low)
+        pick[m] = np.argmax(cand, axis=1)
+    best_a = np.where(found, a[np.arange(n), pick], 0.0)
+    best_b = np.where(found, (y3 + t33 * best_a) / (1.0 + best_a * best_a),
+                      0.0)
 
     origin = (x3 == 0.0) & (y3 == 0.0) & (t33 == 0.0)
     best_a[origin] = 0.0

@@ -34,8 +34,8 @@ from .errors import (
     XqcorrError,
 )
 from .quantifiers import (
+    CSV_FLOAT,
     REPORT_CSV_HEADER,
-    csv_float,
     geometric_discord_general,
     oracle_errors,
     quantifiers_x,
@@ -47,6 +47,9 @@ from .states import (
     load_state_file,
     matrix_to_x_params,
 )
+
+# The index and the eight parameters that start each row of a sample CSV.
+_SAMPLE_CSV_PREFIX = ",".join(["%d"] + [CSV_FLOAT] * 8 + [""])
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -114,12 +117,11 @@ def _cmd_sample(args) -> int:
     reports = x_report_rows(params)
     lines = ["index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
              + REPORT_CSV_HEADER]
-    for i, row in enumerate(reports):
-        p = XStateParams(*params[i])
-        report = quantifiers_x(p, row=row)
-        lines.append(",".join(
-            [str(i)] + [csv_float(v) for v in p.as_array()]
-        ) + "," + report.to_csv_row())
+    for i, (vals, row) in enumerate(zip(params.tolist(), reports.tolist())):
+        p = XStateParams(*vals)
+        lines.append(_SAMPLE_CSV_PREFIX % (
+            i, p.rho11, p.rho22, p.rho33, p.rho44, p.rho14, p.rho23,
+            p.gamma14, p.gamma23) + quantifiers_x(p, row=row).to_csv_row())
     _write_text(args.out, "\n".join(lines) + "\n")
     write_sidecar(args.out, cfg.to_json_dict())
     return EXIT_OK

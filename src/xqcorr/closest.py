@@ -13,6 +13,7 @@ code with the quintic solver.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +70,13 @@ class ProductPair:
     def __post_init__(self):
         for name in ("a", "b"):
             arr = np.array(getattr(self, name), dtype=np.float64).reshape(3)
-            if not np.all(np.isfinite(arr)):
+            vals = arr.tolist()
+            if not all(map(math.isfinite, vals)):
                 raise InvalidStateError("non-finite Bloch vector")
-            if np.linalg.norm(arr) > 1.0 + BLOCH_BOUND:
+            norm = math.hypot(*vals)
+            if norm > 1.0 + BLOCH_BOUND:
                 raise InvalidStateError(
-                    "Bloch vector %s has norm %.12f > 1" % (name, np.linalg.norm(arr))
-                )
+                    "Bloch vector %s has norm %.12f > 1" % (name, norm))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -132,7 +132,8 @@ def evolve(cfg: DynamicsConfig):
     """
     taus, params, reports = trajectory(cfg)
     points = []
-    for tau, vals, row in zip(taus.tolist(), params.tolist(), reports):
+    for tau, vals, row in zip(taus.tolist(), params.tolist(),
+                              reports.tolist()):
         state = XStateParams(*vals)
         report = quantifiers_x(state, row=row)
         points.append(TrajectoryPoint(

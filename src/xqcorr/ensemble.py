@@ -146,7 +146,7 @@ def sample_x_arrays(cfg: SamplerConfig):
 def sample_x_states(cfg: SamplerConfig):
     """Sample exactly ``cfg.count`` valid X states (validated objects)."""
     arr, _ = sample_x_arrays(cfg)
-    return [XStateParams(*row) for row in arr]
+    return [XStateParams(*row) for row in arr.tolist()]
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,8 @@ REPORT_CSV_HEADER = "case,k1,k2,k3,tg,dg,cg,lg,res,res_l,a3,b3,boundary"
 # The %-format of a float in every CSV output: 17 significant digits, which
 # round-trip any float64.
 CSV_FLOAT = "%.17g"
+# One to_csv_row: the case, eleven floats, the boundary flag.
+_REPORT_CSV_ROW = ",".join(["%d"] + [CSV_FLOAT] * 11 + ["%d"])
 
 
 def csv_float(x: float) -> str:
@@ -71,14 +73,13 @@ class CorrelationReport:
     clamped: tuple = field(default=())
 
     def to_csv_row(self) -> str:
-        cols = [str(int(self.case.case_id))]
-        cols += [csv_float(v) for v in (
-            self.case.k1, self.case.k2, self.case.k3,
+        case = self.case
+        return _REPORT_CSV_ROW % (
+            case.case_id, case.k1, case.k2, case.k3,
             self.t_g, self.d_g, self.c_g, self.l_g,
             self.residual_closure, self.residual_with_l,
-            self.product_pair.a[2], self.product_pair.b[2])]
-        cols.append("1" if self.boundary_flag else "0")
-        return ",".join(cols)
+            self.product_pair.a[2], self.product_pair.b[2],
+            self.boundary_flag)
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,12 +119,13 @@ def quantifiers_x(p: XStateParams, *, row=None) -> CorrelationReport:
     """Full correlation report of an X state from the closed forms.
 
     ``row`` is the state's row of an :func:`xqcorr.closest.x_report_rows`
-    batch, for callers that solve many states at once; without it the
-    state is solved as a batch of one.  The report is the same either way.
+    batch, as an array or a list, for callers that solve many states at
+    once; without it the state is solved as a batch of one.  The report is
+    the same either way.
     """
     if row is None:
         row = x_report_row(p)
-    vals = row.tolist()
+    vals = row.tolist() if isinstance(row, np.ndarray) else row
     case = CaseLabel(
         CaseId(int(vals[_kernels.COL_CASE])),
         vals[_kernels.COL_K1], vals[_kernels.COL_K2], vals[_kernels.COL_K3],

@@ -143,7 +143,7 @@ class XStateParams:
     def __post_init__(self):
         vals = [self.rho11, self.rho22, self.rho33, self.rho44,
                 self.rho14, self.rho23, self.gamma14, self.gamma23]
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise InvalidStateError("non-finite X-state parameter")
         for name in ("gamma14", "gamma23"):
             g = math.fmod(getattr(self, name), TWO_PI)

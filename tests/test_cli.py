@@ -120,6 +120,16 @@ class TestSample:
         assert header[0] == "index" and header[1] == "rho11"
         assert "tg" in header and "boundary" in header
 
+    def test_turns_no_state_back_into_an_array(self, tmp_path, monkeypatch):
+        # The CSV takes each state's columns from its object, with the
+        # phases it normalized, and never round-trips it through an array.
+        out = tmp_path / "sample.csv"
+        forbid(monkeypatch, XStateParams, "as_array")
+        assert main(["sample", "--seed", "7", "--count", "50",
+                     "--out", str(out)]) == 0
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == GOLDEN_SHA256["sample.csv"])
+
     def test_histogram_mode(self, tmp_path):
         out = tmp_path / "hist.csv"
         assert main(["sample", "--seed", "3", "--count", "500", "--case", "2",

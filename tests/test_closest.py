@@ -35,6 +35,7 @@ from xqcorr.states import (
     hs_norm_sq,
     x_params_to_bloch,
 )
+from xqcorr.tolerances import BLOCH_BOUND
 
 BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 WITNESS = XStateParams(0.5, 0.1, 0.1, 0.3, 0.35, 0.05)
@@ -314,6 +315,29 @@ class TestProductPair:
     def test_norm_bound_enforced(self):
         with pytest.raises(InvalidStateError):
             ProductPair((1.0, 1.0, 0.0), (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        for a, b in (((0.0, bad, 0.0), (0.0, 0.0, 0.0)),
+                     ((0.0, 0.0, 0.0), (0.0, 0.0, bad))):
+            with pytest.raises(InvalidStateError,
+                               match="^non-finite Bloch vector$"):
+                ProductPair(a, b)
+
+    def test_norm_bound_is_one_plus_bloch_bound(self):
+        edge = 1.0 + BLOCH_BOUND
+        pair = ProductPair((0.0, 0.0, edge), (0.0, -edge, 0.0))
+        assert pair.a.tolist() == [0.0, 0.0, edge]
+        assert pair.b.dtype == np.float64 and not pair.b.flags.writeable
+        over = edge
+        for _ in range(3):
+            over = math.nextafter(over, math.inf)
+        for a, b, name in (((0.0, 0.0, over), (0.0, 0.0, 0.0), "a"),
+                           ((0.0, 0.0, 0.0), (-over, 0.0, 0.0), "b")):
+            with pytest.raises(InvalidStateError) as exc:
+                ProductPair(a, b)
+            assert str(exc.value) == (
+                "Bloch vector %s has norm 1.000000000100 > 1" % name)
 
     def test_to_matrix_is_product(self):
         pair = ProductPair((0.0, 0.0, 0.5), (0.0, 0.0, -0.25))

@@ -206,6 +206,25 @@ class TestQuinticSolver:
         with pytest.raises(AssertionError, match="eigvals"):
             _kernels.batch_reports(bell)
 
+    def test_exact_zero_root_without_the_certificate(self, monkeypatch):
+        # At the Bell points (0, 0, +-1) the companion seeds the triple
+        # root of q = a^3 (a^2 + 2) at 0.  A seed 1e-17 off would be kept
+        # as it is (Newton's step is below its stop rule, and the ulp walk
+        # cannot reach 0), so the seed nearest 0 is replaced by exactly 0.
+        eigvals = np.linalg.eigvals
+        calls = []
+
+        def off_by_1e_17(m):
+            calls.append(m.shape[0])
+            return eigvals(m) + 1e-17
+
+        monkeypatch.setattr(np.linalg, "eigvals", off_by_1e_17)
+        zeros = np.zeros(2)
+        a3, b3, ok = _kernels.solve_a3b3(zeros, zeros, np.array([1.0, -1.0]))
+        assert calls == [2]
+        assert a3.tolist() == [0.0, 0.0] and not np.signbit(a3).any()
+        assert b3.tolist() == [0.0, 0.0] and ok.all()
+
     def test_pure_state_corner(self):
         a3, b3, ok = _kernels.solve_a3b3(_one(1.0), _one(1.0), _one(1.0))
         assert ok[0] and abs(a3[0] - 1.0) < 1e-12 and abs(b3[0] - 1.0) < 1e-12

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from xqcorr.errors import UnphysicalParametersError
 from xqcorr.quantifiers import (
     REPORT_CSV_HEADER,
     bell_diagonal_quantifiers,
+    csv_float,
     discord_measurement_oracle,
     discord_measurement_oracles,
     geometric_discord_general,
@@ -362,6 +365,41 @@ class TestReportSerialization:
         assert fields[0] == "2"
         assert fields[-1] in ("0", "1")
         assert float(fields[4]) == pytest.approx(r.t_g, abs=0)
+
+    def test_csv_row_is_the_field_by_field_join(self):
+        # One % format over the row gives the bytes of formatting each
+        # field on its own, and a list row gives the report of its array.
+        def joined(r):
+            cols = [str(int(r.case.case_id))]
+            cols += [csv_float(v) for v in (
+                r.case.k1, r.case.k2, r.case.k3, r.t_g, r.d_g, r.c_g, r.l_g,
+                r.residual_closure, r.residual_with_l,
+                r.product_pair.a[2], r.product_pair.b[2])]
+            cols.append("1" if r.boundary_flag else "0")
+            return ",".join(cols)
+
+        params, _ = sample_x_arrays(SamplerConfig(seed=13, count=200))
+        rows = closest.x_report_rows(params)
+        reports = []
+        for vals, row in zip(params.tolist(), rows):
+            p = XStateParams(*vals)
+            report = quantifiers_x(p, row=row.tolist())
+            assert report.to_json_dict() == quantifiers_x(
+                p, row=row).to_json_dict()
+            reports.append(report)
+        assert {r.case.case_id for r in reports} == {CaseId.CASE1,
+                                                     CaseId.CASE2}
+        bell = quantifiers_x(BELL)
+        assert bell.boundary_flag
+        negative_zero = dataclasses.replace(
+            bell, t_g=-0.0, residual_closure=-0.0, residual_with_l=-0.0,
+            product_pair=closest.ProductPair((0.0, 0.0, -0.0),
+                                             (0.0, 0.0, -0.0)))
+        reports += [bell, negative_zero,
+                    bell_diagonal_quantifiers(0.5, -0.5, 0.25)]
+        for r in reports:
+            assert r.to_csv_row() == joined(r)
+        assert negative_zero.to_csv_row().split(",").count("-0") == 5
 
     def test_json_dict_keys(self):
         doc = quantifiers_x(BELL).to_json_dict()
