@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .closest import x_report_rows
+from .closest import check_report_rows, x_report_rows
 from .dynamics import DynamicsConfig, trajectory, write_trajectory_csv
 from .ensemble import (
     HistogramSpec,
@@ -115,6 +115,7 @@ def _cmd_sample(args) -> int:
 
     params, _ = sample_x_arrays(cfg)
     reports = x_report_rows(params)
+    check_report_rows(params, reports)
     lines = ["index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
              + REPORT_CSV_HEADER]
     for i, (vals, row) in enumerate(zip(params.tolist(), reports.tolist())):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .states import (
     PAULI,
     XStateParams,
     bloch_decompose,
+    check_x_rows,
 )
 from .tolerances import BLOCH_BOUND, ORACLE_RESIDUAL
 
@@ -146,15 +147,33 @@ def closest_product_x(p: XStateParams) -> ProductPair:
                        (0.0, 0.0, row[_kernels.COL_B3]))
 
 
-def _closest_classical(p: XStateParams, case_id: CaseId) -> XStateParams:
-    if case_id is CaseId.CASE1:
-        return XStateParams(p.rho11, p.rho22, p.rho33, p.rho44,
-                            0.0, 0.0, 0.0, 0.0)
-    y3 = _kernels.z_bloch(p.rho11, p.rho22, p.rho33, p.rho44)[1]
-    coh = 0.5 * (p.rho14 + p.rho23)
+def closest_classical_rows(params: np.ndarray, case) -> np.ndarray:
+    """Closest classical states of an (n, 8) X-parameter array, as (n, 8).
+
+    ``case`` holds each row's :class:`CaseId`.  Case 1 keeps the diagonal
+    and drops the coherences; case 2 is the state with diagonal
+    ((1 + y3)/4, (1 - y3)/4, (1 + y3)/4, (1 - y3)/4), both coherences
+    (rho14 + rho23)/2 and the original phases.  The rows are not validated.
+    The arithmetic is elementwise, so an array of Python numbers (dtype
+    object) gives the bits of float64 and keeps each number's type.
+    """
+    r11, r22, r33, r44, r14, r23, g14, g23 = params.T
+    y3 = _kernels.z_bloch(r11, r22, r33, r44)[1]
+    coh = 0.5 * (r14 + r23)
     hi = 0.25 * (1.0 + y3)
     lo = 0.25 * (1.0 - y3)
-    return XStateParams(hi, lo, hi, lo, coh, coh, p.gamma14, p.gamma23)
+    zero = np.full_like(r11, 0.0)
+    return np.where((np.asarray(case) == CaseId.CASE1)[:, None],
+                    np.stack([r11, r22, r33, r44, zero, zero, zero, zero], 1),
+                    np.stack([hi, lo, hi, lo, coh, coh, g14, g23], 1))
+
+
+def _closest_classical(p: XStateParams, case_id: CaseId) -> XStateParams:
+    # One-row view of closest_classical_rows on the state's own numbers
+    # (dtype object), so an integer diagonal entry stays an integer.
+    row = closest_classical_rows(np.array([astuple(p)], dtype=object),
+                                 [case_id])[0]
+    return XStateParams(*row.tolist())
 
 
 def closest_classical_x(p: XStateParams) -> XStateParams:
@@ -180,6 +199,33 @@ def closest_product_of_classical_x(p: XStateParams) -> ProductPair:
     case_id = k_eigenvalues_x(p).case_id
     pair = closest_product_x(p) if case_id is CaseId.CASE1 else None
     return _classical_product_pair(p, case_id, pair)
+
+
+def check_report_rows(params: np.ndarray, reports: np.ndarray) -> None:
+    """Run the checks of each row's closest states, over whole arrays.
+
+    ``reports`` is :func:`x_report_rows` of the (n, 8) array ``params``.
+    Each row's closest product (a3, b3), its closest classical state and,
+    in case 2, that state's closest product (0, y3) must be what
+    :class:`ProductPair` and :class:`XStateParams` accept.  The first row
+    that fails has those objects built, in that order, and the first to
+    fail raises its :class:`InvalidStateError`.
+    """
+    case = reports[:, _kernels.COL_CASE]
+    y3 = np.where(case == CaseId.CASE2, _kernels.z_bloch(*params[:, :4].T)[1],
+                  0.0)
+    bound = 1.0 + BLOCH_BOUND
+    a3, b3 = reports[:, _kernels.COL_A3], reports[:, _kernels.COL_B3]
+    bad = np.flatnonzero(~(np.abs(a3) <= bound) | ~(np.abs(b3) <= bound)
+                         | ~(np.abs(y3) <= bound))
+    # A row before the first bad pair can fail only its classical state.
+    first = bad[0] if bad.size else case.size
+    classical = closest_classical_rows(params, case)
+    check_x_rows(classical[:first])
+    if bad.size:
+        ProductPair((0.0, 0.0, a3[first]), (0.0, 0.0, b3[first]))
+        XStateParams(*classical[first].tolist())
+        ProductPair((0.0, 0.0, 0.0), (0.0, 0.0, y3[first]))
 
 
 # ---------------------------------------------------------------------------

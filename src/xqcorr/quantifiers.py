@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +56,14 @@ def csv_float(x: float) -> str:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """All quantifiers of one state plus the closest states realizing them."""
+    """All quantifiers of one state plus the closest states realizing them.
+
+    A view of the state's kernel row: the fields are the row's scalars and
+    the source ``state``.  The closest product pair, the closest classical
+    state and that state's closest product pair are built, and validated,
+    the first time each is read, so a report that is only printed as CSV
+    never builds them.
+    """
 
     t_g: float
     d_g: float
@@ -64,13 +72,26 @@ class CorrelationReport:
     case: CaseLabel
     residual_closure: float
     residual_with_l: float
-    product_pair: ProductPair
-    classical_state: XStateParams
-    classical_product_pair: ProductPair
+    a3: float
+    b3: float
     boundary_flag: bool
+    state: XStateParams
     # Names of clamped quantifiers.  Always empty: the kernel's t_g, d_g,
     # c_g and l_g are sums of squares.  The JSON report still lists it.
     clamped: tuple = field(default=())
+
+    @cached_property
+    def product_pair(self) -> ProductPair:
+        return ProductPair((0.0, 0.0, self.a3), (0.0, 0.0, self.b3))
+
+    @cached_property
+    def classical_state(self) -> XStateParams:
+        return _closest_classical(self.state, self.case.case_id)
+
+    @cached_property
+    def classical_product_pair(self) -> ProductPair:
+        return _classical_product_pair(self.state, self.case.case_id,
+                                       self.product_pair)
 
     def to_csv_row(self) -> str:
         case = self.case
@@ -78,8 +99,7 @@ class CorrelationReport:
             case.case_id, case.k1, case.k2, case.k3,
             self.t_g, self.d_g, self.c_g, self.l_g,
             self.residual_closure, self.residual_with_l,
-            self.product_pair.a[2], self.product_pair.b[2],
-            self.boundary_flag)
+            self.a3, self.b3, self.boundary_flag)
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,30 +141,28 @@ def quantifiers_x(p: XStateParams, *, row=None) -> CorrelationReport:
     ``row`` is the state's row of an :func:`xqcorr.closest.x_report_rows`
     batch, as an array or a list, for callers that solve many states at
     once; without it the state is solved as a batch of one.  The report is
-    the same either way.
+    the same either way.  Its closest states are lazy (see
+    :class:`CorrelationReport`): callers that print many reports without
+    them validate them for all rows at once with
+    :func:`xqcorr.closest.check_report_rows`.
     """
     if row is None:
         row = x_report_row(p)
     vals = row.tolist() if isinstance(row, np.ndarray) else row
-    case = CaseLabel(
-        CaseId(int(vals[_kernels.COL_CASE])),
-        vals[_kernels.COL_K1], vals[_kernels.COL_K2], vals[_kernels.COL_K3],
-    )
-    product_pair = ProductPair((0.0, 0.0, vals[_kernels.COL_A3]),
-                               (0.0, 0.0, vals[_kernels.COL_B3]))
     return CorrelationReport(
         t_g=vals[_kernels.COL_TG],
         d_g=vals[_kernels.COL_DG],
         c_g=vals[_kernels.COL_CG],
         l_g=vals[_kernels.COL_LG],
-        case=case,
+        case=CaseLabel(CaseId(int(vals[_kernels.COL_CASE])),
+                       vals[_kernels.COL_K1], vals[_kernels.COL_K2],
+                       vals[_kernels.COL_K3]),
         residual_closure=vals[_kernels.COL_RES],
         residual_with_l=vals[_kernels.COL_RESL],
-        product_pair=product_pair,
-        classical_state=_closest_classical(p, case.case_id),
-        classical_product_pair=_classical_product_pair(p, case.case_id,
-                                                       product_pair),
+        a3=vals[_kernels.COL_A3],
+        b3=vals[_kernels.COL_B3],
         boundary_flag=bool(vals[_kernels.COL_BOUNDARY]),
+        state=p,
     )
 
 
@@ -194,17 +212,20 @@ def bell_diagonal_quantifiers(t11: float, t22: float,
     t_g = total / 4.0
     c_g = tmax_sq / 4.0
     d_g = (total - tmax_sq) / 4.0
-    zero = ProductPair((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    return CorrelationReport(
+    report = CorrelationReport(
         t_g=t_g, d_g=d_g, c_g=c_g, l_g=0.0,
         case=case,
         residual_closure=t_g - d_g - c_g,
         residual_with_l=t_g - d_g - c_g,
-        product_pair=zero,
-        classical_state=_closest_classical(p, case.case_id),
-        classical_product_pair=zero,
+        a3=0.0, b3=0.0,
         boundary_flag=abs(case.k1 - case.k3) <= CASE_BOUNDARY,
+        state=p,
     )
+    # Both closest products are exact zeros, whatever y3 the rounded
+    # diagonal of p gives.
+    zero = ProductPair((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    report.__dict__.update(product_pair=zero, classical_product_pair=zero)
+    return report
 
 
 # 3x3 finite-difference stencil in tangent coordinates, and the step

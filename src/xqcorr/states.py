@@ -350,7 +350,12 @@ def parse_state_json(text: str):
         for k, v in vals.items():
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ValueError("field %r must be a number" % k)
-            if not math.isfinite(v):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:
+                raise ValueError("field %r is too large for a float"
+                                 % k) from None
+            if not finite:
                 raise ValueError("field %r is not finite" % k)
         return XStateParams(**vals)
     if kind == "dense":
@@ -360,7 +365,7 @@ def parse_state_json(text: str):
         try:
             re = np.array(doc["re"], dtype=np.float64)
             im = np.array(doc["im"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError("dense state needs numeric 're' and 'im' 4x4 "
                              "arrays: %s" % exc) from exc
         if re.shape != (4, 4) or im.shape != (4, 4):

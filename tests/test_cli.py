@@ -10,7 +10,7 @@ import pytest
 
 import xqcorr
 from conftest import forbid, perturb_a3
-from xqcorr import dynamics, ensemble, quantifiers
+from xqcorr import _kernels, cli, closest, dynamics, ensemble, quantifiers
 from xqcorr.cli import main
 from xqcorr.states import XStateParams, state_to_json_dict
 
@@ -82,6 +82,24 @@ class TestAnalyze:
                   BELL_JSON.replace("0.5", "NaN", 1))
         assert main(["analyze", f]) == 2
 
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        # A parse error (exit 2), not an OverflowError traceback.
+        big = "1" + "0" * 400
+        dense = json.dumps({"kind": "dense",
+                            "re": [[7, 0, 0, 0]] + [[0] * 4] * 3,
+                            "im": [[0] * 4] * 4}).replace("7", big)
+        for name, text in (("x.json", BELL_JSON.replace("0.5", big, 1)),
+                           ("dense.json", dense)):
+            f = write(tmp_path, name, text)
+            assert main(["analyze", f]) == 2
+            assert main(["evolve", f, "--gamma0", "1", "--lambda", "1",
+                         "--t-max", "1", "--steps", "20",
+                         "--out", str(tmp_path / "t.csv")]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2 and err[0] == err[1]
+            assert err[0].startswith("parse error: ")
+            assert "too large" in err[0]
+
     def test_invalid_state(self, tmp_path):
         f = write(tmp_path, "invalid.json", json.dumps({
             "kind": "x", "rho11": 0.25, "rho22": 0.25, "rho33": 0.25,
@@ -129,6 +147,57 @@ class TestSample:
                      "--out", str(out)]) == 0
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == GOLDEN_SHA256["sample.csv"])
+
+    def test_builds_no_closest_state_objects(self, tmp_path, monkeypatch):
+        # The CSV prints a3 and b3 but none of the closest states, so no
+        # report builds them; check_report_rows checks them as arrays.
+        argv = ["sample", "--seed", "7", "--count", "300", "--out"]
+        assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+        for module in (quantifiers, closest):
+            forbid(monkeypatch, module, "ProductPair", "_closest_classical",
+                   "_classical_product_pair")
+        assert main(argv + [str(tmp_path / "lazy.csv")]) == 0
+        assert ((tmp_path / "lazy.csv").read_bytes()
+                == (tmp_path / "plain.csv").read_bytes())
+
+    def test_a3_past_the_bloch_bound_exits_invalid(self, tmp_path,
+                                                   monkeypatch, capsys):
+        solve = cli.x_report_rows
+        bad = []
+
+        def solve_one_bad_row(params):
+            rows = solve(params)
+            rows[5, _kernels.COL_A3] = 1.0 + 1e-9
+            bad.append(rows[5, _kernels.COL_B3])
+            return rows
+
+        monkeypatch.setattr(cli, "x_report_rows", solve_one_bad_row)
+        assert main(["sample", "--seed", "7", "--count", "20",
+                     "--out", str(tmp_path / "s.csv")]) == 3
+        with pytest.raises(xqcorr.InvalidStateError) as exc:
+            closest.ProductPair((0.0, 0.0, 1.0 + 1e-9), (0.0, 0.0, bad[0]))
+        assert capsys.readouterr().err == "invalid state: %s\n" % exc.value
+
+    def test_classical_state_past_block_positivity_exits_invalid(
+            self, tmp_path, monkeypatch, capsys):
+        classical_rows = closest.closest_classical_rows
+        bad = []
+
+        def break_one_case2_row(params, case):
+            rows = classical_rows(params, case)
+            i = np.flatnonzero(case == 2)[1]
+            rows[i, 4] = math.sqrt(rows[i, 0] * rows[i, 3]) + 1e-6
+            bad.append(rows[i].tolist())
+            return rows
+
+        monkeypatch.setattr(closest, "closest_classical_rows",
+                            break_one_case2_row)
+        assert main(["sample", "--seed", "7", "--count", "20",
+                     "--out", str(tmp_path / "s.csv")]) == 3
+        with pytest.raises(xqcorr.InvalidStateError) as exc:
+            XStateParams(*bad[0])
+        assert "outer block not positive" in str(exc.value)
+        assert capsys.readouterr().err == "invalid state: %s\n" % exc.value
 
     def test_histogram_mode(self, tmp_path):
         out = tmp_path / "hist.csv"
@@ -306,6 +375,10 @@ GOLDEN_SHA256 = {
         "2707e18d5647095bf325ee5f46f78a137e4e0b4563ead0aba1f2b26f64e7a63f",
     "sample.csv":
         "34dcf8e2def8b58503ae7d09232a397b891e64f0f0a97327afbed7d9318ba7e9",
+    "sample-case1-zero.csv":
+        "14ae2b83ae86deda6cdd7dca64d1809420c09cef098e7ee261be768643fa9684",
+    "sample-case2.csv":
+        "5e92729c5539b607dcf7e6f49c44f3e73179c272057036f6e406b7627d733878",
     "sample.csv.meta.json":
         "bc3309ce06200ba4a933d12549d065b18e7d03602b3773091ba96f4ec308b4b2",
     "hist.csv":
@@ -348,6 +421,11 @@ class TestGoldenBytes:
         }
         stdout_of(["sample", "--seed", "7", "--count", "50",
                    "--out", str(tmp_path / "sample.csv")])
+        stdout_of(["sample", "--seed", "7", "--count", "2000", "--case", "1",
+                   "--phase-mode", "zero",
+                   "--out", str(tmp_path / "sample-case1-zero.csv")])
+        stdout_of(["sample", "--seed", "7", "--count", "2000", "--case", "2",
+                   "--out", str(tmp_path / "sample-case2.csv")])
         stdout_of(["sample", "--seed", "3", "--count", "2000", "--case", "2",
                    "--histogram", "rel_residual",
                    "--out", str(tmp_path / "hist.csv")])
@@ -362,7 +440,9 @@ class TestGoldenBytes:
         out["oracle-check"] = stdout_of(
             ["oracle-check", "--seed", "0", "--trials", "3",
              "--out", str(tmp_path / "oracle.json")])
-        out.update(files("sample.csv", "sample.csv.meta.json", "hist.csv",
+        out.update(files("sample.csv", "sample.csv.meta.json",
+                         "sample-case1-zero.csv", "sample-case2.csv",
+                         "hist.csv",
                          "hist.csv.meta.json", "evolve.csv",
                          "evolve-overdamped.csv", "oracle.json"))
         cases = {line.rsplit(",", 1)[1] for line in

@@ -393,8 +393,7 @@ class TestReportSerialization:
         assert bell.boundary_flag
         negative_zero = dataclasses.replace(
             bell, t_g=-0.0, residual_closure=-0.0, residual_with_l=-0.0,
-            product_pair=closest.ProductPair((0.0, 0.0, -0.0),
-                                             (0.0, 0.0, -0.0)))
+            a3=-0.0, b3=-0.0)
         reports += [bell, negative_zero,
                     bell_diagonal_quantifiers(0.5, -0.5, 0.25)]
         for r in reports:
@@ -407,3 +406,42 @@ class TestReportSerialization:
                             "residuals", "closest_product",
                             "closest_classical", "classical_closest_product"}
         assert doc["quantifiers"]["tg"] == pytest.approx(0.75, abs=1e-12)
+
+
+def _bits(obj):
+    # The float64 bit patterns of a ProductPair or an XStateParams.
+    if isinstance(obj, closest.ProductPair):
+        vals = [*obj.a, *obj.b]
+    else:
+        vals = dataclasses.astuple(obj)
+    return np.array(vals, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestLazyClosestStates:
+    def test_built_on_first_read_as_the_closest_state_functions(self):
+        for case in (CaseId.CASE1, CaseId.CASE2):
+            params, _ = sample_x_arrays(
+                SamplerConfig(seed=181, count=200, case_filter=case))
+            rows = closest.x_report_rows(params).tolist()
+            for vals, row in zip(params.tolist(), rows):
+                p = XStateParams(*vals)
+                r = quantifiers_x(p, row=row)
+                assert r.case.case_id is case
+                assert not {"product_pair", "classical_state",
+                            "classical_product_pair"} & set(vars(r))
+                assert _bits(r.product_pair) == _bits(
+                    closest.closest_product_x(p))
+                assert _bits(r.classical_state) == _bits(
+                    closest.closest_classical_x(p))
+                assert _bits(r.classical_product_pair) == _bits(
+                    closest_product_of_classical_x(p))
+                assert r.product_pair is r.product_pair
+
+    def test_bell_diagonal_pairs_are_positive_zeros(self):
+        # t33 = -0.9 rounds the diagonal so that y3 = 2.8e-17, not 0.
+        for diag, case in (((0.1, 0.05, -0.9), CaseId.CASE1),
+                           ((0.95, 0.9, -0.9), CaseId.CASE2)):
+            r = bell_diagonal_quantifiers(*diag)
+            assert r.case.case_id is case
+            assert _bits(r.product_pair) == [0] * 6
+            assert _bits(r.classical_product_pair) == [0] * 6

@@ -340,3 +340,17 @@ class TestStateJson:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             parse_state_json('{"kind": "dense", "re": [[1.0]], "im": [[0.0]]}')
+
+    def test_rejects_integers_too_large_for_a_float(self):
+        # 10^400 is a valid JSON integer, but no float holds it.
+        big = "1" + "0" * 400
+        x_doc = ('{"kind": "x", "rho11": %s, "rho22": 0, "rho33": 0,'
+                 ' "rho44": 0, "rho14": 0, "rho23": 0}' % big)
+        with pytest.raises(ValueError, match="'rho11' is too large"):
+            parse_state_json(x_doc)
+        zero = "[%s]" % ", ".join(["[0, 0, 0, 0]"] * 4)
+        huge = zero.replace("[0, 0, 0, 0]]", "[0, -%s, 0, 0]]" % big)
+        for re, im in ((huge, zero), (zero, huge)):
+            text = '{"kind": "dense", "re": %s, "im": %s}' % (re, im)
+            with pytest.raises(ValueError, match="int too large"):
+                parse_state_json(text)
