@@ -5,13 +5,15 @@ where the X-state quantifiers are computed: it takes an (n, 8) parameter
 array and returns an (n, 13) report array, and the scalar APIs in
 :mod:`xqcorr.closest` and :mod:`xqcorr.quantifiers` are one-row views of
 it.  Within each chunk of ``CHUNK_ROWS`` rows every step is an array
-operation.  Where a proof shows the quintic increasing, its one real
-root is seeded by a safeguarded Newton on a known bracket; only the other
-rows (such as the Bell states) are seeded by one stacked real companion
-``eigvals``.  Newton polishes every seed under a per-root convergence mask,
-an ulp walk on the compensated-Horner sign of the quintic moves each root
-to its canonical float (so a root is defined by the polynomial, not by its
-seed), then the tie-broken argmin and the report columns.
+operation.  Where a proof shows the quintic increasing (every sampled row
+so far), the row has one real root, solved as one float per row: a
+safeguarded Newton on a known bracket, then an ulp walk on the
+compensated-Horner sign of the quintic to the root's canonical float, so
+a root is defined by the polynomial, not by the iteration that reached
+it.  Only the other rows (such as the Bell states) fall back to five
+roots per row: one stacked real companion ``eigvals``, Newton on every
+seed, the same walk, and a tie-broken argmin over the kept roots.  Then
+the report columns.
 Per-layer timings of these kernels inside the CLI commands come from
 ``python3 perfbench/run.py --workload <name> --seed N --trace 1``.
 """
@@ -29,9 +31,9 @@ COL_TG, COL_DG, COL_CG, COL_LG, COL_RES, COL_RESL, COL_BOUNDARY = (
 )
 REPORT_COLS = 13
 
-# Rows per chunk of batch_reports: bounds the (n, 5) temporaries of the
-# solve (and the companion stack of the rows that need one), and so the peak
-# memory of a batch.
+# Rows per chunk of batch_reports: bounds the temporaries of the solve (and
+# the companion stack and (n, 5) roots of the rows that need them), and so
+# the peak memory of a batch.
 CHUNK_ROWS = 4096
 
 
@@ -80,9 +82,21 @@ def _two_product(x, y, yh, yl):
 
 
 def _quintic_eval(c4, c2, c1, c0, a):
-    """The monic quintic and its derivative at a, by Horner."""
-    q = ((((a + c4) * a + 2.0) * a + c2) * a + c1) * a + c0
-    dq = (((5.0 * a + 4.0 * c4) * a + 6.0) * a + 2.0 * c2) * a + c1
+    """The monic quintic and its derivative at a, by Horner.
+
+    Each is accumulated in place in one buffer: the operations and their
+    order are those of ((((a + c4) a + 2) a + c2) a + c1) a + c0 and
+    (((5 a + 4 c4) a + 6) a + 2 c2) a + c1, without the temporaries.
+    """
+    q = a + c4
+    for c in (2.0, c2, c1, c0):
+        q *= a
+        q += c
+    dq = 5.0 * a
+    dq += 4.0 * c4
+    for c in (6.0, 2.0 * c2, c1):
+        dq *= a
+        dq += c
     return q, dq
 
 
@@ -103,39 +117,58 @@ def _quintic_compensated(c4, c2, c1, c0, a):
     return s + err
 
 
-def _canonicalize(c4, c2, c1, c0, a, dq, kept):
-    """Move each ``kept`` root of ``a``, in place, to its canonical float.
+def _canonicalize(c4, c2, c1, c0, a, dq):
+    """The canonical float of each root ``a``, as a new array.
 
-    ``a``, ``dq`` and ``kept`` are (n, 5) and the coefficients length n.
-    The canonical root is the one of two adjacent floats, between which the
-    compensated q changes sign (or reaches zero), with the smaller |q|; on
-    an exact tie the smaller |a|, so the rule commutes with negation.  From
-    each root the walk goes by ulps towards the sign change (the Newton
-    direction, from the sign of q * dq), at most 64 steps, with ``rows``
-    and ``cols`` indexing the roots still walking.  A root with q = 0 or
-    dq = 0, or with no sign change in reach, keeps its value.
+    Every argument is length m: one root per entry, with its quintic's
+    coefficients and the derivative dq at the root.  The canonical root is
+    the one of two adjacent floats, between which the compensated q changes
+    sign (or reaches zero), with the smaller |q|; on an exact tie the
+    smaller |a|, so the rule commutes with negation.  From each root the
+    walk goes by ulps towards the sign change (the Newton direction, from
+    the sign of q * dq), at most 64 steps, with ``live`` indexing the roots
+    still walking.  A root with q = 0 or dq = 0, or with no sign change in
+    reach, keeps its value.
     """
-    rows, cols = np.nonzero(kept)
-    cur, dq = a[rows, cols], dq[rows, cols]
-    qcur = _quintic_compensated(c4[rows], c2[rows], c1[rows], c0[rows], cur)
-    walking = (qcur != 0.0) & (dq != 0.0)
-    down = (qcur > 0.0) == (dq > 0.0)
-    rows, cols, cur, qcur, down = (
-        v[walking] for v in (rows, cols, cur, qcur, down))
+    a = a.copy()
+    q = _quintic_compensated(c4, c2, c1, c0, a)
+    live = np.flatnonzero((q != 0.0) & (dq != 0.0))
+    cur, qcur = a[live], q[live]
+    down = (qcur > 0.0) == (dq[live] > 0.0)
     for _ in range(64):
-        if rows.size == 0:
+        if live.size == 0:
             break
         nxt = np.nextafter(cur, np.where(down, -np.inf, np.inf))
-        qnxt = _quintic_compensated(c4[rows], c2[rows], c1[rows], c0[rows],
+        qnxt = _quintic_compensated(c4[live], c2[live], c1[live], c0[live],
                                     nxt)
         change = (qnxt == 0.0) | ((qnxt > 0.0) != (qcur > 0.0))
         qc, qn = np.abs(qcur[change]), np.abs(qnxt[change])
         ac, an = cur[change], nxt[change]
         take = (qn < qc) | ((qn == qc) & (np.abs(an) < np.abs(ac)))
-        a[rows[change], cols[change]] = np.where(take, an, ac)
+        a[live[change]] = np.where(take, an, ac)
         walking = ~change
-        rows, cols, cur, qcur, down = (
-            v[walking] for v in (rows, cols, nxt, qnxt, down))
+        live, cur, qcur, down = (
+            v[walking] for v in (live, nxt, qnxt, down))
+    return a
+
+
+def _kept_canonical(c4, c2, c1, c0, a):
+    """The |q| <= 1e-10 test of roots ``a``, and the kept ones made canonical.
+
+    ``a`` may be (m,) or (m, 5), with length-m coefficients.  Returns
+    (a, kept), ``a`` updated in place with the canonical float of each kept
+    root (:func:`_canonicalize`).  A NaN residual is dropped, so every kept
+    root has a finite distance.
+    """
+    coeffs = (c4, c2, c1, c0) if a.ndim == 1 else (
+        c4[:, None], c2[:, None], c1[:, None], c0[:, None])
+    q, dq = _quintic_eval(*coeffs, a)
+    kept = np.abs(q) <= 1e-10
+    idx = np.nonzero(kept)
+    rows = idx[0]
+    a[idx] = _canonicalize(c4[rows], c2[rows], c1[rows], c0[rows], a[idx],
+                           dq[idx])
+    return a, kept
 
 
 def _one_simple_root(x3, c2, c1):
@@ -150,100 +183,73 @@ def _one_simple_root(x3, c2, c1):
 
 
 def _bracketed_roots(c4, c2, c1, c0, lo, hi):
-    """The one real root of each increasing quintic, to about 1e-8.
+    """The canonical real root of each increasing quintic, with its kept flag.
 
-    Takes length-m arrays, each row's root inside [lo, hi].  Safeguarded
-    Newton from the midpoint: each value of q moves the bracket end on its
-    side to the iterate (``lo`` and ``hi`` are narrowed in place), and a
-    Newton step that leaves the bracket becomes a bisection.  A row stops when its step falls to 1e-8 * max(1, |a|),
-    or after 100 steps, with ``live`` indexing the rows still iterating.
+    Takes length-m arrays, each row's one real root inside [lo, hi].  A
+    row with c0 = q(0) = 0 has its root at exactly 0.0: Newton from the
+    bracket could stop at a tiny nonzero float, from which the ulp walk
+    cannot reach 0.  Every other row runs a safeguarded Newton from the
+    midpoint.  Each value of q moves the bracket end on its side to the
+    iterate, and a Newton step that leaves the bracket becomes a bisection.
+    A row stops when its step falls to 1e-15 * max(1, |a|), at least 4.5
+    ulps of a, or after 100 steps; ``live`` indexes the rows still
+    iterating, and their coefficients and bracket are compacted only on a
+    step where some row stops.  Then :func:`_kept_canonical`.
+
+    Returns (a, kept), both length m.
     """
-    a = 0.5 * (lo + hi)
-    live = np.arange(a.size)
+    a = np.where(c0 == 0.0, 0.0, 0.5 * (lo + hi))
+    live = np.flatnonzero(c0 != 0.0)
+    k4, k2, k1, k0, low, high, cur = (
+        v[live] for v in (c4, c2, c1, c0, lo, hi, a))
     for _ in range(100):
         if live.size == 0:
             break
-        cur, low, high = a[live], lo[live], hi[live]
-        q, dq = _quintic_eval(c4[live], c2[live], c1[live], c0[live], cur)
+        q, dq = _quintic_eval(k4, k2, k1, k0, cur)
         low = np.where(q < 0.0, cur, low)
         high = np.where(q > 0.0, cur, high)
         nxt = cur - q / dq
-        nxt = np.where((nxt >= low) & (nxt <= high), nxt, 0.5 * (low + high))
-        lo[live], hi[live], a[live] = low, high, nxt
-        live = live[~(np.abs(nxt - cur) <= 1e-8 * np.fmax(1.0, np.abs(nxt)))]
-    return a
+        inside = (nxt >= low) & (nxt <= high)
+        if not inside.all():
+            nxt = np.where(inside, nxt, 0.5 * (low + high))
+        # np.maximum, not fmax: |nxt - cur| is NaN wherever |nxt| is.
+        moving = ~(np.abs(nxt - cur) <= 1e-15 * np.maximum(1.0, np.abs(nxt)))
+        cur = nxt
+        if not moving.all():
+            a[live[~moving]] = nxt[~moving]
+            live, k4, k2, k1, k0, low, high, cur = (
+                v[moving] for v in (live, k4, k2, k1, k0, low, high, cur))
+    a[live] = cur
+    return _kept_canonical(c4, c2, c1, c0, a)
 
 
-def quintic_roots(x3, y3, t33):
-    """Canonical real stationary a3 values of the z-axis profile.
+def _companion_roots(c4, c2, c1, c0):
+    """Every canonical real root of each quintic, as (m, 5) (a, kept).
 
-    Takes length-n float arrays.  Eliminates b3 exactly (the distance is
-    strictly convex in b3 for fixed a3); the stationary a3 values are the
-    real roots of the resulting monic quintic
-
-        q(a) = (a - x3)(1 + a^2)^2 + (y3 + T33 a)(y3 a - T33).
-
-    Each row's seeds come from one of two sources, chosen by a proof.
-    Where :func:`_one_simple_root` holds, the one real root lies in
-    [x3 - R^2/2, x3 + R^2/2] with R^2 = y3^2 + T33^2: with y3 = R cos(phi),
-    T33 = R sin(phi) and a = tan(theta),
-
-        q / (1 + a^2) = (a - x3)(1 + a^2) + (R^2 / 2) sin 2(theta - phi).
-
-    It is seeded by :func:`_bracketed_roots` in slot 0 of the row, or as
-    exactly 0.0 where c0 = q(0) is 0, and the other four slots are NaN.
-    Every other row (the Bell states (0, 0, +-1), where q = a^3 (a^2 + 2)
-    has a triple root at 0, and rows outside the validity tetrahedron) is
-    seeded by the real parts of the eigenvalues of its 5x5 companion
-    matrix, all such rows stacked as one float64 array; where c0 = 0 the
-    seed of least |a| is replaced by exactly 0.0.
-
-    Newton refines every seed, each stopping when its derivative vanishes
-    or its step falls to 1e-15 * max(1, |a|), at least 4.5 ulps of a, or
-    after 60 steps.  A root is kept when its quintic residual is
-    |q| <= 1e-10 (a NaN residual, as in an unused slot, is dropped, so
-    every kept root has a finite distance), and each kept root is then
-    replaced by its canonical float (:func:`_canonicalize`).  A canonical
-    root depends on the polynomial alone, not on the seed or the iteration
-    that reached it.
-
-    Returns (a, kept), both (n, 5).
+    The seeds are the real parts of the eigenvalues of each row's 5x5
+    companion matrix, all rows stacked as one float64 array; where c0 = 0
+    the seed of least |a| is replaced by exactly 0.0 (a tiny nonzero
+    eigenvalue there would stay as a kept root).  Newton refines every
+    seed, linear-rate safe even at multiple roots, each stopping when its
+    derivative vanishes or its step falls to 1e-15 * max(1, |a|), or after
+    60 steps; ``live`` indexes the flattened (m, 5) seeds still iterating,
+    ``live // 5`` their rows.  Then :func:`_kept_canonical`.
     """
-    n = x3.shape[0]
-    c4 = -x3
-    c2 = y3 * t33 - 2.0 * x3
-    c1 = 1.0 + y3 * y3 - t33 * t33
-    c0 = -(x3 + y3 * t33)
+    m = c4.size
+    if m == 0:
+        return np.empty((0, 5)), np.empty((0, 5), dtype=bool)
+    comp = np.zeros((m, 5, 5))
+    comp[:, (1, 2, 3, 4), (0, 1, 2, 3)] = 1.0
+    comp[:, 0, 0] = -c4
+    comp[:, 0, 1] = -2.0
+    comp[:, 0, 2] = -c2
+    comp[:, 0, 3] = -c1
+    comp[:, 0, 4] = -c0
+    seeds = np.linalg.eigvals(comp).real
+    z = np.flatnonzero(c0 == 0.0)
+    seeds[z, np.argmin(np.abs(seeds[z]), axis=1)] = 0.0
 
-    a = np.full((n, 5), np.nan)
-    one = _one_simple_root(x3, c2, c1)
-    i = np.flatnonzero(one)
-    half = 0.5 * (y3[i] * y3[i] + t33[i] * t33[i])
-    # A root at exactly 0 is seeded as 0: Newton from the bracket can stop
-    # at a tiny nonzero float, from which the ulp walk cannot reach 0.
-    a[i, 0] = np.where(c0[i] == 0.0, 0.0, _bracketed_roots(
-        c4[i], c2[i], c1[i], c0[i], x3[i] - half, x3[i] + half))
-
-    j = np.flatnonzero(~one)
-    if j.size:
-        comp = np.zeros((j.size, 5, 5))
-        comp[:, (1, 2, 3, 4), (0, 1, 2, 3)] = 1.0
-        comp[:, 0, 0] = -c4[j]
-        comp[:, 0, 1] = -2.0
-        comp[:, 0, 2] = -c2[j]
-        comp[:, 0, 3] = -c1[j]
-        comp[:, 0, 4] = -c0[j]
-        seeds = np.linalg.eigvals(comp).real
-        # Likewise the companion seed nearest a root at exactly 0 is 0: a
-        # tiny nonzero eigenvalue there would stay as a kept root.
-        z = np.flatnonzero(c0[j] == 0.0)
-        seeds[z, np.argmin(np.abs(seeds[z]), axis=1)] = 0.0
-        a[j] = seeds
-
-    # Newton refinement, linear-rate safe even at multiple roots; ``live``
-    # indexes the flattened (n, 5) seeds still iterating, ``live // 5``
-    # their rows.
-    a = a.reshape(-1)
+    a = seeds.reshape(-1)
     live = np.flatnonzero(~np.isnan(a))
     for _ in range(60):
         if live.size == 0:
@@ -256,37 +262,76 @@ def quintic_roots(x3, y3, t33):
         polished = a[live] - step
         a[live] = polished
         live = live[~(np.abs(step) <= 1e-15 * np.fmax(1.0, np.abs(polished)))]
+    return _kept_canonical(c4, c2, c1, c0, a.reshape(m, 5))
 
-    a = a.reshape(n, 5)
-    q, dq = _quintic_eval(c4[:, None], c2[:, None], c1[:, None], c0[:, None],
-                          a)
-    kept = np.abs(q) <= 1e-10
-    _canonicalize(c4, c2, c1, c0, a, dq, kept)
+
+def _roots(x3, y3, t33):
+    """Each row's canonical real roots, by the path its certificate picks.
+
+    Returns (i, (a, kept), j, (roots, kept5)): the rows i where
+    :func:`_one_simple_root` holds, with one root each from
+    :func:`_bracketed_roots`, and the other rows j, with five roots each
+    from :func:`_companion_roots`.
+    """
+    c4 = -x3
+    c2 = y3 * t33 - 2.0 * x3
+    c1 = 1.0 + y3 * y3 - t33 * t33
+    c0 = -(x3 + y3 * t33)
+    one = _one_simple_root(x3, c2, c1)
+    i = np.flatnonzero(one)
+    half = 0.5 * (y3[i] * y3[i] + t33[i] * t33[i])
+    single = _bracketed_roots(c4[i], c2[i], c1[i], c0[i],
+                              x3[i] - half, x3[i] + half)
+    j = np.flatnonzero(~one)
+    return i, single, j, _companion_roots(c4[j], c2[j], c1[j], c0[j])
+
+
+def quintic_roots(x3, y3, t33):
+    """Canonical real stationary a3 values of the z-axis profile.
+
+    Takes length-n float arrays.  Eliminates b3 exactly (the distance is
+    strictly convex in b3 for fixed a3); the stationary a3 values are the
+    real roots of the resulting monic quintic
+
+        q(a) = (a - x3)(1 + a^2)^2 + (y3 + T33 a)(y3 a - T33).
+
+    Each row's roots come from one of two paths, chosen by a proof.  Where
+    :func:`_one_simple_root` holds, the one real root lies in
+    [x3 - R^2/2, x3 + R^2/2] with R^2 = y3^2 + T33^2: with y3 = R cos(phi),
+    T33 = R sin(phi) and a = tan(theta),
+
+        q / (1 + a^2) = (a - x3)(1 + a^2) + (R^2 / 2) sin 2(theta - phi).
+
+    :func:`_bracketed_roots` solves it on that bracket.  Every other row
+    (the Bell states (0, 0, +-1), where q = a^3 (a^2 + 2) has a triple
+    root at 0, and rows outside the validity tetrahedron) goes to
+    :func:`_companion_roots`, which seeds all five roots from the
+    companion matrix.  A root is kept when its quintic residual is
+    |q| <= 1e-10, and each kept root is its canonical float
+    (:func:`_canonicalize`), which depends on the polynomial alone, not on
+    the seed or the iteration that reached it.
+
+    This is the (n, 5) view of both paths: a certified row has its root in
+    slot 0 and NaN in the other four.  Returns (a, kept), both (n, 5).
+    """
+    a = np.full((x3.shape[0], 5), np.nan)
+    kept = np.zeros(a.shape, dtype=bool)
+    i, single, j, many = _roots(x3, y3, t33)
+    a[i, 0], kept[i, 0] = single
+    a[j], kept[j] = many
     return a, kept
 
 
-def solve_a3b3(x3, y3, t33):
-    """Global minimizers of the z-axis product-distance profile.
+def _least_distance(x3, y3, t33, a, kept):
+    """Each row's kept root of least distance, of (m, 5) roots.
 
-    Takes length-n float arrays.  Of the kept canonical roots of
-    :func:`quintic_roots`, the one of least distance wins, ties broken by
-    smaller |a3| then smaller a3, then root order.  b3 is the exact
-    minimizer for that a3.
-
-    Returns arrays (a3, b3, ok); ok=False marks a row where no real
-    stationary point was identified: every root of a degree-5 real
-    polynomial is seeded, from a bracket or from the companion's
-    eigenvalues, so only a seed that Newton cannot polish to |q| <= 1e-10
-    gives it, as with inputs so large that q overflows.  The origin
-    x3 = y3 = t33 = 0 is (0, 0, True).
+    The first kept root; on rows with more than one, the argmin of
+    (f, |a3|, a3) over the kept roots, the first in root order on a full
+    tie: the root a scan in root order would end on if it moved only to a
+    strictly better root.  Returns (a3, found), a3 = 0.0 where no root is
+    kept.
     """
-    n = x3.shape[0]
-    a, kept = quintic_roots(x3, y3, t33)
     found = kept.any(axis=1)
-    # The first kept root; on rows with more than one (never a row seeded
-    # from the bracket), the argmin of (f, |a3|, a3) over the kept roots,
-    # the first in root order on a full tie: the root a scan in root order
-    # would end on if it moved only to a strictly better root.
     pick = np.argmax(kept, axis=1)
     m = np.flatnonzero(np.count_nonzero(kept, axis=1) > 1)
     if m.size:
@@ -301,14 +346,36 @@ def solve_a3b3(x3, y3, t33):
             low = np.min(np.where(cand, key, np.inf), axis=1, keepdims=True)
             cand = cand & (key == low)
         pick[m] = np.argmax(cand, axis=1)
-    best_a = np.where(found, a[np.arange(n), pick], 0.0)
-    best_b = np.where(found, (y3 + t33 * best_a) / (1.0 + best_a * best_a),
-                      0.0)
+    return np.where(found, a[np.arange(a.shape[0]), pick], 0.0), found
+
+
+def solve_a3b3(x3, y3, t33):
+    """Global minimizers of the z-axis product-distance profile.
+
+    Takes length-n float arrays.  A row certified by
+    :func:`_one_simple_root` has one real root, so its a3 is that root,
+    taken as it is: no (n, 5) array, companion or argmin touches it.  On
+    the other rows the kept canonical root of least distance wins
+    (:func:`_least_distance`).  b3 is the exact minimizer for that a3.
+
+    Returns arrays (a3, b3, ok); ok=False marks a row where no real
+    stationary point was identified: every root of a degree-5 real
+    polynomial is seeded, from a bracket or from the companion's
+    eigenvalues, so only a root that Newton cannot polish to |q| <= 1e-10
+    gives it, as with inputs so large that q overflows.  The origin
+    x3 = y3 = t33 = 0 is (0, 0, True).
+    """
+    a3 = np.empty(x3.shape[0])
+    found = np.empty(x3.shape[0], dtype=bool)
+    i, (a, kept), j, many = _roots(x3, y3, t33)
+    a3[i], found[i] = np.where(kept, a, 0.0), kept
+    a3[j], found[j] = _least_distance(x3[j], y3[j], t33[j], *many)
+    b3 = np.where(found, (y3 + t33 * a3) / (1.0 + a3 * a3), 0.0)
 
     origin = (x3 == 0.0) & (y3 == 0.0) & (t33 == 0.0)
-    best_a[origin] = 0.0
-    best_b[origin] = 0.0
-    return best_a, best_b, found | origin
+    a3[origin] = 0.0
+    b3[origin] = 0.0
+    return a3, b3, found | origin
 
 
 def batch_reports(params):
@@ -360,9 +427,13 @@ def _fill_reports(params, out):
     cg = np.where(case2, splus * splus, fpart)
     lg = np.where(case2, a3 * a3 * (dt * dt + 1.0 + b3 * b3) * 0.25, 0.0)
 
-    out[:] = np.stack([k1, k2, k3, case, a3, b3, tg, dg, cg, lg,
-                       tg - dg - cg, tg + lg - dg - cg,
-                       np.abs(k1 - k3) <= CASE_BOUNDARY], axis=1)
+    out[:, COL_K1], out[:, COL_K2], out[:, COL_K3] = k1, k2, k3
+    out[:, COL_CASE], out[:, COL_A3], out[:, COL_B3] = case, a3, b3
+    out[:, COL_TG], out[:, COL_DG], out[:, COL_CG], out[:, COL_LG] = (
+        tg, dg, cg, lg)
+    out[:, COL_RES] = tg - dg - cg
+    out[:, COL_RESL] = tg + lg - dg - cg
+    out[:, COL_BOUNDARY] = np.abs(k1 - k3) <= CASE_BOUNDARY
     out[~(ok & (stationarity <= STATIONARITY))] = 0.0
 
 

@@ -97,21 +97,33 @@ def _case_mask(batch: np.ndarray, case_filter: CaseId) -> np.ndarray:
     return _kernels.k_eigenvalues(batch)[3] == float(case_filter)
 
 
+def _sort3(u0, u1, u2):
+    """The three arrays sorted elementwise, by a min/max network.
+
+    Each output is one of the inputs' floats, so the result is what a sort
+    gives, ties and zeros included.
+    """
+    lo, hi = np.minimum(u0, u1), np.maximum(u0, u1)
+    mid = np.maximum(lo, u2)
+    return np.minimum(lo, u2), np.minimum(mid, hi), np.maximum(mid, hi)
+
+
 def _draw_batch(rng: np.random.Generator, size: int,
                 phase_mode: PhaseMode) -> np.ndarray:
-    cuts = np.sort(rng.random((size, 3)), axis=1)
-    diag = np.diff(np.concatenate(
-        [np.zeros((size, 1)), cuts, np.ones((size, 1))], axis=1), axis=1)
+    # The diagonal is the four spacings between 0, the sorted cuts and 1.
+    c0, c1, c2 = _sort3(*rng.random((size, 3)).T)
     fracs = rng.random((size, 2))
-    if phase_mode is PhaseMode.FREE:
-        phases = rng.random((size, 2)) * (2.0 * math.pi)
-    else:
-        phases = np.zeros((size, 2))
     batch = np.empty((size, 8))
-    batch[:, 0:4] = diag
-    batch[:, 4] = fracs[:, 0] * np.sqrt(diag[:, 0] * diag[:, 3])
-    batch[:, 5] = fracs[:, 1] * np.sqrt(diag[:, 1] * diag[:, 2])
-    batch[:, 6:8] = phases
+    if phase_mode is PhaseMode.FREE:
+        batch[:, 6:8] = rng.random((size, 2)) * (2.0 * math.pi)
+    else:
+        batch[:, 6:8] = 0.0
+    batch[:, 0] = c0
+    batch[:, 1] = d1 = c1 - c0
+    batch[:, 2] = d2 = c2 - c1
+    batch[:, 3] = d3 = 1.0 - c2
+    batch[:, 4] = fracs[:, 0] * np.sqrt(c0 * d3)
+    batch[:, 5] = fracs[:, 1] * np.sqrt(d1 * d2)
     return batch
 
 

@@ -107,6 +107,24 @@ class TestAnalyze:
         }))
         assert main(["analyze", f]) == 3
 
+    def test_classical_mean_past_the_block_bound(self, tmp_path, capsys):
+        # Each coherence is 9e-13 past its block bound, which XStateParams
+        # accepts; their mean, the closest classical state's coherence,
+        # would land about 1.2e-11 past the classical state's bound.
+        values = (0.01, 0.49, 0.49, 0.01, math.sqrt(1e-4 + 9e-13),
+                  math.sqrt(0.2401 + 9e-13))
+        state = dict(zip(("rho11", "rho22", "rho33", "rho44", "rho14",
+                          "rho23"), values), kind="x")
+        XStateParams(*values)
+        f = write(tmp_path, "past.json", json.dumps(state))
+        assert main(["analyze", f]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["case"] == 2
+        chi = XStateParams(**doc["closest_classical"])
+        assert chi.rho14 == chi.rho23 == math.sqrt(chi.rho11 * chi.rho44)
+
     def test_missing_file(self):
         assert main(["analyze", "/nonexistent/state.json"]) == 2
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from xqcorr.closest import (
     stationarity_residual,
 )
 from xqcorr import _kernels, closest
+from xqcorr.ensemble import SamplerConfig, sample_x_arrays
 from xqcorr.errors import ConvergenceFailureError, InvalidStateError
 from xqcorr.quantifiers import geometric_discord_general
 from xqcorr.states import (
@@ -39,6 +41,9 @@ from xqcorr.tolerances import BLOCH_BOUND
 
 BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 WITNESS = XStateParams(0.5, 0.1, 0.1, 0.3, 0.35, 0.05)
+# A case-2 state whose coherences are each 9e-13 past their block bound.
+PAST_MEAN_STATE = (0.01, 0.49, 0.49, 0.01, math.sqrt(1e-4 + 9e-13),
+                   math.sqrt(0.2401 + 9e-13))
 
 
 class TestKEigenvalues:
@@ -273,6 +278,45 @@ class TestClosestClassical:
             d_sel = hs_norm_sq(rho - chosen)
             d_alt = hs_norm_sq(rho - other)
             assert d_sel <= d_alt + 1e-12
+
+    def test_mean_coherence_past_the_block_bound_takes_the_bound(self):
+        # Each coherence is within the BLOCK_POSITIVITY slack of its block,
+        # but their mean lands about 1.2e-11 past the classical state's.
+        p = XStateParams(*PAST_MEAN_STATE)
+        assert k_eigenvalues_x(p).case_id is CaseId.CASE2
+        mean = 0.5 * (p.rho14 + p.rho23)
+        assert mean * mean > 0.0625 + 1e-11
+        chi = closest_classical_x(p)
+        assert (chi.rho11, chi.rho22, chi.rho14, chi.rho23) == (
+            0.25, 0.25, 0.25, 0.25)
+
+    def test_check_report_rows_accepts_the_bound(self):
+        # The array checks of sample agree with closest_classical_x on such
+        # a row, and the bound moves no bit of a row within it, such as a
+        # row on the bound whose mean rounds 2.8e-17 above sqrt(hi * lo).
+        arr, _ = sample_x_arrays(SamplerConfig(seed=71, count=500,
+                                               case_filter=CaseId.CASE2))
+        on_bound = (0.06289911503127163, 0.5294669859033172,
+                    0.294582273667113, 0.11305162539829822,
+                    0.08432583939931929, 0.3949323847686746, 0.0, 0.0)
+        arr = np.vstack([arr, np.array([on_bound,
+                                         PAST_MEAN_STATE + (0.0, 0.0)])])
+        y3 = arr[-2, 0] - arr[-2, 1] + arr[-2, 2] - arr[-2, 3]
+        mean = 0.5 * (arr[-2, 4] + arr[-2, 5])
+        assert mean > math.sqrt((0.25 * (1.0 + y3)) * (0.25 * (1.0 - y3)))
+        reports = closest.x_report_rows(arr)
+        closest.check_report_rows(arr, reports)
+        rows = closest.closest_classical_rows(
+            arr, reports[:, _kernels.COL_CASE])
+        chi = closest_classical_x(XStateParams(*arr[-1]))
+        assert rows[-1].tolist() == list(astuple(chi))
+        y3 = arr[:-1, 0] - arr[:-1, 1] + arr[:-1, 2] - arr[:-1, 3]
+        hi, lo = 0.25 * (1.0 + y3), 0.25 * (1.0 - y3)
+        coh = 0.5 * (arr[:-1, 4] + arr[:-1, 5])
+        mean_form = np.stack([hi, lo, hi, lo, coh, coh, arr[:-1, 6],
+                              arr[:-1, 7]], 1)
+        assert np.array_equal(rows[:-1].view(np.uint64),
+                              mean_form.view(np.uint64))
 
     def test_case2_unreachable_without_coherence(self):
         # rho14 + rho23 = 0 forces k1 = 0 <= k3, i.e. always case 1.

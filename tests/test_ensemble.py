@@ -74,6 +74,50 @@ class TestSampler:
             SamplerConfig(seed=0, count=0)
 
 
+def _sort_diff_batch(rng, size, phase_mode):
+    """The sampler's draw as an np.sort of the cuts and an np.diff."""
+    cuts = np.sort(rng.random((size, 3)), axis=1)
+    diag = np.diff(np.concatenate(
+        [np.zeros((size, 1)), cuts, np.ones((size, 1))], axis=1), axis=1)
+    fracs = rng.random((size, 2))
+    if phase_mode is PhaseMode.FREE:
+        phases = rng.random((size, 2)) * (2.0 * math.pi)
+    else:
+        phases = np.zeros((size, 2))
+    batch = np.empty((size, 8))
+    batch[:, 0:4] = diag
+    batch[:, 4] = fracs[:, 0] * np.sqrt(diag[:, 0] * diag[:, 3])
+    batch[:, 5] = fracs[:, 1] * np.sqrt(diag[:, 1] * diag[:, 2])
+    batch[:, 6:8] = phases
+    return batch
+
+
+class TestDrawBatch:
+    @pytest.mark.parametrize("phase_mode", list(PhaseMode))
+    def test_matches_sort_and_diff_bit_for_bit(self, phase_mode):
+        for seed in (1, 2, 7, 11):
+            got_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            for size in (4096, 5, 1):
+                got = ensemble._draw_batch(got_rng, size, phase_mode)
+                ref = _sort_diff_batch(ref_rng, size, phase_mode)
+                assert np.array_equal(got.view(np.uint64),
+                                      ref.view(np.uint64))
+            # Both consumed the same draws from the generator.
+            assert got_rng.random() == ref_rng.random()
+
+    def test_sorting_network_on_ties_and_zeros(self):
+        a, b, c = 0.1, 0.5, 0.9
+        triples = [(a, a, b), (b, a, a), (a, b, a), (b, b, a), (0.0, 0.0, 0.0),
+                   (0.0, a, 0.0), (a, 0.0, a)]
+        triples += [(x, y, z) for x in (a, b, c) for y in (a, b, c)
+                    for z in (a, b, c) if len({x, y, z}) == 3]
+        u = np.array(triples)
+        got = np.stack(ensemble._sort3(*u.T), axis=1)
+        assert np.array_equal(got.view(np.uint64),
+                              np.sort(u, axis=1).view(np.uint64))
+
+
 class TestHistogram:
     def test_spec_validation(self):
         with pytest.raises(ValueError):

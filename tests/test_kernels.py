@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -25,9 +26,54 @@ from xqcorr.ensemble import (
 )
 from xqcorr.errors import SolverFailureError
 from xqcorr.quantifiers import quantifiers_x
-from xqcorr.states import parse_state_json
+from xqcorr.states import XStateParams, parse_state_json
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# sha256 of batch_reports(...).tobytes() on 2x10^4 sampled rows per
+# (seed, case filter, phase mode), as computed by the solver that seeded
+# every row's five roots in an (n, 5) array.  The digests come from numpy
+# 2.4.6 on x86-64 Linux; the last bits of the floats may differ under
+# another numpy build.  A change that does not mean to move a solver bit
+# leaves them alone.
+REPORT_SHA256 = {
+    (1, None, "free"):
+        "bae6d3b80e0c8ba3ab284666529b9c9bd2c860e379acd50a348be6f36777bede",
+    (1, None, "zero"):
+        "2634e2a1b706b85f0058eef1b1f00f7abb2fe70a35c29e2e2cf7da9b96da2efa",
+    (1, 1, "free"):
+        "b810e2b75db333278aad25d0bef73b9f8cd2ca24f1ac06905514e9731be1b91b",
+    (1, 1, "zero"):
+        "a8e5aa79d18f7700a0b7230afeab947b4793203b2ff7a005caee58816f9060e2",
+    (1, 2, "free"):
+        "666c674880a8065e59afdf438c2f6cb7078cc102a6f612a009282792428dd9e2",
+    (1, 2, "zero"):
+        "868d2c725590d0936b7a885b69bc553f8b5cc4e6a5691a5fd60fd5b44af158b4",
+    (2, None, "free"):
+        "ed7b91f2ea5062f94bcaa56176ceead9dd3332bf37d73c25c74094567befa711",
+    (2, None, "zero"):
+        "2076967fb4d456d943031595838263640f47c76ca744144de3ef38a99f8927c9",
+    (2, 1, "free"):
+        "decbf374ffc1d1489f93213959c8dfde180308bd60506dbb2d6045002cd09abd",
+    (2, 1, "zero"):
+        "7826d89bb69d247b417cb29d682b506471823acb4fd4c8a2eb6b09f72f34b946",
+    (2, 2, "free"):
+        "0246e8f0eff164d64a78d5b58a195dbd961d0d034393d369b92e858066474864",
+    (2, 2, "zero"):
+        "d0d90fbdd38869b34e66818797de58373ccaeab70f1ad454d5d405d4e3d6005e",
+    (3, None, "free"):
+        "ff8ce6328163bbd2d8548ecde578142fd97ba63fef168b69eebb51940ce152f7",
+    (3, None, "zero"):
+        "fbb6a4d17252200dea3c08910b7c7c455648019705dad4adfdeb3f06ce031c15",
+    (3, 1, "free"):
+        "74cb60696565e761613bc70316e3ffe6c4a1203cc3c6d0514cac2d633dd70e83",
+    (3, 1, "zero"):
+        "72881dc138e4ababfc109bb98a9d1656c92f149d370e2334b569d45a082a35da",
+    (3, 2, "free"):
+        "bb82e59c2316ad0448e966a139093f3ef5a79aace4ba22601e16024e658feb53",
+    (3, 2, "zero"):
+        "efd6c801661f2590460aad94ef354f5b0a5ada9431985a21f94f5a02ceddd197",
+}
 
 
 def _one(v):
@@ -225,6 +271,63 @@ class TestQuinticSolver:
         assert a3.tolist() == [0.0, 0.0] and not np.signbit(a3).any()
         assert b3.tolist() == [0.0, 0.0] and ok.all()
 
+    def test_only_uncertified_rows_reach_the_companion(self, monkeypatch):
+        # One chunk of sampled rows with both Bell points (0, 0, +-1) and
+        # an accepted state just past the Bell point, where c1 = -4e-12.
+        arr, _ = sample_x_arrays(SamplerConfig(seed=13, count=300))
+        near = XStateParams(0.5 + 5e-13, -5e-13, -5e-13, 0.5 + 5e-13,
+                            0.5, 0.0)
+        arr[[17, 151, 298]] = [
+            [0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
+            [0.0, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0],
+            near.as_array()]
+        x3, y3, t33 = _kernels.z_bloch(*arr[:, :4].T)
+        c2 = y3 * t33 - 2.0 * x3
+        c1 = 1.0 + y3 * y3 - t33 * t33
+        assert c1[298] < 0.0
+        uncertified = np.flatnonzero(
+            ~_kernels._one_simple_root(x3, c2, c1))
+        assert uncertified.tolist() == [17, 151, 298]
+
+        eigvals = np.linalg.eigvals
+        companions, many_rows = [], []
+
+        def spy_eigvals(m):
+            companions.append(m.copy())
+            return eigvals(m)
+
+        def spy(name):
+            original = getattr(_kernels, name)
+
+            def wrapped(*args):
+                many_rows.append((name, args[0].copy()))
+                return original(*args)
+
+            monkeypatch.setattr(_kernels, name, wrapped)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
+        spy("_companion_roots")
+        spy("_least_distance")
+        stacked = _kernels.batch_reports(arr)
+
+        assert len(companions) == 1
+        coeffs = -companions[0][:, 0, :]
+        assert np.array_equal(coeffs, np.stack(
+            [-x3, np.full(len(arr), 2.0), c2, c1, -(x3 + y3 * t33)],
+            axis=1)[uncertified])
+        # Each (n, 5) stage sees the uncertified rows alone: the companion
+        # by their c4 = -x3, the argmin by their x3.
+        assert [name for name, _ in many_rows] == ["_companion_roots",
+                                                   "_least_distance"]
+        assert np.array_equal(many_rows[0][1], -x3[uncertified])
+        assert np.array_equal(many_rows[1][1], x3[uncertified])
+
+        assert np.all(stacked[:, _kernels.COL_CASE] != 0.0)
+        singles = np.concatenate(
+            [_kernels.batch_reports(arr[i:i + 1]) for i in range(len(arr))])
+        assert np.array_equal(stacked.view(np.uint64),
+                              singles.view(np.uint64))
+
     def test_pure_state_corner(self):
         a3, b3, ok = _kernels.solve_a3b3(_one(1.0), _one(1.0), _one(1.0))
         assert ok[0] and abs(a3[0] - 1.0) < 1e-12 and abs(b3[0] - 1.0) < 1e-12
@@ -271,6 +374,15 @@ class TestBatchReports:
         singles = np.concatenate(
             [_kernels.batch_reports(arr[i:i + 1]) for i in range(n)])
         assert np.array_equal(stacked, singles)
+
+    def test_sampled_reports_match_pinned_digests(self):
+        got = {}
+        for seed, case, mode in REPORT_SHA256:
+            arr, _ = sample_x_arrays(SamplerConfig(
+                seed=seed, count=20000, case_filter=case, phase_mode=mode))
+            got[seed, case, mode] = hashlib.sha256(
+                _kernels.batch_reports(arr).tobytes()).hexdigest()
+        assert got == REPORT_SHA256
 
     def test_quantifier_columns_are_nonnegative(self):
         # Why quantifiers_x does not clamp: t_g, d_g, c_g and l_g are sums
