@@ -10,10 +10,10 @@ so far), the row has one real root, solved as one float per row: a
 safeguarded Newton on a known bracket, then an ulp walk on the
 compensated-Horner sign of the quintic to the root's canonical float, so
 a root is defined by the polynomial, not by the iteration that reached
-it.  Only the other rows (such as the Bell states) fall back to five
-roots per row: one stacked real companion ``eigvals``, Newton on every
-seed, the same walk, and a tie-broken argmin over the kept roots.  Then
-the report columns.
+it.  Only the other rows (such as the Bell states) fall back to every
+real root of the row: one stacked real companion ``eigvals``, Newton on
+each seed, the same walk, and the kept root of least distance, picked by
+one sort of the flat list of kept roots.  Then the report columns.
 Per-layer timings of these kernels inside the CLI commands come from
 ``python3 perfbench/run.py --workload <name> --seed N --trace 1``.
 """
@@ -31,9 +31,8 @@ COL_TG, COL_DG, COL_CG, COL_LG, COL_RES, COL_RESL, COL_BOUNDARY = (
 )
 REPORT_COLS = 13
 
-# Rows per chunk of batch_reports: bounds the temporaries of the solve (and
-# the companion stack and (n, 5) roots of the rows that need them), and so
-# the peak memory of a batch.
+# Rows per chunk of batch_reports: bounds the temporaries of the solve, the
+# companion stack among them, and so the peak memory of a batch.
 CHUNK_ROWS = 4096
 
 
@@ -155,19 +154,15 @@ def _canonicalize(c4, c2, c1, c0, a, dq):
 def _kept_canonical(c4, c2, c1, c0, a):
     """The |q| <= 1e-10 test of roots ``a``, and the kept ones made canonical.
 
-    ``a`` may be (m,) or (m, 5), with length-m coefficients.  Returns
-    (a, kept), ``a`` updated in place with the canonical float of each kept
-    root (:func:`_canonicalize`).  A NaN residual is dropped, so every kept
-    root has a finite distance.
+    Every argument is length m, one root per entry with its quintic's
+    coefficients.  Returns (a, kept), ``a`` updated in place with the
+    canonical float of each kept root (:func:`_canonicalize`).  A NaN
+    residual is dropped, so every kept root has a finite distance.
     """
-    coeffs = (c4, c2, c1, c0) if a.ndim == 1 else (
-        c4[:, None], c2[:, None], c1[:, None], c0[:, None])
-    q, dq = _quintic_eval(*coeffs, a)
+    q, dq = _quintic_eval(c4, c2, c1, c0, a)
     kept = np.abs(q) <= 1e-10
-    idx = np.nonzero(kept)
-    rows = idx[0]
-    a[idx] = _canonicalize(c4[rows], c2[rows], c1[rows], c0[rows], a[idx],
-                           dq[idx])
+    k = np.flatnonzero(kept)
+    a[k] = _canonicalize(c4[k], c2[k], c1[k], c0[k], a[k], dq[k])
     return a, kept
 
 
@@ -224,20 +219,21 @@ def _bracketed_roots(c4, c2, c1, c0, lo, hi):
 
 
 def _companion_roots(c4, c2, c1, c0):
-    """Every canonical real root of each quintic, as (m, 5) (a, kept).
+    """Every canonical real root of each quintic, as a flat (rows, a).
 
     The seeds are the real parts of the eigenvalues of each row's 5x5
-    companion matrix, all rows stacked as one float64 array; where c0 = 0
-    the seed of least |a| is replaced by exactly 0.0 (a tiny nonzero
-    eigenvalue there would stay as a kept root).  Newton refines every
-    seed, linear-rate safe even at multiple roots, each stopping when its
-    derivative vanishes or its step falls to 1e-15 * max(1, |a|), or after
-    60 steps; ``live`` indexes the flattened (m, 5) seeds still iterating,
-    ``live // 5`` their rows.  Then :func:`_kept_canonical`.
+    companion matrix, all rows stacked as one float64 array, and ``rows``
+    names each seed's row; where c0 = 0 the seed of least |a| is replaced
+    by exactly 0.0 (a tiny nonzero eigenvalue there would stay as a kept
+    root).  Newton refines every seed, linear-rate safe even at multiple
+    roots, each stopping when its derivative vanishes or its step falls to
+    1e-15 * max(1, |a|), or after 60 steps; ``live`` indexes the seeds
+    still iterating.  Then :func:`_kept_canonical`, of which only the kept
+    roots are returned, in row order, then seed order.
     """
     m = c4.size
     if m == 0:
-        return np.empty((0, 5)), np.empty((0, 5), dtype=bool)
+        return np.empty(0, dtype=np.intp), np.empty(0)
     comp = np.zeros((m, 5, 5))
     comp[:, (1, 2, 3, 4), (0, 1, 2, 3)] = 1.0
     comp[:, 0, 0] = -c4
@@ -245,44 +241,48 @@ def _companion_roots(c4, c2, c1, c0):
     comp[:, 0, 2] = -c2
     comp[:, 0, 3] = -c1
     comp[:, 0, 4] = -c0
-    seeds = np.linalg.eigvals(comp).real
-    z = np.flatnonzero(c0 == 0.0)
-    seeds[z, np.argmin(np.abs(seeds[z]), axis=1)] = 0.0
-
-    a = seeds.reshape(-1)
-    live = np.flatnonzero(~np.isnan(a))
+    a = np.linalg.eigvals(comp).real.ravel()
+    rows = np.repeat(np.arange(m), 5)
+    coeffs = [c[rows] for c in (c4, c2, c1, c0)]
+    # Sorted by row, then |a|: every fifth seed is its row's least |a|.
+    z = np.flatnonzero(coeffs[3] == 0.0)
+    a[z[np.lexsort((np.abs(a[z]), rows[z]))[::5]]] = 0.0
+    live = np.arange(a.size)
     for _ in range(60):
         if live.size == 0:
             break
-        r = live // 5
-        q, dq = _quintic_eval(c4[r], c2[r], c1[r], c0[r], a[live])
+        q, dq = _quintic_eval(*(c[live] for c in coeffs), a[live])
         moving = dq != 0.0
         live = live[moving]
         step = q[moving] / dq[moving]
         polished = a[live] - step
         a[live] = polished
         live = live[~(np.abs(step) <= 1e-15 * np.fmax(1.0, np.abs(polished)))]
-    return _kept_canonical(c4, c2, c1, c0, a.reshape(m, 5))
+    a, kept = _kept_canonical(*coeffs, a)
+    return rows[kept], a[kept]
 
 
 def _roots(x3, y3, t33):
     """Each row's canonical real roots, by the path its certificate picks.
 
-    Returns (i, (a, kept), j, (roots, kept5)): the rows i where
+    Returns (i, (a, kept), j, (rows, roots)): the rows i where
     :func:`_one_simple_root` holds, with one root each from
-    :func:`_bracketed_roots`, and the other rows j, with five roots each
-    from :func:`_companion_roots`.
+    :func:`_bracketed_roots`, and the other rows j, with the kept roots of
+    :func:`_companion_roots` (``rows`` indexes j).  A row with a NaN or an
+    inf coefficient is in neither.
     """
     c4 = -x3
     c2 = y3 * t33 - 2.0 * x3
     c1 = 1.0 + y3 * y3 - t33 * t33
     c0 = -(x3 + y3 * t33)
     one = _one_simple_root(x3, c2, c1)
-    i = np.flatnonzero(one)
+    finite = (np.isfinite(c4) & np.isfinite(c2) & np.isfinite(c1)
+              & np.isfinite(c0))
+    i = np.flatnonzero(one & finite)
     half = 0.5 * (y3[i] * y3[i] + t33[i] * t33[i])
     single = _bracketed_roots(c4[i], c2[i], c1[i], c0[i],
                               x3[i] - half, x3[i] + half)
-    j = np.flatnonzero(~one)
+    j = np.flatnonzero(~one & finite)
     return i, single, j, _companion_roots(c4[j], c2[j], c1[j], c0[j])
 
 
@@ -305,48 +305,41 @@ def quintic_roots(x3, y3, t33):
     :func:`_bracketed_roots` solves it on that bracket.  Every other row
     (the Bell states (0, 0, +-1), where q = a^3 (a^2 + 2) has a triple
     root at 0, and rows outside the validity tetrahedron) goes to
-    :func:`_companion_roots`, which seeds all five roots from the
-    companion matrix.  A root is kept when its quintic residual is
-    |q| <= 1e-10, and each kept root is its canonical float
-    (:func:`_canonicalize`), which depends on the polynomial alone, not on
-    the seed or the iteration that reached it.
+    :func:`_companion_roots`, which seeds every root from the companion
+    matrix.  A root is kept when its quintic residual is |q| <= 1e-10, and
+    each kept root is its canonical float (:func:`_canonicalize`), which
+    depends on the polynomial alone, not on the seed or the iteration that
+    reached it.
 
-    This is the (n, 5) view of both paths: a certified row has its root in
-    slot 0 and NaN in the other four.  Returns (a, kept), both (n, 5).
+    The flat view of both paths: returns (rows, a), one entry per kept
+    root ``a`` with its row, in row order, then seed order.
     """
-    a = np.full((x3.shape[0], 5), np.nan)
-    kept = np.zeros(a.shape, dtype=bool)
-    i, single, j, many = _roots(x3, y3, t33)
-    a[i, 0], kept[i, 0] = single
-    a[j], kept[j] = many
-    return a, kept
+    i, (a, kept), j, (rows, roots) = _roots(x3, y3, t33)
+    rows = np.concatenate([i[kept], j[rows]])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], np.concatenate([a[kept], roots])[order]
 
 
-def _least_distance(x3, y3, t33, a, kept):
-    """Each row's kept root of least distance, of (m, 5) roots.
+def _least_distance(x3, y3, t33, rows, a):
+    """Each row's kept root of least distance, of a flat list of roots.
 
-    The first kept root; on rows with more than one, the argmin of
-    (f, |a3|, a3) over the kept roots, the first in root order on a full
-    tie: the root a scan in root order would end on if it moved only to a
-    strictly better root.  Returns (a3, found), a3 = 0.0 where no root is
-    kept.
+    ``rows`` names the row of each root ``a``, in row order.  One stable
+    sort by (row, f, |a3|, a3) puts first in each row its least (f, |a3|,
+    a3), the first in root order on a full tie: the root a scan in root
+    order would end on if it moved only to a strictly better root.
+    Returns (a3, found), a3 = 0.0 where a row has no root.
     """
-    found = kept.any(axis=1)
-    pick = np.argmax(kept, axis=1)
-    m = np.flatnonzero(np.count_nonzero(kept, axis=1) > 1)
-    if m.size:
-        am, cand = a[m], kept[m]
-        x3c, y3c, t33c = x3[m, None], y3[m, None], t33[m, None]
-        b = (y3c + t33c * am) / (1.0 + am * am)
-        da = x3c - am
-        db = y3c - b
-        dt = t33c - am * b
-        f = 0.25 * (da * da + db * db + dt * dt)
-        for key in (f, np.abs(am), am):
-            low = np.min(np.where(cand, key, np.inf), axis=1, keepdims=True)
-            cand = cand & (key == low)
-        pick[m] = np.argmax(cand, axis=1)
-    return np.where(found, a[np.arange(a.shape[0]), pick], 0.0), found
+    x3r, y3r, t33r = x3[rows], y3[rows], t33[rows]
+    b = (y3r + t33r * a) / (1.0 + a * a)
+    da = x3r - a
+    db = y3r - b
+    dt = t33r - a * b
+    f = 0.25 * (da * da + db * db + dt * dt)
+    order = np.lexsort((a, np.abs(a), f, rows))
+    first = order[np.diff(rows[order], prepend=-1) != 0]
+    a3 = np.zeros(x3.shape[0])
+    a3[rows[first]] = a[first]
+    return a3, np.bincount(rows, minlength=x3.shape[0]) > 0
 
 
 def solve_a3b3(x3, y3, t33):
@@ -354,19 +347,20 @@ def solve_a3b3(x3, y3, t33):
 
     Takes length-n float arrays.  A row certified by
     :func:`_one_simple_root` has one real root, so its a3 is that root,
-    taken as it is: no (n, 5) array, companion or argmin touches it.  On
-    the other rows the kept canonical root of least distance wins
+    taken as it is: no companion or sort touches it.  On the other rows
+    the kept canonical root of least distance wins
     (:func:`_least_distance`).  b3 is the exact minimizer for that a3.
 
     Returns arrays (a3, b3, ok); ok=False marks a row where no real
     stationary point was identified: every root of a degree-5 real
     polynomial is seeded, from a bracket or from the companion's
     eigenvalues, so only a root that Newton cannot polish to |q| <= 1e-10
-    gives it, as with inputs so large that q overflows.  The origin
+    gives it, as with inputs so large that q overflows, and a row with a
+    NaN or an inf, which neither path takes, is (0, 0, False).  The origin
     x3 = y3 = t33 = 0 is (0, 0, True).
     """
-    a3 = np.empty(x3.shape[0])
-    found = np.empty(x3.shape[0], dtype=bool)
+    a3 = np.zeros(x3.shape[0])
+    found = np.zeros(x3.shape[0], dtype=bool)
     i, (a, kept), j, many = _roots(x3, y3, t33)
     a3[i], found[i] = np.where(kept, a, 0.0), kept
     a3[j], found[j] = _least_distance(x3[j], y3[j], t33[j], *many)

@@ -255,13 +255,13 @@ def _fixed_point_residual(x, y, T, a, b):
     return float(max(np.max(np.abs(ra)), np.max(np.abs(rb))))
 
 
-def _newton_polish(x, y, T, a, b, iters=60):
+def _newton_polish(x, y, T, a, b):
     # Solves the 6-variable stationarity system; quadratic near a
     # nondegenerate minimum, reverts to the caller's point on failure.
     a = a.copy()
     b = b.copy()
     eye3 = np.eye(3)
-    for _ in range(iters):
+    for _ in range(_NEWTON_STEPS):
         ga = 0.5 * (a * (1.0 + b @ b) - x - T @ b)
         gb = 0.5 * (b * (1.0 + a @ a) - y - T.T @ a)
         g = np.concatenate([ga, gb])
@@ -283,20 +283,20 @@ def _newton_polish(x, y, T, a, b, iters=60):
     return a, b
 
 
-def _alternating_minimization(x, y, T, a, b, sweeps=5000):
+def _alternating_minimization(x, y, T, a, b):
     # Exact block-coordinate descent on every start of every state at once:
     # x, y are (S, 3), T is (S, 3, 3) and the starts a, b are (S, R, 3).
     # Monotone in the objective.  ``live`` indexes the flattened (S * R)
     # starts still moving and ``live // R`` their states; a start stops
     # once no component moves by more than 1e-15, and starts still moving
-    # after ``sweeps`` sweeps are left to the caller's Newton polish and
+    # after ``_SWEEPS`` sweeps are left to the caller's Newton polish and
     # residual check.  Products are written as sums over the last axis, so
     # no start's bits depend on the starts or states it is stacked with.
     starts = a.shape[1]
     a = a.reshape(-1, 3).copy()
     b = b.reshape(-1, 3).copy()
     live = np.arange(b.shape[0])
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         s = live // starts
         ts = T[s]
         bl = b[live]
@@ -314,9 +314,12 @@ def _alternating_minimization(x, y, T, a, b, sweeps=5000):
     return a.reshape(-1, starts, 3), b.reshape(-1, starts, 3)
 
 
-# Random starts per state, and states per batch of the product oracle: a
+# Random starts per state, sweeps of alternating minimization per start,
+# Newton steps of the polish, and states per batch of the product oracle: a
 # batch's stacked starts stay within about CHUNK_ROWS.
 _RANDOM_STARTS = 32
+_SWEEPS = 5000
+_NEWTON_STEPS = 60
 _PRODUCT_STATES = _kernels.CHUNK_ROWS // (_RANDOM_STARTS + 1)
 
 

@@ -16,7 +16,7 @@ from conftest import (
     scalar_solve_a3b3,
 )
 from xqcorr import _kernels
-from xqcorr.closest import CaseId
+from xqcorr.closest import CaseId, x_report_rows
 from xqcorr.dynamics import DynamicsConfig, trajectory
 from xqcorr.ensemble import (
     HistogramSpec,
@@ -75,9 +75,44 @@ REPORT_SHA256 = {
         "efd6c801661f2590460aad94ef354f5b0a5ada9431985a21f94f5a02ceddd197",
 }
 
+# sha256 of solve_a3b3's (a3, b3, ok) bytes, in that order, on inputs
+# where many rows miss the one-root certificate and take the companion
+# fallback: 2x10^4 uniform rows of [-1.5, 1.5]^3 (7641 uncertified) and
+# the 33^3 dyadic grid of [-1, 1]^3 (3362).  Computed by the solver that
+# held each fallback row's roots in five slots; same numpy-build caveat
+# as REPORT_SHA256.
+FALLBACK_SHA256 = {
+    "cube": "e4eb9fa9f8e1d404281e62e810fc410d6d8aeae47f9cadb6cc59b829c6987300",
+    "grid": "25cdf4554c03eb5f8d660fd5559e7204d1c85423d39928f599ebf4e281573ae5",
+}
+
 
 def _one(v):
     return np.array([v], dtype=np.float64)
+
+
+def _fallback_inputs():
+    """The inputs of FALLBACK_SHA256, as (x3, y3, t33) arrays by name."""
+    axis = np.linspace(-1.0, 1.0, 33)
+    return {
+        "cube": np.random.default_rng(5).uniform(-1.5, 1.5, (20000, 3)).T,
+        "grid": [g.ravel() for g in np.meshgrid(axis, axis, axis,
+                                                indexing="ij")],
+    }
+
+
+def _scan_least_distance(x3, y3, t33, rows, a):
+    """Each row's root of least (f, |a|, a), by a scan in root order that
+    moves only to a strictly smaller key."""
+    best = {}
+    for r, v in zip(rows.tolist(), a.tolist()):
+        b = (y3[r] + t33[r] * v) / (1.0 + v * v)
+        key = (f2_profile(x3[r], y3[r], t33[r], v, b), abs(v), v)
+        if r not in best or key < best[r][0]:
+            best[r] = (key, v)
+    a3 = np.array([best[r][1] if r in best else 0.0
+                   for r in range(len(x3))])
+    return a3, np.array([r in best for r in range(len(x3))])
 
 
 def _exact_quintic(x3, y3, t33):
@@ -173,9 +208,9 @@ class TestQuinticSolver:
         r11, r22, r33, r44 = np.array([p.as_array() for p in states])[:, :4].T
         x3s, y3s, t33s = (r11 + r22 - r33 - r44, r11 - r22 + r33 - r44,
                           r11 - r22 - r33 + r44)
-        roots, kept = _kernels.quintic_roots(x3s, y3s, t33s)
-        assert kept.sum() >= 1000
-        for i, j in zip(*np.nonzero(kept)):
+        rows, roots = _kernels.quintic_roots(x3s, y3s, t33s)
+        assert roots.size >= 1000
+        for i, a in zip(rows.tolist(), roots.tolist()):
             x3, y3, t33 = float(x3s[i]), float(y3s[i]), float(t33s[i])
             coeffs = [Fraction(c) for c in (
                 1.0, -x3, 2.0, y3 * t33 - 2.0 * x3,
@@ -184,7 +219,6 @@ class TestQuinticSolver:
             def q(v):
                 return _horner(coeffs, Fraction(v))
 
-            a = float(roots[i, j])
             qa = q(a)
             pair = [abs(qn) for qn in (q(math.nextafter(a, -math.inf)),
                                        q(math.nextafter(a, math.inf)))
@@ -328,6 +362,53 @@ class TestQuinticSolver:
         assert np.array_equal(stacked.view(np.uint64),
                               singles.view(np.uint64))
 
+    def test_fallback_rows_match_pinned_digests(self):
+        got = {}
+        for name, (x3, y3, t33) in _fallback_inputs().items():
+            uncertified = ~_kernels._one_simple_root(
+                x3, y3 * t33 - 2.0 * x3, 1.0 + y3 * y3 - t33 * t33)
+            assert np.count_nonzero(uncertified) > 3000
+            h = hashlib.sha256()
+            for v in _kernels.solve_a3b3(x3, y3, t33):
+                h.update(v.tobytes())
+            got[name] = h.hexdigest()
+        assert got == FALLBACK_SHA256
+
+    def test_least_distance_of_hand_made_roots(self):
+        # Row 0: a +-r pair at x3 = y3 = 0, equal in f and |a|, so the
+        # negative root wins though it comes second.  Row 1: -0.0 and 0.0,
+        # a full tie, so the first in root order.  Row 2: no root.  Rows
+        # 3 and 5: one root.  Row 4: a duplicated root around another.
+        x3 = np.array([0.0, 0.1, 0.2, -0.4, 0.6, 0.3])
+        y3 = np.array([0.0, 0.2, -0.1, 0.5, 0.1, -0.7])
+        t33 = np.array([0.5, 0.3, 0.9, -0.2, 0.4, 0.8])
+        rows = np.array([0, 0, 1, 1, 3, 4, 4, 4, 5])
+        a = np.array([0.3, -0.3, -0.0, 0.0, 0.7, 0.25, 0.8, 0.25, -1.2])
+        a3, found = _kernels._least_distance(x3, y3, t33, rows, a)
+        want_a3, want_found = _scan_least_distance(x3, y3, t33, rows, a)
+        assert np.array_equal(a3.view(np.uint64), want_a3.view(np.uint64))
+        assert found.tolist() == want_found.tolist()
+        assert found.tolist() == [True, True, False, True, True, True]
+        assert a3[0] == -0.3 and np.signbit(a3[1]) and a3[2] == 0.0
+
+    def test_least_distance_of_fallback_roots(self):
+        # The first 3000 fallback rows of each pinned input, with all
+        # their kept roots.
+        for x3, y3, t33 in _fallback_inputs().values():
+            j = np.flatnonzero(~_kernels._one_simple_root(
+                x3, y3 * t33 - 2.0 * x3, 1.0 + y3 * y3 - t33 * t33))[:3000]
+            c4, c2 = -x3[j], y3[j] * t33[j] - 2.0 * x3[j]
+            c1 = 1.0 + y3[j] * y3[j] - t33[j] * t33[j]
+            c0 = -(x3[j] + y3[j] * t33[j])
+            rows, a = _kernels._companion_roots(c4, c2, c1, c0)
+            assert np.all(np.diff(rows) >= 0)
+            assert np.count_nonzero(np.bincount(rows) > 1) > 100
+            got = _kernels._least_distance(x3[j], y3[j], t33[j], rows, a)
+            want = _scan_least_distance(x3[j], y3[j], t33[j], rows, a)
+            assert np.array_equal(got[0].view(np.uint64),
+                                  want[0].view(np.uint64))
+            assert np.array_equal(got[1], want[1])
+
     def test_pure_state_corner(self):
         a3, b3, ok = _kernels.solve_a3b3(_one(1.0), _one(1.0), _one(1.0))
         assert ok[0] and abs(a3[0] - 1.0) < 1e-12 and abs(b3[0] - 1.0) < 1e-12
@@ -402,6 +483,30 @@ class TestBatchReports:
     def test_empty_batch(self):
         rep = _kernels.batch_reports(np.empty((0, 8)))
         assert rep.shape == (0, _kernels.REPORT_COLS)
+
+    def test_non_finite_rows_fail_alone(self, monkeypatch):
+        # Neither solver path takes a row with a NaN or an inf, so the
+        # companion never sees one and the row alone fails.
+        forbid(monkeypatch, np.linalg, "eigvals")
+        a3, b3, ok = _kernels.solve_a3b3(_one(np.inf), _one(0.0), _one(0.0))
+        assert (a3[0], b3[0], ok[0]) == (0.0, 0.0, False)
+        arr, _ = sample_x_arrays(SamplerConfig(seed=13, count=40))
+        bad = [5, 6, 17, 31]
+        arr[5, 0] = np.nan
+        arr[6, 1] = np.inf
+        arr[17, 2] = -np.inf
+        arr[31, :4] = [np.inf, -np.inf, np.nan, 0.25]
+        stacked = _kernels.batch_reports(arr)
+        assert np.all(stacked[bad] == 0.0)
+        good = np.setdiff1d(np.arange(len(arr)), bad)
+        assert np.all(stacked[good, _kernels.COL_CASE] != 0.0)
+        singles = np.concatenate(
+            [_kernels.batch_reports(arr[i:i + 1]) for i in range(len(arr))])
+        assert np.array_equal(stacked.view(np.uint64),
+                              singles.view(np.uint64))
+        with pytest.raises(SolverFailureError,
+                           match=r"failed on 4 of 40 states, first \[nan, "):
+            x_report_rows(arr)
 
     def test_stationarity_failure_marks_row_failed(self, monkeypatch):
         perturb_a3(monkeypatch)
