@@ -117,7 +117,7 @@ def _quintic_compensated(c4, c2, c1, c0, a):
 
 
 def _canonicalize(c4, c2, c1, c0, a, dq):
-    """The canonical float of each root ``a``, as a new array.
+    """The canonical float of each root ``a``, updated in place.
 
     Every argument is length m: one root per entry, with its quintic's
     coefficients and the derivative dq at the root.  The canonical root is
@@ -127,9 +127,8 @@ def _canonicalize(c4, c2, c1, c0, a, dq):
     walk goes by ulps towards the sign change (the Newton direction, from
     the sign of q * dq), at most 64 steps, with ``live`` indexing the roots
     still walking.  A root with q = 0 or dq = 0, or with no sign change in
-    reach, keeps its value.
+    reach, keeps its value.  Returns ``a``.
     """
-    a = a.copy()
     q = _quintic_compensated(c4, c2, c1, c0, a)
     live = np.flatnonzero((q != 0.0) & (dq != 0.0))
     cur, qcur = a[live], q[live]
@@ -167,7 +166,7 @@ def _kept_canonical(c4, c2, c1, c0, a):
 
 
 def _one_simple_root(x3, c2, c1):
-    """Where the quintic of :func:`quintic_roots` has one real root, simple.
+    """Where the quintic of :func:`solve_a3b3` has one real root, simple.
 
     Its derivative is q' = 5 (a^2 - 0.4 x3 a)^2 + g a^2 + 2 c2 a + c1 with
     g = 6 - 0.8 x3^2, so q' > 0 everywhere where the quadratic is positive
@@ -229,7 +228,9 @@ def _companion_roots(c4, c2, c1, c0):
     roots, each stopping when its derivative vanishes or its step falls to
     1e-15 * max(1, |a|), or after 60 steps; ``live`` indexes the seeds
     still iterating.  Then :func:`_kept_canonical`, of which only the kept
-    roots are returned, in row order, then seed order.
+    roots are returned, in row order, then seed order.  A seed still
+    moving after the 60th step is not kept: it can sit 1e-11 from a root
+    with |q| inside the filter and no sign change in the walk's reach.
     """
     m = c4.size
     if m == 0:
@@ -259,65 +260,8 @@ def _companion_roots(c4, c2, c1, c0):
         a[live] = polished
         live = live[~(np.abs(step) <= 1e-15 * np.fmax(1.0, np.abs(polished)))]
     a, kept = _kept_canonical(*coeffs, a)
+    kept[live] = False
     return rows[kept], a[kept]
-
-
-def _roots(x3, y3, t33):
-    """Each row's canonical real roots, by the path its certificate picks.
-
-    Returns (i, (a, kept), j, (rows, roots)): the rows i where
-    :func:`_one_simple_root` holds, with one root each from
-    :func:`_bracketed_roots`, and the other rows j, with the kept roots of
-    :func:`_companion_roots` (``rows`` indexes j).  A row with a NaN or an
-    inf coefficient is in neither.
-    """
-    c4 = -x3
-    c2 = y3 * t33 - 2.0 * x3
-    c1 = 1.0 + y3 * y3 - t33 * t33
-    c0 = -(x3 + y3 * t33)
-    one = _one_simple_root(x3, c2, c1)
-    finite = (np.isfinite(c4) & np.isfinite(c2) & np.isfinite(c1)
-              & np.isfinite(c0))
-    i = np.flatnonzero(one & finite)
-    half = 0.5 * (y3[i] * y3[i] + t33[i] * t33[i])
-    single = _bracketed_roots(c4[i], c2[i], c1[i], c0[i],
-                              x3[i] - half, x3[i] + half)
-    j = np.flatnonzero(~one & finite)
-    return i, single, j, _companion_roots(c4[j], c2[j], c1[j], c0[j])
-
-
-def quintic_roots(x3, y3, t33):
-    """Canonical real stationary a3 values of the z-axis profile.
-
-    Takes length-n float arrays.  Eliminates b3 exactly (the distance is
-    strictly convex in b3 for fixed a3); the stationary a3 values are the
-    real roots of the resulting monic quintic
-
-        q(a) = (a - x3)(1 + a^2)^2 + (y3 + T33 a)(y3 a - T33).
-
-    Each row's roots come from one of two paths, chosen by a proof.  Where
-    :func:`_one_simple_root` holds, the one real root lies in
-    [x3 - R^2/2, x3 + R^2/2] with R^2 = y3^2 + T33^2: with y3 = R cos(phi),
-    T33 = R sin(phi) and a = tan(theta),
-
-        q / (1 + a^2) = (a - x3)(1 + a^2) + (R^2 / 2) sin 2(theta - phi).
-
-    :func:`_bracketed_roots` solves it on that bracket.  Every other row
-    (the Bell states (0, 0, +-1), where q = a^3 (a^2 + 2) has a triple
-    root at 0, and rows outside the validity tetrahedron) goes to
-    :func:`_companion_roots`, which seeds every root from the companion
-    matrix.  A root is kept when its quintic residual is |q| <= 1e-10, and
-    each kept root is its canonical float (:func:`_canonicalize`), which
-    depends on the polynomial alone, not on the seed or the iteration that
-    reached it.
-
-    The flat view of both paths: returns (rows, a), one entry per kept
-    root ``a`` with its row, in row order, then seed order.
-    """
-    i, (a, kept), j, (rows, roots) = _roots(x3, y3, t33)
-    rows = np.concatenate([i[kept], j[rows]])
-    order = np.argsort(rows, kind="stable")
-    return rows[order], np.concatenate([a[kept], roots])[order]
 
 
 def _least_distance(x3, y3, t33, rows, a):
@@ -345,31 +289,61 @@ def _least_distance(x3, y3, t33, rows, a):
 def solve_a3b3(x3, y3, t33):
     """Global minimizers of the z-axis product-distance profile.
 
-    Takes length-n float arrays.  A row certified by
-    :func:`_one_simple_root` has one real root, so its a3 is that root,
-    taken as it is: no companion or sort touches it.  On the other rows
-    the kept canonical root of least distance wins
-    (:func:`_least_distance`).  b3 is the exact minimizer for that a3.
+    Takes length-n float arrays.  Eliminates b3 exactly (the distance is
+    strictly convex in b3 for fixed a3); the stationary a3 values are the
+    real roots of the monic quintic
+
+        q(a) = (a - x3)(1 + a^2)^2 + (y3 + T33 a)(y3 a - T33).
+
+    Each row's roots come from one of two paths, chosen by a proof.  Where
+    :func:`_one_simple_root` holds, the one real root lies in
+    [x3 - R^2/2, x3 + R^2/2] with R^2 = y3^2 + T33^2: with y3 = R cos(phi),
+    T33 = R sin(phi) and a = tan(theta),
+
+        q / (1 + a^2) = (a - x3)(1 + a^2) + (R^2 / 2) sin 2(theta - phi).
+
+    :func:`_bracketed_roots` solves it on that bracket, and a3 is that
+    root, taken as it is: no companion or sort touches it.  Every other row
+    (the Bell states (0, 0, +-1), where q = a^3 (a^2 + 2) has a triple
+    root at 0, and rows outside the validity tetrahedron) goes to
+    :func:`_companion_roots`, which seeds every root from the companion
+    matrix, and its kept root of least distance wins
+    (:func:`_least_distance`).  A root is kept when its quintic residual
+    is |q| <= 1e-10, and each kept root is its canonical float
+    (:func:`_canonicalize`), which depends on the polynomial alone, not on
+    the seed or the iteration that reached it.  b3 is the exact minimizer
+    for that a3.
 
     Returns arrays (a3, b3, ok); ok=False marks a row where no real
     stationary point was identified: every root of a degree-5 real
     polynomial is seeded, from a bracket or from the companion's
     eigenvalues, so only a root that Newton cannot polish to |q| <= 1e-10
     gives it, as with inputs so large that q overflows, and a row with a
-    NaN or an inf, which neither path takes, is (0, 0, False).  The origin
-    x3 = y3 = t33 = 0 is (0, 0, True).
+    NaN or an inf coefficient, which neither path takes, is (0, 0, False).
+    The origin x3 = y3 = t33 = 0 is certified, with c0 = 0, so its root is
+    exactly 0.0 and it is (0, 0, True).
     """
+    c4 = -x3
+    c2 = y3 * t33 - 2.0 * x3
+    c1 = 1.0 + y3 * y3 - t33 * t33
+    c0 = -(x3 + y3 * t33)
+    one = _one_simple_root(x3, c2, c1)
+    finite = (np.isfinite(c4) & np.isfinite(c2) & np.isfinite(c1)
+              & np.isfinite(c0))
     a3 = np.zeros(x3.shape[0])
     found = np.zeros(x3.shape[0], dtype=bool)
-    i, (a, kept), j, many = _roots(x3, y3, t33)
-    a3[i], found[i] = np.where(kept, a, 0.0), kept
-    a3[j], found[j] = _least_distance(x3[j], y3[j], t33[j], *many)
-    b3 = np.where(found, (y3 + t33 * a3) / (1.0 + a3 * a3), 0.0)
 
-    origin = (x3 == 0.0) & (y3 == 0.0) & (t33 == 0.0)
-    a3[origin] = 0.0
-    b3[origin] = 0.0
-    return a3, b3, found | origin
+    i = np.flatnonzero(one & finite)
+    half = 0.5 * (y3[i] * y3[i] + t33[i] * t33[i])
+    a, kept = _bracketed_roots(c4[i], c2[i], c1[i], c0[i],
+                               x3[i] - half, x3[i] + half)
+    a3[i], found[i] = np.where(kept, a, 0.0), kept
+
+    j = np.flatnonzero(~one & finite)
+    rows, roots = _companion_roots(c4[j], c2[j], c1[j], c0[j])
+    a3[j], found[j] = _least_distance(x3[j], y3[j], t33[j], rows, roots)
+    b3 = np.where(found, (y3 + t33 * a3) / (1.0 + a3 * a3), 0.0)
+    return a3, b3, found
 
 
 def batch_reports(params):
@@ -381,17 +355,19 @@ def batch_reports(params):
 
     Returns an (n, 13) array with columns k1, k2, k3, case, a3, b3, tg, dg,
     cg, lg, res, res_l, boundary; ``case`` is 1.0/2.0, and a row of zeros
-    (case 0.0) marks a solver failure on that row (callers raise): either
-    no real stationary point, or an (a3, b3) whose z-axis stationarity
-    residual exceeds ``STATIONARITY``.
+    (case 0.0) marks a failure on that row (callers raise): a NaN or an
+    inf among its first six parameters, no real stationary point, or an
+    (a3, b3) whose z-axis stationarity residual exceeds ``STATIONARITY``.
 
     Works in chunks of ``CHUNK_ROWS`` rows, one :func:`solve_a3b3` call
     each; no row's result depends on the rows batched with it.
     """
     out = np.empty((params.shape[0], REPORT_COLS), dtype=np.float64)
-    for start in range(0, params.shape[0], CHUNK_ROWS):
-        stop = start + CHUNK_ROWS
-        _fill_reports(params[start:stop], out[start:stop])
+    # A non-finite row would warn as it is computed; it is then zeroed.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, params.shape[0], CHUNK_ROWS):
+            stop = start + CHUNK_ROWS
+            _fill_reports(params[start:stop], out[start:stop])
     return out
 
 
@@ -428,7 +404,8 @@ def _fill_reports(params, out):
     out[:, COL_RES] = tg - dg - cg
     out[:, COL_RESL] = tg + lg - dg - cg
     out[:, COL_BOUNDARY] = np.abs(k1 - k3) <= CASE_BOUNDARY
-    out[~(ok & (stationarity <= STATIONARITY))] = 0.0
+    finite = np.isfinite(params[:, :6]).all(axis=1)
+    out[~(finite & ok & (stationarity <= STATIONARITY))] = 0.0
 
 
 def pt_scalar(t, gamma0, lam):

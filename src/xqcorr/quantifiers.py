@@ -16,7 +16,7 @@ and t_g + l_g - d_g - c_g = a3^2 (T33 - a3 b3)^2 / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,9 +76,10 @@ class CorrelationReport:
     b3: float
     boundary_flag: bool
     state: XStateParams
+
     # Names of clamped quantifiers.  Always empty: the kernel's t_g, d_g,
     # c_g and l_g are sums of squares.  The JSON report still lists it.
-    clamped: tuple = field(default=())
+    clamped = ()
 
     @cached_property
     def product_pair(self) -> ProductPair:
@@ -221,10 +222,10 @@ def bell_diagonal_quantifiers(t11: float, t22: float,
         boundary_flag=abs(case.k1 - case.k3) <= CASE_BOUNDARY,
         state=p,
     )
-    # Both closest products are exact zeros, whatever y3 the rounded
-    # diagonal of p gives.
-    zero = ProductPair((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    report.__dict__.update(product_pair=zero, classical_product_pair=zero)
+    # a3 = b3 = 0.0 make the closest product the zero pair; the classical
+    # one is the zero pair too, whatever y3 the rounded diagonal of p gives.
+    report.__dict__["classical_product_pair"] = ProductPair(
+        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     return report
 
 

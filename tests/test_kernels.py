@@ -31,11 +31,11 @@ from xqcorr.states import XStateParams, parse_state_json
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # sha256 of batch_reports(...).tobytes() on 2x10^4 sampled rows per
-# (seed, case filter, phase mode), as computed by the solver that seeded
-# every row's five roots in an (n, 5) array.  The digests come from numpy
-# 2.4.6 on x86-64 Linux; the last bits of the floats may differ under
-# another numpy build.  A change that does not mean to move a solver bit
-# leaves them alone.
+# (seed, case filter, phase mode).  Every such row is certified, so the
+# digests pin the one-root bracketed path: its a3 is the one canonical root
+# of the row.  They come from numpy 2.4.6 on x86-64 Linux; the last bits of
+# the floats may differ under another numpy build.  A change that does not
+# mean to move a solver bit leaves them alone.
 REPORT_SHA256 = {
     (1, None, "free"):
         "bae6d3b80e0c8ba3ab284666529b9c9bd2c860e379acd50a348be6f36777bede",
@@ -78,11 +78,14 @@ REPORT_SHA256 = {
 # sha256 of solve_a3b3's (a3, b3, ok) bytes, in that order, on inputs
 # where many rows miss the one-root certificate and take the companion
 # fallback: 2x10^4 uniform rows of [-1.5, 1.5]^3 (7641 uncertified) and
-# the 33^3 dyadic grid of [-1, 1]^3 (3362).  Computed by the solver that
-# held each fallback row's roots in five slots; same numpy-build caveat
-# as REPORT_SHA256.
+# the 33^3 dyadic grid of [-1, 1]^3 (3362).  The grid digest is that of
+# the solver that held each fallback row's roots in five slots.  The cube
+# digest was recomputed when the fallback stopped keeping Newton seeds
+# still moving after their last step: on cube rows 7262, 12122 and 18065
+# such a seed, off the root, had been the least-distance a3.  Same
+# numpy-build caveat as REPORT_SHA256.
 FALLBACK_SHA256 = {
-    "cube": "e4eb9fa9f8e1d404281e62e810fc410d6d8aeae47f9cadb6cc59b829c6987300",
+    "cube": "7e51f0e6049e560ab996ab2ed9e979a619b74e0b819dd84d57db3040c4891960",
     "grid": "25cdf4554c03eb5f8d660fd5559e7204d1c85423d39928f599ebf4e281573ae5",
 }
 
@@ -129,10 +132,32 @@ def _horner(coeffs, v):
     return s
 
 
+def _brackets_sign_change(x3, y3, t33, a):
+    """Whether a and one of its two neighbouring floats bracket a sign
+    change of q, with a of the smaller |q|, in exact rational arithmetic
+    on the float coefficients."""
+    coeffs = [Fraction(c) for c in (
+        1.0, -x3, 2.0, y3 * t33 - 2.0 * x3,
+        1.0 + y3 * y3 - t33 * t33, -(x3 + y3 * t33))]
+    qa = _horner(coeffs, Fraction(a))
+    pair = [abs(qn) for qn in (
+        _horner(coeffs, Fraction(math.nextafter(a, -math.inf))),
+        _horner(coeffs, Fraction(math.nextafter(a, math.inf))))
+            if qa * qn <= 0]
+    return bool(pair) and abs(qa) <= min(pair)
+
+
 class TestQuinticSolver:
     def test_degenerate_origin(self):
         a3, b3, ok = _kernels.solve_a3b3(_one(0.0), _one(0.0), _one(0.0))
         assert (a3[0], b3[0], ok[0]) == (0.0, 0.0, True)
+        # With y3 = T33 = -0.0, b3 = (y3 + T33 a3) / (1 + a3^2) is -0.0.
+        a3, b3, ok = _kernels.solve_a3b3(
+            np.array([0.0, -0.0]), np.array([-0.0, -0.0]),
+            np.array([-0.0, -0.0]))
+        assert a3.tolist() == [0.0, 0.0] and not np.signbit(a3).any()
+        assert b3.tolist() == [0.0, 0.0] and np.signbit(b3).all()
+        assert ok.all()
 
     def test_matches_numpy_roots_reference(self):
         rng = np.random.default_rng(139)
@@ -202,28 +227,35 @@ class TestQuinticSolver:
     def test_canonical_roots_bracket_the_exact_sign_change(self):
         # Exact rational arithmetic on the float coefficients: each kept root
         # and one of its two neighbouring floats bracket a sign change of q,
-        # and the kept root has the smaller |q| of that pair.
+        # and the kept root has the smaller |q| of that pair.  Every sampled
+        # row is certified, so its a3 is its one kept root.
         states = [p for case in (None, CaseId.CASE2)
                   for p in sample_states(seed=5, count=500, case=case)]
         r11, r22, r33, r44 = np.array([p.as_array() for p in states])[:, :4].T
         x3s, y3s, t33s = (r11 + r22 - r33 - r44, r11 - r22 + r33 - r44,
                           r11 - r22 - r33 + r44)
-        rows, roots = _kernels.quintic_roots(x3s, y3s, t33s)
+        a3, _, ok = _kernels.solve_a3b3(x3s, y3s, t33s)
+        roots = a3[ok]
         assert roots.size >= 1000
-        for i, a in zip(rows.tolist(), roots.tolist()):
-            x3, y3, t33 = float(x3s[i]), float(y3s[i]), float(t33s[i])
-            coeffs = [Fraction(c) for c in (
-                1.0, -x3, 2.0, y3 * t33 - 2.0 * x3,
-                1.0 + y3 * y3 - t33 * t33, -(x3 + y3 * t33))]
+        for x3, y3, t33, a in zip(x3s[ok].tolist(), y3s[ok].tolist(),
+                                  t33s[ok].tolist(), roots.tolist()):
+            assert _brackets_sign_change(x3, y3, t33, a), (x3, y3, t33, a)
 
-            def q(v):
-                return _horner(coeffs, Fraction(v))
-
-            qa = q(a)
-            pair = [abs(qn) for qn in (q(math.nextafter(a, -math.inf)),
-                                       q(math.nextafter(a, math.inf)))
-                    if qa * qn <= 0]
-            assert pair and abs(qa) <= min(pair), (x3, y3, t33, a)
+    def test_fallback_roots_bracket_the_exact_sign_change(self):
+        # Every fallback row of the pinned cube input: a Newton seed that is
+        # still moving after its last step can pass the |q| filter off the
+        # root, and must not be kept.  The grid is left out: some of its
+        # rows have an exact double root, where q has no sign change.
+        x3s, y3s, t33s = _fallback_inputs()["cube"]
+        j = np.flatnonzero(~_kernels._one_simple_root(
+            x3s, y3s * t33s - 2.0 * x3s, 1.0 + y3s * y3s - t33s * t33s))
+        a3, _, ok = _kernels.solve_a3b3(x3s, y3s, t33s)
+        assert ok[j].all()
+        bad = [i for i, x3, y3, t33, a in zip(
+                   j.tolist(), x3s[j].tolist(), y3s[j].tolist(),
+                   t33s[j].tolist(), a3[j].tolist())
+               if not _brackets_sign_change(x3, y3, t33, a)]
+        assert bad == []
 
     def test_bracket_ends_have_the_signs_of_the_root(self):
         # Exact arithmetic: every real root lies in [x3 - R^2/2,
@@ -486,14 +518,17 @@ class TestBatchReports:
 
     def test_non_finite_rows_fail_alone(self, monkeypatch):
         # Neither solver path takes a row with a NaN or an inf, so the
-        # companion never sees one and the row alone fails.
+        # companion never sees one and the row alone fails.  A NaN or an
+        # inf in a coherence, which the solver never sees, fails too.
         forbid(monkeypatch, np.linalg, "eigvals")
         a3, b3, ok = _kernels.solve_a3b3(_one(np.inf), _one(0.0), _one(0.0))
         assert (a3[0], b3[0], ok[0]) == (0.0, 0.0, False)
         arr, _ = sample_x_arrays(SamplerConfig(seed=13, count=40))
-        bad = [5, 6, 17, 31]
+        bad = [5, 6, 9, 12, 17, 31]
         arr[5, 0] = np.nan
         arr[6, 1] = np.inf
+        arr[9, 4] = np.nan
+        arr[12, 5] = np.inf
         arr[17, 2] = -np.inf
         arr[31, :4] = [np.inf, -np.inf, np.nan, 0.25]
         stacked = _kernels.batch_reports(arr)
@@ -505,7 +540,7 @@ class TestBatchReports:
         assert np.array_equal(stacked.view(np.uint64),
                               singles.view(np.uint64))
         with pytest.raises(SolverFailureError,
-                           match=r"failed on 4 of 40 states, first \[nan, "):
+                           match=r"failed on 6 of 40 states, first \[nan, "):
             x_report_rows(arr)
 
     def test_stationarity_failure_marks_row_failed(self, monkeypatch):
