@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .tolerances import CASE_BOUNDARY, STATIONARITY
+from .tolerances import CASE_BOUNDARY, ROOT_RESIDUAL, STATIONARITY
 
 # Columns of the per-state report array produced by batch_reports.
 COL_K1, COL_K2, COL_K3, COL_CASE, COL_A3, COL_B3 = 0, 1, 2, 3, 4, 5
@@ -151,7 +151,7 @@ def _canonicalize(c4, c2, c1, c0, a, dq):
 
 
 def _kept_canonical(c4, c2, c1, c0, a):
-    """The |q| <= 1e-10 test of roots ``a``, and the kept ones made canonical.
+    """The |q| <= ROOT_RESIDUAL test of roots ``a``; kept ones made canonical.
 
     Every argument is length m, one root per entry with its quintic's
     coefficients.  Returns (a, kept), ``a`` updated in place with the
@@ -159,7 +159,7 @@ def _kept_canonical(c4, c2, c1, c0, a):
     residual is dropped, so every kept root has a finite distance.
     """
     q, dq = _quintic_eval(c4, c2, c1, c0, a)
-    kept = np.abs(q) <= 1e-10
+    kept = np.abs(q) <= ROOT_RESIDUAL
     k = np.flatnonzero(kept)
     a[k] = _canonicalize(c4[k], c2[k], c1[k], c0[k], a[k], dq[k])
     return a, kept
@@ -309,7 +309,7 @@ def solve_a3b3(x3, y3, t33):
     :func:`_companion_roots`, which seeds every root from the companion
     matrix, and its kept root of least distance wins
     (:func:`_least_distance`).  A root is kept when its quintic residual
-    is |q| <= 1e-10, and each kept root is its canonical float
+    is |q| <= ``ROOT_RESIDUAL``, and each kept root is its canonical float
     (:func:`_canonicalize`), which depends on the polynomial alone, not on
     the seed or the iteration that reached it.  b3 is the exact minimizer
     for that a3.
@@ -317,7 +317,7 @@ def solve_a3b3(x3, y3, t33):
     Returns arrays (a3, b3, ok); ok=False marks a row where no real
     stationary point was identified: every root of a degree-5 real
     polynomial is seeded, from a bracket or from the companion's
-    eigenvalues, so only a root that Newton cannot polish to |q| <= 1e-10
+    eigenvalues, so only a root that Newton cannot polish to ``ROOT_RESIDUAL``
     gives it, as with inputs so large that q overflows, and a row with a
     NaN or an inf coefficient, which neither path takes, is (0, 0, False).
     The origin x3 = y3 = t33 = 0 is certified, with c0 = 0, so its root is

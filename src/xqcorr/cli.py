@@ -39,6 +39,7 @@ from .quantifiers import (
     geometric_discord_general,
     oracle_errors,
     quantifiers_x,
+    write_text,
 )
 from .states import (
     DensityMatrix4,
@@ -47,6 +48,7 @@ from .states import (
     load_state_file,
     matrix_to_x_params,
 )
+from .tolerances import ORACLE_DISCORD, ORACLE_DISTANCE, ORACLE_TRANSVERSE
 
 # The index and the eight parameters that start each row of a sample CSV.
 _SAMPLE_CSV_PREFIX = ",".join(["%d"] + [CSV_FLOAT] * 8 + [""])
@@ -72,14 +74,6 @@ exit codes:
 """
 
 
-def _write_text(out, text):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _cmd_analyze(args) -> int:
     state = load_state_file(args.state_file)
     if isinstance(state, DensityMatrix4):
@@ -92,10 +86,10 @@ def _cmd_analyze(args) -> int:
                 "note": "input is not an X state; only the geometric "
                         "discord closed form applies",
             }
-            _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+            write_text(args.out, json.dumps(doc, indent=2) + "\n")
             return EXIT_OK
     doc = quantifiers_x(state).to_json_dict()
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -123,7 +117,7 @@ def _cmd_sample(args) -> int:
         lines.append(_SAMPLE_CSV_PREFIX % (
             i, p.rho11, p.rho22, p.rho33, p.rho44, p.rho14, p.rho23,
             p.gamma14, p.gamma23) + quantifiers_x(p, row=row).to_csv_row())
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, "\n".join(lines) + "\n")
     write_sidecar(args.out, cfg.to_json_dict())
     return EXIT_OK
 
@@ -146,17 +140,18 @@ def _cmd_oracle_check(args) -> int:
     worst = np.argmax(errors, axis=0).tolist()
 
     rows = [
-        ("closest-product distance |F_num - F_closed|", max_df, 1e-8),
-        ("closest-product transverse components", max_transverse, 1e-6),
-        ("measurement discord |D_meas - D_closed|", max_dd, 1e-6),
+        ("closest-product distance |F_num - F_closed|", max_df,
+         ORACLE_DISTANCE),
+        ("closest-product transverse components", max_transverse,
+         ORACLE_TRANSVERSE),
+        ("measurement discord |D_meas - D_closed|", max_dd, ORACLE_DISCORD),
     ]
     ok = all(value <= bound for _, value, bound in rows)
     lines = ["oracle check over %d states (seed %d)" % (args.trials, args.seed)]
     for name, value, bound in rows:
         lines.append("  %-45s %.3e (<= %.0e) %s"
                      % (name, value, bound, "ok" if value <= bound else "FAIL"))
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    write_text(None, "\n".join(lines) + "\n")
     if args.out:
         doc = {name: value for name, value, _ in rows}
         # Index (in sampling order) of the state behind each maximum.
@@ -164,7 +159,7 @@ def _cmd_oracle_check(args) -> int:
         doc["trials"] = args.trials
         doc["seed"] = args.seed
         doc["ok"] = ok
-        _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -224,10 +219,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_PARSE
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return EXIT_PARSE
     except InvalidStateError as exc:

@@ -131,9 +131,9 @@ def x_report_rows(params: np.ndarray) -> np.ndarray:
     return rows
 
 
-def x_report_row(p: XStateParams) -> np.ndarray:
-    """One-row :func:`x_report_rows` of an X state."""
-    return x_report_rows(p.as_array()[None, :])[0]
+def x_report_row(p: XStateParams) -> list:
+    """One-row :func:`x_report_rows` of an X state, as a list."""
+    return x_report_rows(p.as_array()[None, :])[0].tolist()
 
 
 def closest_product_x(p: XStateParams) -> ProductPair:
@@ -326,7 +326,7 @@ _PRODUCT_STATES = _kernels.CHUNK_ROWS // (_RANDOM_STARTS + 1)
 def closest_products_general(states, seeds) -> list:
     """Numerically minimize the product-state distance over all (a, b).
 
-    ``states`` is a sequence of density matrices and ``seeds`` one integer
+    ``states`` is a sequence of ``DensityMatrix4`` and ``seeds`` one integer
     per state.  Alternating minimization (a <- (x + T b)/(1 + |b|^2), then
     b <- (y + T^T a)/(1 + |a|^2), each the exact minimizer with the other
     vector fixed) runs on 33 starts per state, for all states at once in

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import _kernels
 from .closest import x_report_rows
-from .quantifiers import CSV_FLOAT, CorrelationReport, quantifiers_x
+from .quantifiers import (CSV_FLOAT, CorrelationReport, quantifiers_x,
+                          write_text)
 from .states import XStateParams, check_x_rows
 
 TRAJECTORY_CSV_HEADER = (
@@ -186,5 +187,4 @@ def trajectory_csv(taus, params, reports) -> str:
 
 
 def write_trajectory_csv(taus, params, reports, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory_csv(taus, params, reports))
+    write_text(path, trajectory_csv(taus, params, reports))

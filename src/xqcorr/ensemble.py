@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .closest import CaseId, x_report_rows
 from .errors import RejectionExhaustionError
-from .quantifiers import csv_float
+from .quantifiers import csv_float, write_text
 from .states import XStateParams
 from .tolerances import HISTOGRAM_EDGE, TG_FLOOR
 
@@ -238,13 +238,11 @@ def run_histogram(cfg: SamplerConfig, spec: HistogramSpec) -> HistogramResult:
 
 def write_sidecar(path, doc: dict) -> None:
     """Write ``doc`` as the JSON metadata sidecar ``<path>.meta.json``."""
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(str(path) + ".meta.json",
+               json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_histogram(result: HistogramResult, path) -> None:
     """Write the histogram CSV plus its JSON metadata sidecar."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(result.to_csv())
+    write_text(path, result.to_csv())
     write_sidecar(path, result.sidecar_dict())

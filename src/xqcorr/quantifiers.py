@@ -16,6 +16,7 @@ and t_g + l_g - d_g - c_g = a3^2 (T33 - a3 b3)^2 / 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -52,6 +53,15 @@ _REPORT_CSV_ROW = ",".join(["%d"] + [CSV_FLOAT] * 11 + ["%d"])
 def csv_float(x: float) -> str:
     """A float as it appears in every CSV output, by :data:`CSV_FLOAT`."""
     return CSV_FLOAT % float(x)
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file ``path`` as UTF-8, or to stdout if None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -140,29 +150,28 @@ def quantifiers_x(p: XStateParams, *, row=None) -> CorrelationReport:
     """Full correlation report of an X state from the closed forms.
 
     ``row`` is the state's row of an :func:`xqcorr.closest.x_report_rows`
-    batch, as an array or a list, for callers that solve many states at
-    once; without it the state is solved as a batch of one.  The report is
-    the same either way.  Its closest states are lazy (see
+    batch, as a list, for callers that solve many states at once; without
+    it the state is solved as a batch of one.  The report is the same
+    either way.  Its closest states are lazy (see
     :class:`CorrelationReport`): callers that print many reports without
     them validate them for all rows at once with
     :func:`xqcorr.closest.check_report_rows`.
     """
     if row is None:
         row = x_report_row(p)
-    vals = row.tolist() if isinstance(row, np.ndarray) else row
     return CorrelationReport(
-        t_g=vals[_kernels.COL_TG],
-        d_g=vals[_kernels.COL_DG],
-        c_g=vals[_kernels.COL_CG],
-        l_g=vals[_kernels.COL_LG],
-        case=CaseLabel(CaseId(int(vals[_kernels.COL_CASE])),
-                       vals[_kernels.COL_K1], vals[_kernels.COL_K2],
-                       vals[_kernels.COL_K3]),
-        residual_closure=vals[_kernels.COL_RES],
-        residual_with_l=vals[_kernels.COL_RESL],
-        a3=vals[_kernels.COL_A3],
-        b3=vals[_kernels.COL_B3],
-        boundary_flag=bool(vals[_kernels.COL_BOUNDARY]),
+        t_g=row[_kernels.COL_TG],
+        d_g=row[_kernels.COL_DG],
+        c_g=row[_kernels.COL_CG],
+        l_g=row[_kernels.COL_LG],
+        case=CaseLabel(CaseId(int(row[_kernels.COL_CASE])),
+                       row[_kernels.COL_K1], row[_kernels.COL_K2],
+                       row[_kernels.COL_K3]),
+        residual_closure=row[_kernels.COL_RES],
+        residual_with_l=row[_kernels.COL_RESL],
+        a3=row[_kernels.COL_A3],
+        b3=row[_kernels.COL_B3],
+        boundary_flag=bool(row[_kernels.COL_BOUNDARY]),
         state=p,
     )
 
@@ -315,9 +324,9 @@ def _measurement_grid(grid_density):
 def discord_measurement_oracles(states, grid_density: int = 64) -> np.ndarray:
     """Geometric discord of each state by minimization over measurements.
 
-    ``states`` is a sequence of density matrices (``DensityMatrix4`` or
-    4x4 arrays), each validated.  Each state's measurement directions are
-    scanned on a ``grid_density`` x ``grid_density`` (theta, phi) grid,
+    ``states`` is a sequence of ``DensityMatrix4``, each validated.  Each
+    state's measurement directions are scanned on a ``grid_density`` x
+    ``grid_density`` (theta, phi) grid,
     computing ||rho - Pi^A(rho)||^2 by explicit matrix pinching
     (:func:`xqcorr._kernels.pinched_distances`).  Only the rows with
     theta < pi/2 are scanned: the grid holds every direction's antipode,
@@ -338,11 +347,8 @@ def discord_measurement_oracles(states, grid_density: int = 64) -> np.ndarray:
     if grid_density % 2:
         raise ValueError("grid_density must be even: the scan keeps one "
                          "of each pair of antipodal grid directions")
-    rhos = np.empty((len(states), 4, 4), dtype=np.complex128)
-    for i, rho in enumerate(states):
-        if not isinstance(rho, DensityMatrix4):
-            rho = DensityMatrix4(rho)
-        rhos[i] = rho.validate().matrix
+    rhos = np.array([rho.validate().matrix
+                     for rho in states]).reshape(-1, 4, 4)
 
     grid = _measurement_grid(grid_density)
     best = np.empty(rhos.shape[0])
@@ -393,8 +399,6 @@ def oracle_errors(params: np.ndarray, seed: int) -> np.ndarray:
 
 def pinched_state(rho, theta: float, phi: float) -> DensityMatrix4:
     """State after a forgotten projective measurement on qubit A."""
-    if not isinstance(rho, DensityMatrix4):
-        rho = DensityMatrix4(rho)
     n = np.array([math.sin(theta) * math.cos(phi),
                   math.sin(theta) * math.sin(phi),
                   math.cos(theta)])

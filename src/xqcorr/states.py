@@ -89,7 +89,7 @@ class DensityMatrix4:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def validate(self, require_psd: bool = True) -> "DensityMatrix4":
+    def validate(self) -> "DensityMatrix4":
         m = self.matrix
         problems = []
         herm = np.max(np.abs(m - m.conj().T))
@@ -98,7 +98,7 @@ class DensityMatrix4:
         tr = abs(m.trace() - 1.0)
         if tr > TRACE:
             problems.append("trace differs from 1 by %.3e" % tr)
-        if require_psd and not problems:
+        if not problems:
             lo = float(np.linalg.eigvalsh(m).min())
             if lo < -PSD_FLOOR:
                 problems.append("negative eigenvalue %.3e" % lo)
@@ -232,12 +232,9 @@ class BlochForm:
             raise InvalidStateError("correlation tensor entry exceeds 1")
 
 
-def bloch_decompose(rho) -> BlochForm:
+def bloch_decompose(rho: DensityMatrix4) -> BlochForm:
     """Extract x_i, y_i, T_ij as Pauli traces of a valid density matrix."""
-    if not isinstance(rho, DensityMatrix4):
-        rho = DensityMatrix4(rho)
-    rho.validate()
-    m = rho.matrix
+    m = rho.validate().matrix
     x = np.empty(3)
     y = np.empty(3)
     T = np.empty((3, 3))
@@ -278,17 +275,14 @@ def x_params_to_bloch(p: XStateParams) -> BlochForm:
     return BlochForm((0.0, 0.0, x3), (0.0, 0.0, y3), T)
 
 
-def matrix_to_x_params(rho) -> XStateParams:
+def matrix_to_x_params(rho: DensityMatrix4) -> XStateParams:
     """Recognize the X pattern of a dense matrix and extract its parameters.
 
     Raises :class:`NotAnXStateError` listing the offending entries when any
     of the eight non-X entries exceeds ``X_PATTERN`` in magnitude.
     The phase of a vanishing coherence is defined as 0.
     """
-    if not isinstance(rho, DensityMatrix4):
-        rho = DensityMatrix4(rho)
-    rho.validate()
-    m = rho.matrix
+    m = rho.validate().matrix
     bad = [(i, j) for i, j in _NON_X_ENTRIES if abs(m[i, j]) > X_PATTERN]
     if bad:
         raise NotAnXStateError(

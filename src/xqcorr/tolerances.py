@@ -1,8 +1,8 @@
 """Numerical tolerances shared by the whole package.
 
-Every validation threshold lives here as a fixed module constant, so that
-all modules agree on what "valid" means.  No function takes a tolerance
-argument; code that checks a bound reads the constant directly.
+Every threshold that decides a result lives here as a fixed module
+constant; no function takes a tolerance argument.  Iteration stop rules
+and step counts stay inside the algorithms that use them.
 """
 
 # Hermiticity: max |rho - rho^dagger| entry.
@@ -21,8 +21,14 @@ X_PATTERN = 1e-10
 BLOCH_BOUND = 1e-10
 # Fixed-point residual of the closest-product stationarity system.
 STATIONARITY = 1e-10
+# Quintic residual |q| at or below which a polished root is kept.
+ROOT_RESIDUAL = 1e-10
 # Fixed-point residual accepted from the 6-parameter numerical oracle.
 ORACLE_RESIDUAL = 1e-8
+# oracle-check pass bounds (else exit 4): distance, transverse, discord.
+ORACLE_DISTANCE = 1e-8
+ORACLE_TRANSVERSE = 1e-6
+ORACLE_DISCORD = 1e-6
 # |k1 - k3| below which a state is flagged as lying on the case boundary.
 CASE_BOUNDARY = 1e-10
 # Width of the clamp window for a tiny negative general-state discord.

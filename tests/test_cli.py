@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import xqcorr
-from conftest import forbid, perturb_a3
+from conftest import dense_state, forbid, perturb_a3
 from xqcorr import _kernels, cli, closest, dynamics, ensemble, quantifiers
 from xqcorr.cli import main
-from xqcorr.states import XStateParams, state_to_json_dict
+from xqcorr.states import XStateParams, parse_state_json, state_to_json_dict
 
 BELL_JSON = json.dumps({
     "kind": "x", "rho11": 0.5, "rho22": 0.0, "rho33": 0.0, "rho44": 0.5,
@@ -127,6 +127,23 @@ class TestAnalyze:
 
     def test_missing_file(self):
         assert main(["analyze", "/nonexistent/state.json"]) == 2
+
+    def test_unreadable_or_unwritable_path(self, tmp_path, capsys):
+        # A directory where a file is read or written: an error message
+        # and exit 2, as for a missing file, not an uncaught OSError.
+        d = str(tmp_path)
+        f = write(tmp_path, "bell.json", BELL_JSON)
+        sample = ["sample", "--seed", "1", "--count", "5"]
+        for argv in (sample + ["--out", d],
+                     sample + ["--histogram", "rel_residual", "--out", d],
+                     ["evolve", f, "--gamma0", "1", "--lambda", "1",
+                      "--t-max", "1", "--steps", "20", "--out", d],
+                     ["analyze", f, "--out", d],
+                     ["oracle-check", "--trials", "1", "--out", d],
+                     ["analyze", d]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
     def test_out_file(self, tmp_path):
         f = write(tmp_path, "bell.json", BELL_JSON)
@@ -411,6 +428,17 @@ GOLDEN_SHA256 = {
         "5bbdf60d1b254fa58bd278bf234437cc04ed98e7e09cd9edc76d15d17f8ac4c2",
     "oracle.json":
         "a5e930921bdb4848e18863abca057802d1ad9f69d1b6934d53c9e2fa3e335be6",
+    # The dense X state is CASE2_JSON's, so it prints the same bytes.
+    "analyze-dense-x":
+        "2707e18d5647095bf325ee5f46f78a137e4e0b4563ead0aba1f2b26f64e7a63f",
+    "analyze-dense-nonx":
+        "24088e2729bb12d7322086727d03809d651107f2ab558c2a3c319b51c99e0a84",
+    "analyze-bell.json":
+        "c1c14e53a5ae17bdcce237ac422be059e6bf62dde6d9844f3f931d9a9c1ca9da",
+    "hist-l.csv":
+        "1f1bb6eac8a079e674a4e560c97509260489fd0fdaf59fb6fd5756f1351a632f",
+    "hist-l.csv.meta.json":
+        "d0d1454b414510b48052867f17562c10029340c8e2ddd07dcc5c7d68baff5c8c",
 }
 
 
@@ -436,7 +464,18 @@ class TestGoldenBytes:
                 ["analyze", write(tmp_path, "bell.json", BELL_JSON)]),
             "analyze-case2": stdout_of(
                 ["analyze", write(tmp_path, "case2.json", CASE2_JSON)]),
+            # Dense inputs: an X state through matrix_to_x_params, and a
+            # full-rank state through bloch_decompose and the dg note.
+            "analyze-dense-x": stdout_of(
+                ["analyze", write(tmp_path, "dense-x.json", json.dumps(
+                    state_to_json_dict(
+                        parse_state_json(CASE2_JSON).to_matrix())))]),
+            "analyze-dense-nonx": stdout_of(
+                ["analyze", write(tmp_path, "dense-nonx.json", json.dumps(
+                    state_to_json_dict(dense_state(149))))]),
         }
+        stdout_of(["analyze", str(tmp_path / "bell.json"),
+                   "--out", str(tmp_path / "analyze-bell.json")])
         stdout_of(["sample", "--seed", "7", "--count", "50",
                    "--out", str(tmp_path / "sample.csv")])
         stdout_of(["sample", "--seed", "7", "--count", "2000", "--case", "1",
@@ -447,6 +486,10 @@ class TestGoldenBytes:
         stdout_of(["sample", "--seed", "3", "--count", "2000", "--case", "2",
                    "--histogram", "rel_residual",
                    "--out", str(tmp_path / "hist.csv")])
+        stdout_of(["sample", "--seed", "3", "--count", "2000",
+                   "--histogram", "rel_residual_with_l", "--bins", "50",
+                   "--range", "0", "0.5",
+                   "--out", str(tmp_path / "hist-l.csv")])
         psi = write(tmp_path, "psi.json", FIG3_JSON)
         stdout_of(["evolve", psi, "--gamma0", "1.0", "--lambda", "0.01",
                    "--t-max", "50", "--steps", "200",
@@ -460,8 +503,9 @@ class TestGoldenBytes:
              "--out", str(tmp_path / "oracle.json")])
         out.update(files("sample.csv", "sample.csv.meta.json",
                          "sample-case1-zero.csv", "sample-case2.csv",
-                         "hist.csv",
-                         "hist.csv.meta.json", "evolve.csv",
+                         "hist.csv", "hist.csv.meta.json", "hist-l.csv",
+                         "hist-l.csv.meta.json", "analyze-bell.json",
+                         "evolve.csv",
                          "evolve-overdamped.csv", "oracle.json"))
         cases = {line.rsplit(",", 1)[1] for line in
                  out["evolve.csv"].decode().split("\n")[1:-1]}

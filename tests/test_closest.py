@@ -386,5 +386,5 @@ class TestProductPair:
     def test_to_matrix_is_product(self):
         pair = ProductPair((0.0, 0.0, 0.5), (0.0, 0.0, -0.25))
         m = pair.to_matrix()
-        m.validate(require_psd=True)
+        m.validate()
         assert abs(np.trace(m.matrix) - 1.0) < 1e-15

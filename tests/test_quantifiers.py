@@ -292,7 +292,7 @@ class TestMeasurementOracle:
     def test_pinched_state_is_classical(self):
         rho = WITNESS.to_matrix()
         pinched = pinched_state(rho, 0.7, 1.3)
-        pinched.validate(require_psd=True)
+        pinched.validate()
         dg = geometric_discord_general(bloch_decompose(pinched))
         assert dg <= 1e-12
 

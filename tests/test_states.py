@@ -94,9 +94,8 @@ class TestBlochCompose:
     def test_unphysical_tensor_reports_via_validation(self):
         b = BlochForm(np.zeros(3), np.zeros(3), np.diag([1.0, 1.0, 1.0]))
         rho = bloch_compose(b)
-        rho.validate(require_psd=False)
         with pytest.raises(InvalidStateError):
-            rho.validate(require_psd=True)
+            rho.validate()
 
 
 class TestXParamsToBloch:
@@ -162,7 +161,7 @@ class TestRoundTrips:
     def test_x_params_compose_is_physical(self):
         for p in sample_states(seed=11, count=1000):
             rho = bloch_compose(x_params_to_bloch(p))
-            rho.validate(require_psd=True)
+            rho.validate()
 
     def test_bloch_roundtrip(self):
         for p in sample_states(seed=13, count=200):
