@@ -30,7 +30,7 @@ from .states import (
     ID2,
     PAULI,
     XStateParams,
-    bloch_decompose,
+    bloch_components,
     check_x_rows,
 )
 from .tolerances import BLOCH_BOUND, BLOCK_POSITIVITY, ORACLE_RESIDUAL
@@ -98,11 +98,17 @@ def k_eigenvalues_x(p: XStateParams) -> CaseLabel:
                      float(k3[0]))
 
 
+def k_matrices(x, T):
+    """K = x x^T + T T^T of (S, 3) ``x`` and (S, 3, 3) ``T``, and its
+    eigenvalues as (S, 3), sorted descending."""
+    K = x[:, :, None] * x[:, None, :] + T @ T.swapaxes(-2, -1)
+    return K, np.linalg.eigvalsh(K)[:, ::-1]
+
+
 def k_matrix_general(b: BlochForm):
-    """K = x x^T + T T^T and its eigenvalues sorted descending."""
-    K = np.outer(b.x, b.x) + b.T @ b.T.T
-    eigs = np.linalg.eigvalsh(K)[::-1]
-    return K, eigs
+    """One-state view of :func:`k_matrices`."""
+    K, eigs = k_matrices(b.x[None], b.T[None])
+    return K[0], eigs[0]
 
 
 def product_distance(b: BlochForm, pair: ProductPair) -> float:
@@ -323,41 +329,39 @@ _NEWTON_STEPS = 60
 _PRODUCT_STATES = _kernels.CHUNK_ROWS // (_RANDOM_STARTS + 1)
 
 
-def closest_products_general(states, seeds) -> list:
+def closest_products_general(states, seeds):
     """Numerically minimize the product-state distance over all (a, b).
 
-    ``states`` is a sequence of ``DensityMatrix4`` and ``seeds`` one integer
-    per state.  Alternating minimization (a <- (x + T b)/(1 + |b|^2), then
-    b <- (y + T^T a)/(1 + |a|^2), each the exact minimizer with the other
-    vector fixed) runs on 33 starts per state, for all states at once in
-    batches of a fixed size: the marginals' Bloch vectors plus 32
-    pseudorandom points in [-1, 1]^6 drawn from ``default_rng(seed)``.
-    Newton's method on the stationarity system then polishes each state's
-    best start, and is kept only if it does not raise the distance; near a
-    maximally entangled state alternating minimization alone stalls with a
-    residual near 1e-6.  The oracle works on all six Bloch components of an
-    arbitrary state and shares no code with the X-state quintic.  Returns
-    one :class:`ProductPair` per state; no state's pair depends on the
-    states batched with it.  Raises :class:`ConvergenceFailureError` (with
-    that state's best pair attached) for the first state whose fixed-point
-    residual stays above ``ORACLE_RESIDUAL``.
+    ``states`` is an (S, 4, 4) array of valid density matrices, ``seeds``
+    one integer per state.  Alternating minimization (a <- (x + T b) /
+    (1 + |b|^2), then b <- (y + T^T a)/(1 + |a|^2), each the exact
+    minimizer with the other vector fixed) runs on 33 starts per state,
+    for all states at once in batches of a fixed size: the marginals'
+    Bloch vectors plus 32 pseudorandom points in [-1, 1]^6 drawn from
+    ``default_rng(seed)``.  Newton's method on the stationarity system then
+    polishes each state's best start, kept only if it does not raise the
+    distance; near a maximally entangled state alternating minimization
+    alone stalls with a residual near 1e-6.  The oracle works on all six
+    Bloch components of an arbitrary state and shares no code with the
+    X-state quintic.  Returns the Bloch vectors (a, b) as (S, 3) arrays
+    clipped to [-1, 1]; no state's pair depends on the states batched with
+    it.  The first state whose pair :class:`ProductPair` rejects, or whose
+    fixed-point residual stays above ``ORACLE_RESIDUAL``, raises that
+    error or :class:`ConvergenceFailureError` with the pair attached.
     """
-    blochs = [bloch_decompose(rho) for rho in states]
+    x, y, T = bloch_components(states)
     seeds = list(seeds)
-    if len(seeds) != len(blochs):
+    if len(seeds) != len(x):
         raise ValueError("one seed per state is required")
-    pairs = []
-    for lo in range(0, len(blochs), _PRODUCT_STATES):
-        pairs += _closest_products(blochs[lo:lo + _PRODUCT_STATES],
-                                   seeds[lo:lo + _PRODUCT_STATES])
-    return pairs
+    a, b = np.empty_like(x), np.empty_like(x)
+    for lo in range(0, len(x), _PRODUCT_STATES):
+        s = slice(lo, lo + _PRODUCT_STATES)
+        a[s], b[s] = _closest_products(x[s], y[s], T[s], seeds[s])
+    return a, b
 
 
-def _closest_products(blochs, seeds):
-    x = np.array([b.x for b in blochs])
-    y = np.array([b.y for b in blochs])
-    T = np.array([b.T for b in blochs])
-    starts = np.empty((len(blochs), _RANDOM_STARTS + 1, 6))
+def _closest_products(x, y, T, seeds):
+    starts = np.empty((len(x), _RANDOM_STARTS + 1, 6))
     starts[:, 0, :3] = x
     starts[:, 0, 3:] = y
     for i, seed in enumerate(seeds):
@@ -367,28 +371,27 @@ def _closest_products(blochs, seeds):
                                              starts[..., 3:])
     f_all = _objective(x[:, None], y[:, None], T[:, None], a_all, b_all)
     best = np.argmin(f_all, axis=1)
-
-    pairs = []
+    a, b = a_all[range(len(x)), best], b_all[range(len(x)), best]
+    residual = np.empty(len(x))
     for i, k in enumerate(best.tolist()):
-        xi, yi, ti = x[i], y[i], T[i]
-        a_best, b_best = a_all[i, k], b_all[i, k]
-        polished = _newton_polish(xi, yi, ti, a_best, b_best)
+        polished = _newton_polish(x[i], y[i], T[i], a[i], b[i])
         if (polished is not None
-                and _objective(xi, yi, ti, *polished) <= f_all[i, k]):
-            a_best, b_best = polished
-        residual = _fixed_point_residual(xi, yi, ti, a_best, b_best)
-        pair = ProductPair(np.clip(a_best, -1.0, 1.0),
-                           np.clip(b_best, -1.0, 1.0))
-        if residual > ORACLE_RESIDUAL:
+                and _objective(x[i], y[i], T[i], *polished) <= f_all[i, k]):
+            a[i], b[i] = polished
+        residual[i] = _fixed_point_residual(x[i], y[i], T[i], a[i], b[i])
+    a, b = np.clip(a, -1.0, 1.0), np.clip(b, -1.0, 1.0)
+    # Only a pair past the unit ball or off the residual bound is built.
+    far = ~(np.maximum(np.sum(a * a, axis=1), np.sum(b * b, axis=1)) <= 1.0)
+    for i in np.flatnonzero(far | (residual > ORACLE_RESIDUAL)):
+        pair = ProductPair(a[i], b[i])
+        if residual[i] > ORACLE_RESIDUAL:
             raise ConvergenceFailureError(
                 "fixed-point residual %.3e exceeds %.1e"
-                % (residual, ORACLE_RESIDUAL),
-                best=pair,
-            )
-        pairs.append(pair)
-    return pairs
+                % (residual[i], ORACLE_RESIDUAL), best=pair)
+    return a, b
 
 
 def closest_product_general(rho, seed: int = 0) -> ProductPair:
-    """One-state view of :func:`closest_products_general`."""
-    return closest_products_general([rho], [seed])[0]
+    """Validated one-state view of :func:`closest_products_general`."""
+    a, b = closest_products_general(rho.validate().matrix[None], [seed])
+    return ProductPair(a[0], b[0])

@@ -89,14 +89,16 @@ def p_t(t, gamma0: float, lam: float):
 
 
 def _propagate(initial: XStateParams, p: np.ndarray) -> np.ndarray:
-    """Apply the damping map at survival probabilities ``p`` -> (n, 8)."""
+    """The damping map at survival probabilities ``p`` -> (n, 8); p = 1
+    gives the input's bits, and every p keeps the input's trace."""
     r11, r22, r33 = initial.rho11, initial.rho22, initial.rho33
     out = np.empty((p.size, 8))
-    feed = r11 * p * (1.0 - p)
+    q = 1.0 - p
+    feed = r11 * p * q
     out[:, 0] = r11 * p * p
     out[:, 1] = r22 * p + feed
     out[:, 2] = r33 * p + feed
-    out[:, 3] = 1.0 - (out[:, 0] + out[:, 1] + out[:, 2])
+    out[:, 3] = initial.rho44 + (r22 + r33) * q + r11 * q * q
     out[:, 4] = initial.rho14 * p
     out[:, 5] = initial.rho23 * p
     out[:, 6] = initial.gamma14

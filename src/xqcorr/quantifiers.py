@@ -29,16 +29,17 @@ from .closest import (
     ProductPair,
     _classical_product_pair,
     _closest_classical,
+    _objective,
     closest_products_general,
     k_eigenvalues_x,
-    k_matrix_general,
-    product_distance,
+    k_matrices,
     x_report_row,
     x_report_rows,
 )
 from .errors import InvalidStateError, UnphysicalParametersError
 from .states import (ID2, PAULI, BlochForm, DensityMatrix4, XStateParams,
-                     x_params_to_bloch)
+                     check_densities, check_x_rows, x_bloch_components,
+                     x_matrices)
 from .tolerances import CASE_BOUNDARY, CLAMP, PSD_FLOOR
 
 REPORT_CSV_HEADER = "case,k1,k2,k3,tg,dg,cg,lg,res,res_l,a3,b3,boundary"
@@ -132,18 +133,21 @@ class CorrelationReport:
         }
 
 
-def geometric_discord_general(b: BlochForm) -> float:
-    """Closed-form geometric discord of an arbitrary two-qubit state.
+def geometric_discords(x, T) -> np.ndarray:
+    """Closed-form geometric discord of (S, 3) ``x`` and (S, 3, 3) ``T``:
+    (||x||^2 + ||T||_F^2 - k_max)/4, k_max the largest eigenvalue of K
+    (:func:`xqcorr.closest.k_matrices`).  The sums of squares are not BLAS
+    calls, so their bits do not depend on the CPU.  A value that rounds to
+    within ``CLAMP`` below 0 is returned as 0."""
+    _, eigs = k_matrices(x, T)
+    val = 0.25 * (np.sum(x * x, axis=1) + np.sum(T * T, axis=(1, 2))
+                  - eigs[:, 0])
+    return np.where((-CLAMP <= val) & (val < 0.0), 0.0, val)
 
-    One quarter of ||x||^2 + ||T||_F^2 minus the largest eigenvalue of
-    K = x x^T + T T^T (:func:`xqcorr.closest.k_matrix_general`).  The
-    difference can round to a tiny negative number; values down to
-    ``-CLAMP`` are returned as 0.
-    """
-    _, eigs = k_matrix_general(b)
-    kmax = float(eigs[0])
-    val = 0.25 * (float(b.x @ b.x) + float(np.sum(b.T * b.T)) - kmax)
-    return 0.0 if -CLAMP <= val < 0.0 else val
+
+def geometric_discord_general(b: BlochForm) -> float:
+    """One-state view of :func:`geometric_discords`."""
+    return float(geometric_discords(b.x[None], b.T[None])[0])
 
 
 def quantifiers_x(p: XStateParams, *, row=None) -> CorrelationReport:
@@ -324,11 +328,11 @@ def _measurement_grid(grid_density):
 def discord_measurement_oracles(states, grid_density: int = 64) -> np.ndarray:
     """Geometric discord of each state by minimization over measurements.
 
-    ``states`` is a sequence of ``DensityMatrix4``, each validated.  Each
+    ``states`` is an (S, 4, 4) array of valid density matrices.  Each
     state's measurement directions are scanned on a ``grid_density`` x
-    ``grid_density`` (theta, phi) grid,
-    computing ||rho - Pi^A(rho)||^2 by explicit matrix pinching
-    (:func:`xqcorr._kernels.pinched_distances`).  Only the rows with
+    ``grid_density`` (theta, phi) grid, computing ||rho - Pi^A(rho)||^2 by
+    explicit matrix pinching (:func:`xqcorr._kernels.pinched_distances`,
+    through :func:`xqcorr._kernels.measurement_scan`).  Only the rows with
     theta < pi/2 are scanned: the grid holds every direction's antipode,
     and n and -n give the same measurement, so ``grid_density`` must be
     even (and at least 64).  The best grid point of each state is then
@@ -347,54 +351,47 @@ def discord_measurement_oracles(states, grid_density: int = 64) -> np.ndarray:
     if grid_density % 2:
         raise ValueError("grid_density must be even: the scan keeps one "
                          "of each pair of antipodal grid directions")
-    rhos = np.array([rho.validate().matrix
-                     for rho in states]).reshape(-1, 4, 4)
-
     grid = _measurement_grid(grid_density)
-    best = np.empty(rhos.shape[0])
-    starts = np.empty((rhos.shape[0], 3))
-    for i, m in enumerate(rhos):
+    best = np.empty(len(states))
+    starts = np.empty((len(states), 3))
+    for i, m in enumerate(states):
         best[i], starts[i] = _kernels.measurement_scan(m, grid)
-    for lo in range(0, rhos.shape[0], _DESCENT_STATES):
+    for lo in range(0, len(states), _DESCENT_STATES):
         batch = slice(lo, lo + _DESCENT_STATES)
         best[batch] = np.minimum(
-            best[batch], _descend_on_sphere(rhos[batch], starts[batch]))
+            best[batch], _descend_on_sphere(states[batch], starts[batch]))
     return best
 
 
 def discord_measurement_oracle(rho, grid_density: int = 64) -> float:
-    """One-state view of :func:`discord_measurement_oracles`."""
-    return float(discord_measurement_oracles([rho], grid_density)[0])
+    """Validated one-state view of :func:`discord_measurement_oracles`."""
+    return float(discord_measurement_oracles(rho.validate().matrix[None],
+                                             grid_density)[0])
 
 
 def oracle_errors(params: np.ndarray, seed: int) -> np.ndarray:
     """The oracle-check comparisons for an (n, 8) X-parameter array.
 
-    The closed forms are solved in one :func:`x_report_rows` batch, and
-    each numerical oracle is called once on all n states, the product
-    oracle with seed ``seed + i`` for state i.  Returns an (n, 3) array:
-    per state |F_num - F_closed| (the closest-product distances),
-    the largest transverse component of the numerical closest product
-    (zero for an X state), and |D_meas - D_closed| (geometric discord).
+    Array code throughout: the rows and their matrices are validated
+    once, the closed forms are solved in one batch, and each oracle runs
+    once on all n matrices, the product oracle with seed ``seed + i`` for
+    state i.  Returns an (n, 3) array: per state |F_num - F_closed|, the
+    largest transverse component of the numerical closest product (zero
+    for an X state), and |D_meas - D_closed| (geometric discord).
     """
+    check_x_rows(params)
+    rhos = check_densities(x_matrices(params))
     reports = x_report_rows(params)
-    states = [XStateParams(*vals) for vals in params.tolist()]
-    rhos = [p.to_matrix() for p in states]
-    num_pairs = closest_products_general(
-        rhos, [seed + i for i in range(len(rhos))])
+    num_a, num_b = closest_products_general(
+        rhos, range(seed, seed + len(params)))
     d_meas = discord_measurement_oracles(rhos)
-    errors = np.empty((len(states), 3))
-    for i, (p, row, num_pair) in enumerate(zip(states, reports, num_pairs)):
-        bloch = x_params_to_bloch(p)
-        analytic_pair = ProductPair((0.0, 0.0, row[_kernels.COL_A3]),
-                                    (0.0, 0.0, row[_kernels.COL_B3]))
-        f_analytic = product_distance(bloch, analytic_pair)
-        f_num = product_distance(bloch, num_pair)
-        d_closed = geometric_discord_general(bloch)
-        transverse = np.abs([*num_pair.a[:2], *num_pair.b[:2]]).max()
-        errors[i] = (abs(f_num - f_analytic), transverse,
-                     abs(d_meas[i] - d_closed))
-    return errors
+    x, y, T = x_bloch_components(params)
+    closed = np.zeros((2,) + x.shape)  # the z-axis pairs (a3, b3)
+    closed[:, :, 2] = reports[:, [_kernels.COL_A3, _kernels.COL_B3]].T
+    f_diff = _objective(x, y, T, num_a, num_b) - _objective(x, y, T, *closed)
+    transverse = np.abs(np.hstack([num_a[:, :2], num_b[:, :2]])).max(axis=1)
+    return np.column_stack([np.abs(f_diff), transverse,
+                            np.abs(d_meas - geometric_discords(x, T))])
 
 
 def pinched_state(rho, theta: float, phi: float) -> DensityMatrix4:

@@ -90,26 +90,30 @@ class DensityMatrix4:
         object.__setattr__(self, "matrix", m)
 
     def validate(self) -> "DensityMatrix4":
-        m = self.matrix
-        problems = []
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > HERMITIAN:
-            problems.append("not Hermitian (max deviation %.3e)" % herm)
-        tr = abs(m.trace() - 1.0)
-        if tr > TRACE:
-            problems.append("trace differs from 1 by %.3e" % tr)
-        if not problems:
-            lo = float(np.linalg.eigvalsh(m).min())
-            if lo < -PSD_FLOOR:
-                problems.append("negative eigenvalue %.3e" % lo)
-        if problems:
-            raise InvalidStateError(
-                "invalid density matrix: " + "; ".join(problems), problems
-            )
+        """One-matrix view of :func:`check_densities`; returns self."""
+        check_densities(self.matrix[None])
         return self
 
     def purity(self) -> float:
         return hs_norm_sq(self.matrix)
+
+
+def check_densities(m: np.ndarray) -> np.ndarray:
+    """Validate an (n, 4, 4) stack of finite matrices as ``validate`` would.
+
+    Returns the stack; the first invalid matrix raises its error."""
+    herm = np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
+    tr = np.abs(np.trace(m, axis1=1, axis2=2) - 1.0)
+    lo = np.linalg.eigvalsh(m).min(axis=1)
+    herm_bad, tr_bad = herm > HERMITIAN, tr > TRACE
+    for i in np.flatnonzero(herm_bad | tr_bad | (lo < -PSD_FLOOR))[:1]:
+        problems = [text % v[i] for text, v, bad in (
+            ("not Hermitian (max deviation %.3e)", herm, herm_bad),
+            ("trace differs from 1 by %.3e", tr, tr_bad)) if bad[i]]
+        problems = problems or ["negative eigenvalue %.3e" % lo[i]]
+        raise InvalidStateError(
+            "invalid density matrix: " + "; ".join(problems), problems)
+    return m
 
 
 # The messages of the x_state_violations flags, in their order.
@@ -150,9 +154,6 @@ class XStateParams:
             if g < 0.0:
                 g += TWO_PI
             object.__setattr__(self, name, g)
-        self._check()
-
-    def _check(self):
         flags, trace_off = x_state_violations(
             self.rho11, self.rho22, self.rho33, self.rho44,
             self.rho14, self.rho23)
@@ -164,23 +165,12 @@ class XStateParams:
             )
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.rho11, self.rho22, self.rho33, self.rho44,
-             self.rho14, self.rho23, self.gamma14, self.gamma23]
-        )
+        return np.array([self.rho11, self.rho22, self.rho33, self.rho44,
+                         self.rho14, self.rho23, self.gamma14, self.gamma23])
 
     def to_matrix(self) -> DensityMatrix4:
-        m = np.zeros((4, 4), dtype=np.complex128)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = (
-            self.rho11, self.rho22, self.rho33, self.rho44,
-        )
-        c14 = self.rho14 * np.exp(1j * self.gamma14)
-        c23 = self.rho23 * np.exp(1j * self.gamma23)
-        m[0, 3] = c14
-        m[3, 0] = c14.conjugate()
-        m[1, 2] = c23
-        m[2, 1] = c23.conjugate()
-        return DensityMatrix4(m)
+        """One-row view of :func:`x_matrices`."""
+        return DensityMatrix4(x_matrices(self.as_array()[None])[0])
 
 
 def x_state_violations(r11, r22, r33, r44, r14, r23):
@@ -213,6 +203,23 @@ def check_x_rows(params: np.ndarray) -> None:
         XStateParams(*params[bad[0]].tolist())
 
 
+def _phases(params):
+    # The phase columns in [0, 2*pi), with the bits of XStateParams' rule.
+    g = np.fmod(params[:, 6:], TWO_PI)
+    return np.where(g < 0.0, g + TWO_PI, g)
+
+
+def x_matrices(params: np.ndarray) -> np.ndarray:
+    """The (n, 4, 4) matrices of an (n, 8) X-parameter array, unvalidated;
+    phases are normalized as :class:`XStateParams` does."""
+    c = params[:, 4:6] * np.exp(1j * _phases(params))
+    m = np.zeros((params.shape[0], 4, 4), dtype=np.complex128)
+    m[:, range(4), range(4)] = params[:, :4]
+    m[:, 0, 3], m[:, 1, 2] = c.T
+    m[:, 3, 0], m[:, 2, 1] = c.conj().T
+    return m
+
+
 @dataclass(frozen=True)
 class BlochForm:
     """Bloch decomposition: local vectors x, y and correlation tensor T."""
@@ -232,18 +239,16 @@ class BlochForm:
             raise InvalidStateError("correlation tensor entry exceeds 1")
 
 
+def bloch_components(m: np.ndarray):
+    """x, y (n, 3) and T (n, 3, 3) of an (n, 4, 4) stack by Pauli traces."""
+    c = np.trace(m[:, None, None] @ _PAULI_PRODUCTS, axis1=-2, axis2=-1).real
+    return c[:, 1:, 0], c[:, 0, 1:], c[:, 1:, 1:]
+
+
 def bloch_decompose(rho: DensityMatrix4) -> BlochForm:
-    """Extract x_i, y_i, T_ij as Pauli traces of a valid density matrix."""
-    m = rho.validate().matrix
-    x = np.empty(3)
-    y = np.empty(3)
-    T = np.empty((3, 3))
-    for i in range(3):
-        x[i] = np.trace(m @ _PAULI_PRODUCTS[i + 1, 0]).real
-        y[i] = np.trace(m @ _PAULI_PRODUCTS[0, i + 1]).real
-        for j in range(3):
-            T[i, j] = np.trace(m @ _PAULI_PRODUCTS[i + 1, j + 1]).real
-    return BlochForm(x, y, T)
+    """One-state view of :func:`bloch_components`, after validation."""
+    x, y, T = bloch_components(rho.validate().matrix[None])
+    return BlochForm(x[0], y[0], T[0])
 
 
 def bloch_compose(b: BlochForm) -> DensityMatrix4:
@@ -261,18 +266,26 @@ def bloch_compose(b: BlochForm) -> DensityMatrix4:
     return DensityMatrix4(m / 4.0)
 
 
+def x_bloch_components(params: np.ndarray):
+    """x, y (n, 3) and T (n, 3, 3) of an (n, 8) X-parameter array, from
+    the closed form; phases are normalized as in :func:`x_matrices`."""
+    g = _phases(params)
+    (c14, c23), (s14, s23) = 2.0 * np.cos(g).T, 2.0 * np.sin(g).T
+    r14, r23 = params[:, 4], params[:, 5]
+    x, y = np.zeros((2, params.shape[0], 3))
+    T = np.zeros((params.shape[0], 3, 3))
+    x[:, 2], y[:, 2], T[:, 2, 2] = z_bloch(*params[:, :4].T)
+    T[:, 0, 0] = c14 * r14 + c23 * r23
+    T[:, 0, 1] = s23 * r23 - s14 * r14
+    T[:, 1, 0] = -s14 * r14 - s23 * r23
+    T[:, 1, 1] = c23 * r23 - c14 * r14
+    return x, y, T
+
+
 def x_params_to_bloch(p: XStateParams) -> BlochForm:
-    """Seven nonzero Bloch components of an X state."""
-    c14, s14 = math.cos(p.gamma14), math.sin(p.gamma14)
-    c23, s23 = math.cos(p.gamma23), math.sin(p.gamma23)
-    x3, y3, t33 = z_bloch(p.rho11, p.rho22, p.rho33, p.rho44)
-    T = np.zeros((3, 3))
-    T[0, 0] = 2.0 * c14 * p.rho14 + 2.0 * c23 * p.rho23
-    T[0, 1] = -2.0 * s14 * p.rho14 + 2.0 * s23 * p.rho23
-    T[1, 0] = -2.0 * s14 * p.rho14 - 2.0 * s23 * p.rho23
-    T[1, 1] = -2.0 * c14 * p.rho14 + 2.0 * c23 * p.rho23
-    T[2, 2] = t33
-    return BlochForm((0.0, 0.0, x3), (0.0, 0.0, y3), T)
+    """One-state view of :func:`x_bloch_components`."""
+    x, y, T = x_bloch_components(p.as_array()[None])
+    return BlochForm(x[0], y[0], T[0])
 
 
 def matrix_to_x_params(rho: DensityMatrix4) -> XStateParams:

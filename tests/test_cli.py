@@ -10,9 +10,11 @@ import pytest
 
 import xqcorr
 from conftest import dense_state, forbid, perturb_a3
-from xqcorr import _kernels, cli, closest, dynamics, ensemble, quantifiers
+from xqcorr import (_kernels, cli, closest, dynamics, ensemble, quantifiers,
+                    states)
 from xqcorr.cli import main
-from xqcorr.states import XStateParams, parse_state_json, state_to_json_dict
+from xqcorr.states import (BlochForm, DensityMatrix4, XStateParams,
+                           parse_state_json, state_to_json_dict)
 
 BELL_JSON = json.dumps({
     "kind": "x", "rho11": 0.5, "rho22": 0.0, "rho33": 0.0, "rho44": 0.5,
@@ -268,6 +270,19 @@ class TestEvolve:
         gaps = np.sign(k1 - k3)
         assert int(np.sum(gaps[:-1] * gaps[1:] < 0)) >= 2
 
+    def test_state_within_the_slack_evolves(self, tmp_path):
+        # Its trace is 1e-12 off and rho14 sits at its block bound.  The
+        # identity map (t_max = 0) once moved the trace offset into rho44
+        # and exited 3: "outer block not positive".
+        psi = write(tmp_path, "slack.json", json.dumps(dict(
+            kind="x", rho11=0.14094998635382114, rho22=0.1729495252848196,
+            rho33=0.20320283659973007, rho44=0.4828976517626283,
+            rho14=0.260891581748499, rho23=0.1874668880828054)))
+        assert main(["analyze", psi, "--out", str(tmp_path / "a.json")]) == 0
+        assert main(["evolve", psi, "--gamma0", "1", "--lambda", "0.1",
+                     "--t-max", "0", "--steps", "2",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+
     def test_bad_steps(self, tmp_path, capsys):
         psi = write(tmp_path, "psi.json", BELL_JSON)
         assert main(["evolve", psi, "--gamma0", "1", "--lambda", "1",
@@ -359,25 +374,25 @@ class TestOracleCheck:
         assert main(["oracle-check", "--seed", "0", "--trials", "3"]) == 0
         assert capsys.readouterr().out == stdout
 
-    def test_solves_the_sampled_array_once(self, monkeypatch, capsys):
-        # One matrix per state, for the oracles only; no state objects are
-        # sampled and none is turned back into an array.
+    def test_builds_no_per_state_object(self, monkeypatch, capsys):
+        # The oracle path is array code from the sampled (n, 8) parameters
+        # to the (n, 3) errors: it builds no state, matrix, Bloch or pair
+        # object and calls none of their one-state views.
         argv = ["oracle-check", "--seed", "0", "--trials", "3"]
         assert main(argv) == 0
         plain = capsys.readouterr().out
         forbid(monkeypatch, ensemble, "sample_x_states")
-        forbid(monkeypatch, XStateParams, "as_array")
-        to_matrix = XStateParams.to_matrix
-        matrices = []
-
-        def counted(p):
-            matrices.append(p)
-            return to_matrix(p)
-
-        monkeypatch.setattr(XStateParams, "to_matrix", counted)
+        for cls in (XStateParams, DensityMatrix4, BlochForm,
+                    closest.ProductPair):
+            forbid(monkeypatch, cls, "__post_init__")
+        forbid(monkeypatch, XStateParams, "to_matrix", "as_array")
+        views = ("bloch_decompose", "x_params_to_bloch", "product_distance",
+                 "geometric_discord_general")
+        for module in (xqcorr, states, closest, quantifiers, cli):
+            forbid(monkeypatch, module,
+                   *(name for name in views if hasattr(module, name)))
         assert main(argv) == 0
         assert capsys.readouterr().out == plain
-        assert len(matrices) == 3
 
 
 class TestImports:
@@ -421,9 +436,9 @@ GOLDEN_SHA256 = {
     "hist.csv.meta.json":
         "6b2833d2194455ec566ecfefd8218becbf27614e977239897bced2d6eb5b62db",
     "evolve.csv":
-        "6e4e76255935eaf984c925934f6e815c07fdc006fcebbe7aa244d802b2b4b649",
+        "1800a2860a6a928f9b3ea397ce14f24f85f80c6a7d12230b01c8b0cc91379537",
     "evolve-overdamped.csv":
-        "56219963406aaeca624d9cb1087fb4201f7774416266da5ba2066c78232f7545",
+        "6b4c0f8c53a6a6104d45706e1ea9c0cf43d777ae836001f0728b414851306a73",
     "oracle-check":
         "5bbdf60d1b254fa58bd278bf234437cc04ed98e7e09cd9edc76d15d17f8ac4c2",
     "oracle.json":
@@ -432,7 +447,7 @@ GOLDEN_SHA256 = {
     "analyze-dense-x":
         "2707e18d5647095bf325ee5f46f78a137e4e0b4563ead0aba1f2b26f64e7a63f",
     "analyze-dense-nonx":
-        "24088e2729bb12d7322086727d03809d651107f2ab558c2a3c319b51c99e0a84",
+        "dc4c142c9885d26a9d45d2a8feae1012d13c6b428729931863fea8c3dcb8d17c",
     "analyze-bell.json":
         "c1c14e53a5ae17bdcce237ac422be059e6bf62dde6d9844f3f931d9a9c1ca9da",
     "hist-l.csv":
@@ -440,6 +455,62 @@ GOLDEN_SHA256 = {
     "hist-l.csv.meta.json":
         "d0d1454b414510b48052867f17562c10029340c8e2ddd07dcc5c7d68baff5c8c",
 }
+
+
+# Reruns golden commands and reports their stdout digests and the OpenBLAS
+# kernel in use, if this numpy build exposes its name.
+_KERNEL_CHILD = """
+import contextlib, ctypes, glob, hashlib, io, json, os, sys
+import numpy
+from xqcorr.cli import main
+digests = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    digests[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+core = None
+for lib in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                                  "numpy.libs", "*openblas64_*")):
+    get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        core = get().decode()
+print(json.dumps({"digests": digests, "core": core}))
+"""
+
+
+class TestCpuIndependence:
+    """Golden outputs do not depend on the CPU's BLAS kernel or on numpy's
+    SIMD loops.  Each setting acts on a child process alone."""
+
+    SETTINGS = (
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "Nehalem",
+         "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
+    )
+
+    def test_golden_digests_under_other_kernels(self, tmp_path):
+        dense = write(tmp_path, "dense-nonx.json",
+                      json.dumps(state_to_json_dict(dense_state(149))))
+        oracle_json = tmp_path / "oracle.json"
+        commands = {
+            "analyze-dense-nonx": ["analyze", dense],
+            "oracle-check": ["oracle-check", "--seed", "0", "--trials", "3",
+                             "--out", str(oracle_json)],
+        }
+        src = os.path.dirname(os.path.dirname(xqcorr.__file__))
+        for setting in self.SETTINGS:
+            oracle_json.unlink(missing_ok=True)
+            done = subprocess.run(
+                [sys.executable, "-c", _KERNEL_CHILD, json.dumps(commands)],
+                env=dict(os.environ, PYTHONPATH=src, **setting),
+                capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            child = json.loads(done.stdout)
+            assert child["core"] in (None, setting["OPENBLAS_CORETYPE"])
+            digests = dict(child["digests"], **{"oracle.json": hashlib.sha256(
+                oracle_json.read_bytes()).hexdigest()})
+            assert digests == {k: GOLDEN_SHA256[k] for k in digests}
 
 
 class TestGoldenBytes:

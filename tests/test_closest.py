@@ -201,11 +201,12 @@ class TestClosestProductGeneral:
         analytic = [closest_product_x(p) for p in states]
         forbid(monkeypatch, _kernels, "solve_a3b3", "batch_reports",
                "k_eigenvalues")
-        numeric = closest_products_general([p.to_matrix() for p in states],
-                                           range(len(states)))
-        for p, ana, num in zip(states, analytic, numeric):
+        numeric = closest_products_general(
+            np.array([p.to_matrix().matrix for p in states]),
+            range(len(states)))
+        for p, ana, num_a, num_b in zip(states, analytic, *numeric):
             bloch = x_params_to_bloch(p)
-            assert abs(product_distance(bloch, num)
+            assert abs(product_distance(bloch, ProductPair(num_a, num_b))
                        - product_distance(bloch, ana)) <= 1e-8
 
     def test_batching_changes_no_bit(self):
@@ -215,11 +216,12 @@ class TestClosestProductGeneral:
         seeds = [7 * i for i in range(len(states))]
         single = [closest_product_general(rho, seed=seed)
                   for rho, seed in zip(states, seeds)]
-        batched = closest_products_general(states, seeds)
-        assert len(batched) == len(states)
-        for one, many in zip(single, batched):
-            assert one.a.tobytes() == many.a.tobytes()
-            assert one.b.tobytes() == many.b.tobytes()
+        a, b = closest_products_general(
+            np.array([rho.matrix for rho in states]), seeds)
+        assert a.shape == b.shape == (len(states), 3)
+        for one, many_a, many_b in zip(single, a, b):
+            assert one.a.tobytes() == many_a.tobytes()
+            assert one.b.tobytes() == many_b.tobytes()
 
     def test_residual_above_bound_raises_with_best_pair(self, monkeypatch):
         monkeypatch.setattr(closest, "ORACLE_RESIDUAL", -1.0)

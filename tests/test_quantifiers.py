@@ -7,7 +7,7 @@ from conftest import SADDLE_STATES, dense_state, forbid, sample_states
 from xqcorr import _kernels, closest, quantifiers
 from xqcorr.closest import CaseId, closest_product_of_classical_x
 from xqcorr.ensemble import SamplerConfig, sample_x_arrays
-from xqcorr.errors import UnphysicalParametersError
+from xqcorr.errors import InvalidStateError, UnphysicalParametersError
 from xqcorr.quantifiers import (
     REPORT_CSV_HEADER,
     bell_diagonal_quantifiers,
@@ -265,7 +265,8 @@ class TestMeasurementOracle:
         states += [BELL.to_matrix(), *(p.to_matrix() for p in SADDLE_STATES),
                    dense_state(149)]
         single = [discord_measurement_oracle(rho) for rho in states]
-        batched = discord_measurement_oracles(states)
+        batched = discord_measurement_oracles(
+            np.array([rho.matrix for rho in states]))
         assert batched.tobytes() == np.array(single).tobytes()
 
     def test_independent_of_the_k_matrix(self, monkeypatch):
@@ -275,8 +276,8 @@ class TestMeasurementOracle:
         forbid(monkeypatch, quantifiers, "geometric_discord_general")
         forbid(monkeypatch, closest, "k_matrix_general")
         forbid(monkeypatch, _kernels, "k_eigenvalues")
-        measured = discord_measurement_oracles([p.to_matrix()
-                                                for p in states])
+        measured = discord_measurement_oracles(
+            np.array([p.to_matrix().matrix for p in states]))
         assert np.all(np.abs(measured - closed) <= 1e-6)
 
     def test_grid_density_floor(self):
@@ -354,6 +355,30 @@ class TestDegenerateFamilies:
                   + 2.0 * np.sum(pool[:, 4:6] ** 2, axis=1))
         order = np.argsort(-purity, kind="stable")
         self.assert_oracles_agree(pool[order[:self.COUNT]])
+
+
+class TestOracleErrors:
+    def test_invalid_row_raises_the_xstateparams_error(self):
+        params, _ = sample_x_arrays(SamplerConfig(seed=167, count=4))
+        params[2, 4] = 1.0
+        with pytest.raises(InvalidStateError) as want:
+            XStateParams(*params[2])
+        with pytest.raises(InvalidStateError) as got:
+            oracle_errors(params, 0)
+        assert str(got.value) == str(want.value)
+
+    def test_phases_are_normalized_first(self):
+        params, _ = sample_x_arrays(SamplerConfig(seed=173, count=6))
+        shifted = params.copy()
+        shifted[:, 6:] += np.array([-50.0, -2.0, 0.0, 2.0, 7.0, 300.0]
+                                   )[:, None] * np.pi
+        normalized = np.fmod(shifted[:, 6:], 2.0 * np.pi)
+        normalized[normalized < 0.0] += 2.0 * np.pi
+        assert not np.array_equal(normalized, shifted[:, 6:])
+        expected = shifted.copy()
+        expected[:, 6:] = normalized
+        assert (oracle_errors(shifted, 0).tobytes()
+                == oracle_errors(expected, 0).tobytes())
 
 
 class TestReportSerialization:

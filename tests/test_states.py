@@ -1,23 +1,31 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import sample_states
+from conftest import dense_state, sample_states
+from xqcorr.closest import k_matrices
+from xqcorr.ensemble import SamplerConfig, sample_x_arrays
 from xqcorr.errors import InvalidStateError, NotAnXStateError
+from xqcorr.quantifiers import geometric_discords
 from xqcorr.states import (
     ID2,
     PAULI,
     BlochForm,
     DensityMatrix4,
     XStateParams,
+    bloch_components,
     bloch_compose,
     bloch_decompose,
+    check_densities,
     check_x_rows,
     matrix_to_x_params,
     parse_state_json,
     state_to_json_dict,
+    x_bloch_components,
+    x_matrices,
     x_params_to_bloch,
 )
 
@@ -74,6 +82,81 @@ class TestBlochDecompose:
         bad = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
         with pytest.raises(InvalidStateError):
             bloch_decompose(DensityMatrix4(bad))
+
+
+def _scalar_x_matrix(p):
+    # The per-state arithmetic x_matrices replaced, as the reference.
+    m = np.zeros((4, 4), dtype=np.complex128)
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = p.rho11, p.rho22, p.rho33, p.rho44
+    c14 = p.rho14 * np.exp(1j * p.gamma14)
+    c23 = p.rho23 * np.exp(1j * p.gamma23)
+    m[0, 3], m[3, 0], m[1, 2], m[2, 1] = (c14, c14.conjugate(),
+                                          c23, c23.conjugate())
+    return m
+
+
+def _scalar_x_bloch(p):
+    # The per-state arithmetic x_bloch_components replaced, with math.cos.
+    c14, s14 = math.cos(p.gamma14), math.sin(p.gamma14)
+    c23, s23 = math.cos(p.gamma23), math.sin(p.gamma23)
+    T = np.zeros((3, 3))
+    T[0, 0] = 2.0 * c14 * p.rho14 + 2.0 * c23 * p.rho23
+    T[0, 1] = -2.0 * s14 * p.rho14 + 2.0 * s23 * p.rho23
+    T[1, 0] = -2.0 * s14 * p.rho14 - 2.0 * s23 * p.rho23
+    T[1, 1] = -2.0 * c14 * p.rho14 + 2.0 * c23 * p.rho23
+    T[2, 2] = p.rho11 - p.rho22 - p.rho33 + p.rho44
+    return (np.array([0.0, 0.0, p.rho11 + p.rho22 - p.rho33 - p.rho44]),
+            np.array([0.0, 0.0, p.rho11 - p.rho22 + p.rho33 - p.rho44]), T)
+
+
+class TestStackedForms:
+    """Each stacked form gives, row by row, the bits of the per-state
+    arithmetic it replaced; the one-state views are its rows."""
+
+    PARAMS = np.concatenate([
+        sample_x_arrays(SamplerConfig(seed=seed, count=400))[0]
+        for seed in (0, 1, 3, 5)])
+
+    def test_x_matrices(self):
+        states = [XStateParams(*row) for row in self.PARAMS.tolist()]
+        stacked = x_matrices(self.PARAMS)
+        assert stacked.tobytes() == np.array(
+            [_scalar_x_matrix(p) for p in states]).tobytes()
+        assert stacked[7].tobytes() == states[7].to_matrix().matrix.tobytes()
+
+    def test_bloch_components(self):
+        m = np.concatenate([x_matrices(self.PARAMS[::4]),
+                            dense_state(149).matrix[None]])
+        stacked = bloch_components(m)
+        reference = zip(*(pauli_trace_oracle(mi) for mi in m))
+        for got, want in zip(stacked, reference):
+            assert got.tobytes() == np.array(want).tobytes()
+        b = bloch_decompose(DensityMatrix4(m[-1]))
+        assert b.T.tobytes() == stacked[2][-1].tobytes()
+
+    def test_x_bloch_components(self):
+        states = [XStateParams(*row) for row in self.PARAMS.tolist()]
+        stacked = x_bloch_components(self.PARAMS)
+        reference = zip(*(_scalar_x_bloch(p) for p in states))
+        for got, want in zip(stacked, reference):
+            assert got.tobytes() == np.array(want).tobytes()
+        b = x_params_to_bloch(states[7])
+        assert b.T.tobytes() == stacked[2][7].tobytes()
+
+    def test_k_matrices_and_discords(self):
+        m = np.concatenate([x_matrices(self.PARAMS),
+                            dense_state(149).matrix[None]])
+        x, _, T = bloch_components(m)
+        K, eigs = k_matrices(x, T)
+        discords = geometric_discords(x, T)
+        for i in range(len(m)):
+            k = np.outer(x[i], x[i]) + T[i] @ T[i].T
+            kmax = np.linalg.eigvalsh(k)[-1]
+            assert K[i].tobytes() == k.tobytes()
+            assert eigs[i, 0] == kmax
+            assert discords[i] == 0.25 * (float(np.sum(x[i] * x[i]))
+                                          + float(np.sum(T[i] * T[i]))
+                                          - kmax)
 
 
 class TestBlochCompose:
@@ -300,6 +383,46 @@ class TestCheckXRows:
             with pytest.raises(InvalidStateError) as exc:
                 check_x_rows(rows)
             assert str(exc.value) == _scalar_message(row)
+
+class TestCheckDensities:
+    MIXED_MATRIX = np.eye(4, dtype=np.complex128) / 4.0
+    NON_HERMITIAN = MIXED_MATRIX + np.diag([2e-9, 0, 0], 1)
+    WRONG_TRACE = MIXED_MATRIX * (1.0 + 4e-9)
+    NOT_POSITIVE = np.diag([0.5, 0.5, 0.25, -0.25]).astype(np.complex128)
+    MESSAGES = {
+        "not Hermitian (max deviation 2.000e-09)": NON_HERMITIAN,
+        "trace differs from 1 by 4.000e-09": WRONG_TRACE,
+        "negative eigenvalue -2.500e-01": NOT_POSITIVE,
+    }
+
+    def test_messages(self):
+        for problem, m in self.MESSAGES.items():
+            with pytest.raises(InvalidStateError) as exc:
+                check_densities(m[None])
+            assert str(exc.value) == "invalid density matrix: " + problem
+            assert exc.value.violations == (problem,)
+
+    def test_first_bad_matrix_raises_its_validate_error(self):
+        for bad in itertools.permutations(self.MESSAGES.values()):
+            stack = np.array([self.MIXED_MATRIX, bad[0], self.MIXED_MATRIX,
+                              bad[1], bad[2]])
+            with pytest.raises(InvalidStateError) as want:
+                DensityMatrix4(bad[0]).validate()
+            with pytest.raises(InvalidStateError) as got:
+                check_densities(stack)
+            assert str(got.value) == str(want.value)
+            assert got.value.violations == want.value.violations
+
+    def test_both_shape_problems_in_one_message(self):
+        with pytest.raises(InvalidStateError) as exc:
+            check_densities((self.NON_HERMITIAN * (1.0 + 4e-9))[None])
+        assert len(exc.value.violations) == 2
+
+    def test_valid_stack_is_returned(self):
+        stack = np.array([p.to_matrix().matrix
+                          for p in sample_states(seed=5, count=10)])
+        assert check_densities(stack) is stack
+
 
 class TestStateJson:
     def test_x_roundtrip(self):
