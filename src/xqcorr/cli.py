@@ -42,9 +42,10 @@ from .quantifiers import (
     write_text,
 )
 from .states import (
+    BlochForm,
     DensityMatrix4,
     XStateParams,
-    bloch_decompose,
+    bloch_components,
     load_state_file,
     matrix_to_x_params,
 )
@@ -80,7 +81,9 @@ def _cmd_analyze(args) -> int:
         try:
             state = matrix_to_x_params(state)
         except NotAnXStateError:
-            bloch = bloch_decompose(state)
+            # matrix_to_x_params validated it; BlochForm checks the rest.
+            x, y, T = bloch_components(state.matrix[None])
+            bloch = BlochForm(x[0], y[0], T[0])
             doc = {
                 "dg": geometric_discord_general(bloch),
                 "note": "input is not an X state; only the geometric "

@@ -30,10 +30,11 @@ from .states import (
     ID2,
     PAULI,
     XStateParams,
+    block_least_eigenvalue,
     bloch_components,
     check_x_rows,
 )
-from .tolerances import BLOCH_BOUND, BLOCK_POSITIVITY, ORACLE_RESIDUAL
+from .tolerances import BLOCH_BOUND, ORACLE_RESIDUAL, PSD_FLOOR
 
 
 class CaseId(enum.IntEnum):
@@ -159,20 +160,20 @@ def closest_classical_rows(params: np.ndarray, case) -> np.ndarray:
     ``case`` holds each row's :class:`CaseId`.  Case 1 keeps the diagonal
     and drops the coherences; case 2 is the state with diagonal
     ((1 + y3)/4, (1 - y3)/4, (1 + y3)/4, (1 - y3)/4), both coherences
-    (rho14 + rho23)/2 and the original phases.  Each coherence of a valid
-    state may pass its block bound by the ``BLOCK_POSITIVITY`` slack, and
-    then their mean can pass the bound sqrt(rho11 rho44) = sqrt(rho22 rho33)
-    of the classical state by more than the slack; only such a coherence is
-    replaced by the bound.  The rows are not validated.  The arithmetic is
-    elementwise, so an array of Python numbers (dtype object) gives the
-    bits of float64 and keeps each number's type.
+    (rho14 + rho23)/2 and the original phases.  Where that mean coherence
+    takes the classical state's block below -``PSD_FLOOR``, the floor a
+    valid state's blocks meet, it is replaced by the block bound
+    sqrt(rho11 rho44) = sqrt(rho22 rho33).  The rows are not validated.
+    The arithmetic is elementwise, so an array of Python numbers (dtype
+    object) gives the bits of float64 and keeps each number's type.
     """
     r11, r22, r33, r44, r14, r23, g14, g23 = params.T
     y3 = _kernels.z_bloch(r11, r22, r33, r44)[1]
     coh = 0.5 * (r14 + r23)
     hi = 0.25 * (1.0 + y3)
     lo = 0.25 * (1.0 - y3)
-    past = coh * coh > hi * lo + BLOCK_POSITIVITY
+    past = block_least_eigenvalue(
+        *(np.asarray(v, dtype=np.float64) for v in (hi, lo, coh))) < -PSD_FLOOR
     if past.any():
         bound = np.sqrt(np.maximum(hi * lo, 0.0).astype(np.float64))
         coh = np.where(past, bound.astype(coh.dtype), coh)

@@ -312,46 +312,38 @@ def _descend_on_sphere(m, n):
     return best
 
 
-def _measurement_grid(grid_density):
-    # Rows i < grid_density/2 of the (theta, phi) grid, flattened row by
-    # row.  Row (i, j) and row (grid_density-1-i, j+grid_density/2) are
-    # antipodes, n and -n, whose measurements pinch alike; the first of
-    # each pair is in the rows kept.
-    thetas = math.pi * (np.arange(grid_density // 2) + 0.5) / grid_density
-    phis = 2.0 * math.pi * np.arange(grid_density) / grid_density
+def _measurement_grid():
+    # Rows i < 32 of the 64 x 64 (theta, phi) grid, flattened row by row.
+    # Row (i, j) and row (63-i, j+32) are antipodes, n and -n, whose
+    # measurements pinch alike; the first of each pair is in the rows kept.
+    thetas = math.pi * (np.arange(32) + 0.5) / 64
+    phis = 2.0 * math.pi * np.arange(64) / 64
     ct, cp = np.meshgrid(np.cos(thetas), np.cos(phis), indexing="ij")
     st, sp = np.meshgrid(np.sin(thetas), np.sin(phis), indexing="ij")
     return np.stack([(st * cp).ravel(), (st * sp).ravel(), ct.ravel()],
                     axis=1)
 
 
-def discord_measurement_oracles(states, grid_density: int = 64) -> np.ndarray:
+def discord_measurement_oracles(states) -> np.ndarray:
     """Geometric discord of each state by minimization over measurements.
 
     ``states`` is an (S, 4, 4) array of valid density matrices.  Each
-    state's measurement directions are scanned on a ``grid_density`` x
-    ``grid_density`` (theta, phi) grid, computing ||rho - Pi^A(rho)||^2 by
-    explicit matrix pinching (:func:`xqcorr._kernels.pinched_distances`,
-    through :func:`xqcorr._kernels.measurement_scan`).  Only the rows with
-    theta < pi/2 are scanned: the grid holds every direction's antipode,
-    and n and -n give the same measurement, so ``grid_density`` must be
-    even (and at least 64).  The best grid point of each state is then
-    refined by a deterministic saddle-free Newton descent over unit
-    vectors, with derivatives taken by finite differences of the pinched
-    distance; the descent runs on all states at once, in batches of a
-    fixed size.  A saddle of the distance can lie within the grid's
+    state's measurement directions are scanned on the theta < pi/2 half of
+    a 64 x 64 (theta, phi) grid (n and -n measure alike), computing
+    ||rho - Pi^A(rho)||^2 by explicit matrix pinching
+    (:func:`xqcorr._kernels.pinched_distances`, through
+    :func:`xqcorr._kernels.measurement_scan`).  The best grid point of
+    each state is then refined by a deterministic saddle-free Newton descent
+    over unit vectors, with derivatives taken by finite differences of the
+    pinched distance; the descent runs on all states at once, in batches
+    of a fixed size.  A saddle of the distance can lie within the grid's
     resolution of the minimum, up to ~2e-4 above it; the descent leaves
     such a saddle along its negative curvature.  Returns the smallest
     distance evaluated for each state, as a float array; no state's value
     depends on the states batched with it.  Validation oracle: independent
     of the K-matrix closed form.
     """
-    if grid_density < 64:
-        raise ValueError("grid_density must be at least 64")
-    if grid_density % 2:
-        raise ValueError("grid_density must be even: the scan keeps one "
-                         "of each pair of antipodal grid directions")
-    grid = _measurement_grid(grid_density)
+    grid = _measurement_grid()
     best = np.empty(len(states))
     starts = np.empty((len(states), 3))
     for i, m in enumerate(states):
@@ -363,10 +355,9 @@ def discord_measurement_oracles(states, grid_density: int = 64) -> np.ndarray:
     return best
 
 
-def discord_measurement_oracle(rho, grid_density: int = 64) -> float:
+def discord_measurement_oracle(rho) -> float:
     """Validated one-state view of :func:`discord_measurement_oracles`."""
-    return float(discord_measurement_oracles(rho.validate().matrix[None],
-                                             grid_density)[0])
+    return float(discord_measurement_oracles(rho.validate().matrix[None])[0])
 
 
 def oracle_errors(params: np.ndarray, seed: int) -> np.ndarray:

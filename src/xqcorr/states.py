@@ -30,8 +30,8 @@ import numpy as np
 
 from ._kernels import z_bloch
 from .errors import InvalidStateError, NotAnXStateError
-from .tolerances import (BLOCH_BOUND, BLOCK_POSITIVITY, HERMITIAN,
-                         PROB_FLOOR, PSD_FLOOR, TRACE, X_PATTERN)
+from .tolerances import (BLOCH_BOUND, HERMITIAN, PSD_FLOOR, TRACE,
+                         X_PATTERN)
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,13 +116,12 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     return m
 
 
-# The messages of the x_state_violations flags, in their order.
+# The messages of the x_state_violations flags, formatting its values.
 _VIOLATIONS = (
-    "negative diagonal entry",
-    "diagonal sums to 1 off by {:.3e}",
+    "diagonal sums to 1 off by {0:.3e}",
     "coherence magnitudes must be nonnegative",
-    "outer block not positive: rho14^2 > rho11*rho44",
-    "inner block not positive: rho23^2 > rho22*rho33",
+    "outer block not positive: least eigenvalue {1:.3e}",
+    "inner block not positive: least eigenvalue {2:.3e}",
 )
 
 
@@ -154,11 +153,11 @@ class XStateParams:
             if g < 0.0:
                 g += TWO_PI
             object.__setattr__(self, name, g)
-        flags, trace_off = x_state_violations(
+        flags, values = x_state_violations(
             self.rho11, self.rho22, self.rho33, self.rho44,
             self.rho14, self.rho23)
         if any(flags):
-            problems = [text.format(trace_off)
+            problems = [text.format(*values)
                         for text, bad in zip(_VIOLATIONS, flags) if bad]
             raise InvalidStateError(
                 "invalid X-state parameters: " + "; ".join(problems), problems
@@ -173,20 +172,30 @@ class XStateParams:
         return DensityMatrix4(x_matrices(self.as_array()[None])[0])
 
 
-def x_state_violations(r11, r22, r33, r44, r14, r23):
-    """The five X-state thresholds, on floats or numpy columns alike.
+def block_least_eigenvalue(a, b, c):
+    """Least eigenvalue (a + b)/2 - sqrt(((a - b)/2)^2 + c^2) of [[a, c],
+    [c, b]], on floats or arrays with the same bits: both square roots are
+    correctly rounded.  With c = 0 it is min(a, b), up to rounding."""
+    h = 0.5 * (a - b)
+    s = h * h + c * c
+    return 0.5 * (a + b) - (math.sqrt(s) if isinstance(s, float)
+                            else np.sqrt(s))
 
-    Returns one violation flag per threshold (negative diagonal, trace,
-    negative coherence, outer block, inner block) and |trace - 1|.  Floats
-    and arrays get the same bits; NaN violates nothing, so check finiteness.
+
+def x_state_violations(r11, r22, r33, r44, r14, r23):
+    """The four X-state thresholds, on floats or numpy columns alike.
+
+    Returns one flag per threshold (trace, negative coherence, outer and
+    inner block) and the values (|trace - 1|, each block's least
+    eigenvalue).  The matrix's eigenvalues are its blocks', so a block
+    fails below -``PSD_FLOOR`` as in :func:`check_densities`.  Floats and
+    arrays get the same bits; NaN violates nothing, so check finiteness.
     """
     trace_off = abs(r11 + r22 + r33 + r44 - 1.0)
-    return ((r11 < -PROB_FLOOR) | (r22 < -PROB_FLOOR)
-            | (r33 < -PROB_FLOOR) | (r44 < -PROB_FLOOR),
-            trace_off > TRACE,
-            (r14 < 0.0) | (r23 < 0.0),
-            r14 * r14 > r11 * r44 + BLOCK_POSITIVITY,
-            r23 * r23 > r22 * r33 + BLOCK_POSITIVITY), trace_off
+    outer = block_least_eigenvalue(r11, r44, r14)
+    inner = block_least_eigenvalue(r22, r33, r23)
+    return (trace_off > TRACE, (r14 < 0.0) | (r23 < 0.0),
+            outer < -PSD_FLOOR, inner < -PSD_FLOOR), (trace_off, outer, inner)
 
 
 def check_x_rows(params: np.ndarray) -> None:

@@ -9,12 +9,8 @@ and step counts stay inside the algorithms that use them.
 HERMITIAN = 1e-12
 # Unit trace: |Tr(rho) - 1|.
 TRACE = 1e-12
-# Positive semidefiniteness: eigenvalues >= -PSD_FLOOR.
+# Positivity: eigenvalues >= -PSD_FLOOR, of a matrix or an X state's blocks.
 PSD_FLOOR = 1e-10
-# Probability floor for X-state diagonals (>= -PROB_FLOOR).
-PROB_FLOOR = 1e-12
-# 2x2 block positivity: rho14^2 <= rho11*rho44 + BLOCK_POSITIVITY.
-BLOCK_POSITIVITY = 1e-12
 # Magnitude allowed on non-X entries of a dense matrix.
 X_PATTERN = 1e-10
 # Bloch vector / correlation tensor bound: <= 1 + BLOCH_BOUND.

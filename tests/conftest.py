@@ -9,6 +9,7 @@ from xqcorr import _kernels
 from xqcorr.closest import CaseId
 from xqcorr.ensemble import PhaseMode, SamplerConfig, sample_x_states
 from xqcorr.states import DensityMatrix4, XStateParams
+from xqcorr.tolerances import PSD_FLOOR, TRACE
 
 # Two states in which the z axis is a saddle of the pinched distance,
 # 2.1e-4 and 1.3e-5 above the minimum: the 64 x 64 measurement grid puts
@@ -38,6 +39,37 @@ def dense_state(seed):
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = g @ g.conj().T
     return DensityMatrix4(m / m.trace().real)
+
+
+def threshold_rows(seed, count):
+    """(count, 8) X-parameter rows that straddle the validation thresholds.
+
+    Each block's least eigenvalue is drawn uniformly in
+    [-2 PSD_FLOOR, 0], or at its smaller diagonal entry if that is lower,
+    by setting the coherence to sqrt((a - lam)(b - lam)).  A quarter of the
+    rows have one block of trace 1e-4, a quarter one diagonal entry drawn
+    in [-2 PSD_FLOOR, 0], and every trace is off by up to TRACE.  Rows are
+    not filtered: about four in five of them fail a block.
+    """
+    rng = np.random.default_rng(seed)
+    d = rng.dirichlet(np.ones(4), size=count)
+    rows = np.arange(count)
+    small = rows[rng.random(count) < 0.25]
+    pair = rng.integers(2, size=small.size)
+    blocks = np.array([[0, 3], [1, 2]])
+    for cols, total in ((blocks[pair], 1e-4), (blocks[1 - pair], 1.0 - 1e-4)):
+        d[small[:, None], cols] *= (
+            total / d[small[:, None], cols].sum(axis=1, keepdims=True))
+    low = rows[rng.random(count) < 0.25]
+    d[low, rng.integers(4, size=low.size)] = rng.uniform(
+        -2.0 * PSD_FLOOR, 0.0, low.size)
+    top = np.argmax(d, axis=1)
+    d[rows, top] += 1.0 - d.sum(axis=1) + rng.uniform(-TRACE, TRACE, count)
+    a, b = d[:, [0, 1]], d[:, [3, 2]]
+    lam = np.minimum(rng.uniform(-2.0 * PSD_FLOOR, 0.0, (count, 2)),
+                     np.minimum(a, b))
+    return np.column_stack([d, np.sqrt((a - lam) * (b - lam)),
+                            rng.uniform(0.0, 2.0 * math.pi, (count, 2))])
 
 
 def f2_profile(x3, y3, t33, a3, b3):

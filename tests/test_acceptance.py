@@ -165,7 +165,8 @@ def test_criterion_6_measurement_oracle():
         states = sample_x_states(SamplerConfig(seed=13, count=50))
         for p in states:
             closed = geometric_discord_general(x_params_to_bloch(p))
-            measured = discord_measurement_oracle(p.to_matrix(), 64)
+            # The oracle scans a fixed 64 x 64 measurement grid.
+            measured = discord_measurement_oracle(p.to_matrix())
             assert abs(measured - closed) <= 1e-6
 
 

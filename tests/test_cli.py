@@ -14,7 +14,7 @@ from xqcorr import (_kernels, cli, closest, dynamics, ensemble, quantifiers,
                     states)
 from xqcorr.cli import main
 from xqcorr.states import (BlochForm, DensityMatrix4, XStateParams,
-                           parse_state_json, state_to_json_dict)
+                           parse_state_json, state_to_json_dict, x_matrices)
 
 BELL_JSON = json.dumps({
     "kind": "x", "rho11": 0.5, "rho22": 0.0, "rho33": 0.0, "rho44": 0.5,
@@ -110,11 +110,11 @@ class TestAnalyze:
         assert main(["analyze", f]) == 3
 
     def test_classical_mean_past_the_block_bound(self, tmp_path, capsys):
-        # Each coherence is 9e-13 past its block bound, which XStateParams
-        # accepts; their mean, the closest classical state's coherence,
-        # would land about 1.2e-11 past the classical state's bound.
-        values = (0.01, 0.49, 0.49, 0.01, math.sqrt(1e-4 + 9e-13),
-                  math.sqrt(0.2401 + 9e-13))
+        # Both blocks' least eigenvalues sit at -PSD_FLOOR, which
+        # XStateParams accepts; their mean coherence, the closest classical
+        # state's, would take its block to -1.0025e-10, past the floor.
+        values = (0.3, 0.20000000000049947, 0.20000000000049947, 0.3,
+                  0.3000000000999999, 0.20000000010049937)
         state = dict(zip(("rho11", "rho22", "rho33", "rho44", "rho14",
                           "rho23"), values), kind="x")
         XStateParams(*values)
@@ -126,6 +126,44 @@ class TestAnalyze:
         assert doc["case"] == 2
         chi = XStateParams(**doc["closest_classical"])
         assert chi.rho14 == chi.rho23 == math.sqrt(chi.rho11 * chi.rho44)
+
+    def test_x_and_dense_forms_exit_alike(self, tmp_path):
+        # rho33 = -1e-12 and rho23^2 > rho22 rho33: the inner block's least
+        # eigenvalue is -1.05e-9.  The X form once exited 0, and its own
+        # dense matrix 3 ("negative eigenvalue -1.050e-09").
+        values = [0.40298448999485303, 0.0002266008471624208, -1e-12,
+                  0.5967889091597588, 0.49040460253989065,
+                  4.876352510675811e-07, 5.455702749704525,
+                  5.143443821535083]
+        x_doc = dict(zip(("rho11", "rho22", "rho33", "rho44", "rho14",
+                          "rho23", "gamma14", "gamma23"), values), kind="x")
+        m = x_matrices(np.array([values]))[0]
+        dense_doc = {"kind": "dense", "re": m.real.tolist(),
+                     "im": m.imag.tolist()}
+        codes = set()
+        for name, doc in (("x.json", x_doc), ("dense.json", dense_doc)):
+            f = write(tmp_path, name, json.dumps(doc))
+            codes.add(main(["analyze", f, "--out", str(tmp_path / "a")]))
+            codes.add(main(["evolve", f, "--gamma0", "1", "--lambda", "0.1",
+                            "--t-max", "1", "--steps", "3",
+                            "--out", str(tmp_path / "t.csv")]))
+        assert codes == {3}
+
+    def test_dense_state_is_validated_once(self, tmp_path, monkeypatch,
+                                           capsys):
+        calls = []
+        check = states.check_densities
+
+        def counted(m):
+            calls.append(len(m))
+            return check(m)
+
+        monkeypatch.setattr(states, "check_densities", counted)
+        f = write(tmp_path, "dense.json",
+                  json.dumps(state_to_json_dict(dense_state(149))))
+        assert main(["analyze", f]) == 0
+        assert calls == [1]
+        assert "only the geometric discord" in capsys.readouterr().out
 
     def test_missing_file(self):
         assert main(["analyze", "/nonexistent/state.json"]) == 2
@@ -492,24 +530,40 @@ class TestCpuIndependence:
     def test_golden_digests_under_other_kernels(self, tmp_path):
         dense = write(tmp_path, "dense-nonx.json",
                       json.dumps(state_to_json_dict(dense_state(149))))
-        oracle_json = tmp_path / "oracle.json"
-        commands = {
+        psi = write(tmp_path, "psi.json", FIG3_JSON)
+        # Commands checked by their stdout, then by the file they write.
+        printed = {
             "analyze-dense-nonx": ["analyze", dense],
             "oracle-check": ["oracle-check", "--seed", "0", "--trials", "3",
-                             "--out", str(oracle_json)],
+                             "--out", str(tmp_path / "oracle.json")],
         }
+        written = {name: argv + ["--out", str(tmp_path / name)]
+                   for name, argv in {
+            "sample.csv": ["sample", "--seed", "7", "--count", "50"],
+            "sample-case2.csv": ["sample", "--seed", "7", "--count", "2000",
+                                 "--case", "2"],
+            "evolve.csv": ["evolve", psi, "--gamma0", "1.0", "--lambda",
+                           "0.01", "--t-max", "50", "--steps", "200"],
+            "evolve-overdamped.csv": ["evolve", psi, "--gamma0", "1.0",
+                                      "--lambda", "5", "--t-max", "20",
+                                      "--steps", "200"],
+        }.items()}
+        files = ["oracle.json", *written]
         src = os.path.dirname(os.path.dirname(xqcorr.__file__))
         for setting in self.SETTINGS:
-            oracle_json.unlink(missing_ok=True)
+            for name in files:
+                (tmp_path / name).unlink(missing_ok=True)
             done = subprocess.run(
-                [sys.executable, "-c", _KERNEL_CHILD, json.dumps(commands)],
+                [sys.executable, "-c", _KERNEL_CHILD,
+                 json.dumps({**printed, **written})],
                 env=dict(os.environ, PYTHONPATH=src, **setting),
                 capture_output=True, text=True, timeout=60)
             assert done.returncode == 0, done.stderr
             child = json.loads(done.stdout)
             assert child["core"] in (None, setting["OPENBLAS_CORETYPE"])
-            digests = dict(child["digests"], **{"oracle.json": hashlib.sha256(
-                oracle_json.read_bytes()).hexdigest()})
+            digests = {name: child["digests"][name] for name in printed}
+            digests.update({name: hashlib.sha256(
+                (tmp_path / name).read_bytes()).hexdigest() for name in files})
             assert digests == {k: GOLDEN_SHA256[k] for k in digests}
 
 

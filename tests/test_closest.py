@@ -41,9 +41,12 @@ from xqcorr.tolerances import BLOCH_BOUND
 
 BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 WITNESS = XStateParams(0.5, 0.1, 0.1, 0.3, 0.35, 0.05)
-# A case-2 state whose coherences are each 9e-13 past their block bound.
-PAST_MEAN_STATE = (0.01, 0.49, 0.49, 0.01, math.sqrt(1e-4 + 9e-13),
-                   math.sqrt(0.2401 + 9e-13))
+# A case-2 state, trace 1 + 1e-12, whose blocks' least eigenvalues are
+# both -0.99999897e-10, at the validation floor, with (rho11 + e)/(rho44 + e)
+# = (rho33 + e)/(rho22 + e) at e = 1e-10: the mean coherence takes the
+# classical state's block to -1.0025e-10, past the floor.
+PAST_MEAN_STATE = (0.3, 0.20000000000049947, 0.20000000000049947, 0.3,
+                   0.3000000000999999, 0.20000000010049937)
 
 
 class TestKEigenvalues:
@@ -282,8 +285,8 @@ class TestClosestClassical:
             assert d_sel <= d_alt + 1e-12
 
     def test_mean_coherence_past_the_block_bound_takes_the_bound(self):
-        # Each coherence is within the BLOCK_POSITIVITY slack of its block,
-        # but their mean lands about 1.2e-11 past the classical state's.
+        # Each block of the state is at the floor -PSD_FLOOR, and the mean
+        # coherence takes the classical state's block past it.
         p = XStateParams(*PAST_MEAN_STATE)
         assert k_eigenvalues_x(p).case_id is CaseId.CASE2
         mean = 0.5 * (p.rho14 + p.rho23)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sample_states
+from conftest import sample_states, threshold_rows
 from xqcorr import _kernels
 from xqcorr.cli import main
 from xqcorr.dynamics import (
@@ -18,7 +18,6 @@ from xqcorr.dynamics import (
 )
 from xqcorr.quantifiers import csv_float
 from xqcorr.states import XStateParams, state_to_json_dict, x_state_violations
-from xqcorr.tolerances import BLOCK_POSITIVITY, PROB_FLOOR, TRACE
 
 FIG3_INITIAL = XStateParams(2.0 / 3.0, 0.0, 0.0, 1.0 / 3.0,
                             math.sqrt(2.0) / 3.0, 0.0)
@@ -162,19 +161,10 @@ class TestEvolve:
 
 
 def _slack_rows(seed, count):
-    # X-state rows on the validation thresholds: a quarter with a diagonal
-    # entry at -PROB_FLOOR, every trace off by up to TRACE and every
-    # coherence within BLOCK_POSITIVITY of its block bound, on either side.
-    # Rows that validation rejects are dropped.
-    rng = np.random.default_rng(seed)
-    d = rng.dirichlet(np.ones(4), size=count)
-    low = rng.random(count) < 0.25
-    d[low, rng.integers(3, size=count)[low]] = -PROB_FLOOR
-    d[:, 3] += 1.0 - d.sum(axis=1) + rng.uniform(-TRACE, TRACE, count)
-    blocks = np.stack([d[:, 0] * d[:, 3], d[:, 1] * d[:, 2]], axis=1)
-    slack = rng.uniform(-1.0, 1.0, blocks.shape) * BLOCK_POSITIVITY
-    rows = np.column_stack([d, np.sqrt(np.maximum(blocks + slack, 0.0)),
-                            rng.uniform(0.0, 2.0 * math.pi, (count, 2))])
+    # The rows of threshold_rows that validation accepts: blocks with least
+    # eigenvalues down to -PSD_FLOOR, some of trace 1e-4, diagonal entries
+    # down to -PSD_FLOOR and traces off by up to TRACE.
+    rows = threshold_rows(seed, count)
     flags, _ = x_state_violations(*rows[:, :6].T)
     return rows[~np.any(flags, axis=0)]
 
@@ -184,7 +174,7 @@ class TestValidationSlack:
         # rho44 once closed the trace as 1 - (rho11 + rho22 + rho33), which
         # moved an accepted trace offset into rho44 and could then fail
         # block positivity, even at t = 0.
-        rows = _slack_rows(seed=11, count=800)
+        rows = _slack_rows(seed=11, count=3600)
         assert len(rows) >= 700
         for row in rows.tolist():
             initial = XStateParams(*row)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -286,6 +287,37 @@ class TestQuinticSolver:
                       + (6 - Fraction(4, 5) * x3 * x3) * a * a
                       + 2 * c[3] * a + c[4])
             assert derivative == square
+
+    def test_faces_and_edges_are_certified(self):
+        # Every point of a 1/128 grid on the four faces and six edges of
+        # the validity tetrahedron (diagonals with one or two zero entries)
+        # but the two Bell points, where c1 = 1 + y3^2 - T33^2 = 0, has the
+        # proof of one simple root.  The largest c2^2/(g c1) is 10/13, at
+        # the edge midpoint (1/2, 1/2, 0, 0): (x3, y3, T33) = (1, 0, 0).
+        n = 128
+        i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        keep = i + j <= n
+        face = np.stack([i[keep], j[keep], n - i[keep] - j[keep]], 1) / n
+        diag = []
+        for drop in range(4):
+            d = np.zeros((len(face), 4))
+            d[:, [c for c in range(4) if c != drop]] = face
+            diag.append(d)
+        for k, l in itertools.combinations(range(4), 2):
+            d = np.zeros((n + 1, 4))
+            d[:, k] = np.arange(n + 1) / n
+            d[:, l] = 1.0 - d[:, k]
+            diag.append(d)
+        x3, y3, t33 = _kernels.z_bloch(*np.concatenate(diag).T)
+        c1 = 1.0 + y3 * y3 - t33 * t33
+        bell = c1 == 0.0
+        assert x3.size == 34314 and np.count_nonzero(bell) == 6
+        assert np.all((x3[bell] == 0.0) & (y3[bell] == 0.0)
+                      & (np.abs(t33[bell]) == 1.0))
+        x3, c2, c1 = x3[~bell], (y3 * t33 - 2.0 * x3)[~bell], c1[~bell]
+        assert _kernels._one_simple_root(x3, c2, c1).all()
+        ratio = c2 * c2 / ((6.0 - 0.8 * x3 * x3) * c1)
+        assert ratio.max() == pytest.approx(10.0 / 13.0, rel=1e-15)
 
     def test_certificate_rejects_the_bell_points(self):
         # (0, 0, +-1): q = a^3 (a^2 + 2) has a triple root at 0, where

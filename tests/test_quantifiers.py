@@ -280,16 +280,6 @@ class TestMeasurementOracle:
             np.array([p.to_matrix().matrix for p in states]))
         assert np.all(np.abs(measured - closed) <= 1e-6)
 
-    def test_grid_density_floor(self):
-        with pytest.raises(ValueError):
-            discord_measurement_oracle(BELL.to_matrix(), grid_density=32)
-
-    def test_odd_grid_density(self):
-        # The scan keeps one direction of each antipodal pair of the
-        # grid, and an odd density has no antipodal pairs.
-        with pytest.raises(ValueError):
-            discord_measurement_oracle(BELL.to_matrix(), grid_density=65)
-
     def test_pinched_state_is_classical(self):
         rho = WITNESS.to_matrix()
         pinched = pinched_state(rho, 0.7, 1.3)

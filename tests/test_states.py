@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_state, sample_states
-from xqcorr.closest import k_matrices
+from conftest import dense_state, sample_states, threshold_rows
+from xqcorr.closest import check_report_rows, k_matrices, x_report_rows
+from xqcorr.dynamics import DynamicsConfig, trajectory
 from xqcorr.ensemble import SamplerConfig, sample_x_arrays
 from xqcorr.errors import InvalidStateError, NotAnXStateError
-from xqcorr.quantifiers import geometric_discords
+from xqcorr.quantifiers import geometric_discords, oracle_errors, quantifiers_x
 from xqcorr.states import (
     ID2,
     PAULI,
@@ -27,7 +28,10 @@ from xqcorr.states import (
     x_bloch_components,
     x_matrices,
     x_params_to_bloch,
+    x_state_violations,
 )
+from xqcorr.tolerances import (ORACLE_DISCORD, ORACLE_DISTANCE,
+                               ORACLE_TRANSVERSE)
 
 BELL_PHI_PLUS = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 MIXED = XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
@@ -336,8 +340,10 @@ class TestCheckXRows:
     # For each threshold of XStateParams: (row family, accepted value,
     # rejected value, expected message part).
     THRESHOLDS = (
+        # A zero-coherence block's least eigenvalue is its smaller diagonal
+        # entry, so a diagonal entry fails just below -PSD_FLOOR.
         (lambda x: [0.6, x, 0.2, 0.2 - x, 0.0, 0.0, 0.0, 0.0],
-         0.0, -1e-11, "negative diagonal entry"),
+         0.0, -1e-9, "inner block not positive: least eigenvalue -1.000e-10"),
         (lambda x: [0.4, 0.2, 0.2, 0.2 + x, 0.1, 0.05, 1.0, 2.5],
          0.0, 1e-11, "diagonal sums to 1"),
         (lambda x: [0.4, 0.2, 0.2, 0.2 + x, 0.1, 0.05, 1.0, 2.5],
@@ -422,6 +428,57 @@ class TestCheckDensities:
         stack = np.array([p.to_matrix().matrix
                           for p in sample_states(seed=5, count=10)])
         assert check_densities(stack) is stack
+
+
+def _matrix_accepts(rows):
+    # Whether check_densities accepts each row's matrix, one at a time.
+    accepted = []
+    for m in x_matrices(rows):
+        try:
+            check_densities(m[None])
+        except InvalidStateError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    return np.array(accepted)
+
+
+class TestValidAsItsMatrix:
+    """An X state is valid exactly when its dense matrix is."""
+
+    def test_x_validation_agrees_with_the_matrix(self):
+        rows = threshold_rows(seed=23, count=20_000)
+        flags, _ = x_state_violations(*rows[:, :6].T)
+        accepted = ~np.any(flags, axis=0)
+        assert 0.1 < accepted.mean() < 0.9
+        scalar = []
+        for row in rows.tolist():
+            try:
+                XStateParams(*row)
+            except InvalidStateError:
+                scalar.append(False)
+            else:
+                scalar.append(True)
+        assert np.array_equal(scalar, accepted)
+        disagree = np.flatnonzero(_matrix_accepts(rows) != accepted)
+        assert disagree.size == 0, rows[disagree[:5]].tolist()
+
+    def test_every_path_accepts_what_the_matrix_accepts(self):
+        rows = threshold_rows(seed=29, count=4000)
+        rows = rows[_matrix_accepts(rows)]
+        assert len(rows) >= 800
+        check_report_rows(rows, x_report_rows(rows))
+        for row in rows[:400].tolist():
+            quantifiers_x(XStateParams(*row)).to_json_dict()
+        for row in rows[:150].tolist():
+            initial = XStateParams(*row)
+            for lam in (0.1, 5.0):  # under- and overdamped
+                _, params, _ = trajectory(DynamicsConfig(1.0, lam, 5.0, 3,
+                                                         initial))
+                assert params[0].tobytes() == initial.as_array().tobytes()
+        errors = oracle_errors(rows[:60], seed=0)
+        assert np.all(errors <= [ORACLE_DISTANCE, ORACLE_TRANSVERSE,
+                                 ORACLE_DISCORD])
 
 
 class TestStateJson:
