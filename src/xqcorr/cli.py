@@ -81,7 +81,7 @@ def _cmd_analyze(args) -> int:
         try:
             state = matrix_to_x_params(state)
         except NotAnXStateError:
-            # matrix_to_x_params validated it; BlochForm checks the rest.
+            # matrix_to_x_params validated it: BlochForm checks no positivity.
             x, y, T = bloch_components(state.matrix[None])
             bloch = BlochForm(x[0], y[0], T[0])
             doc = {

@@ -33,8 +33,9 @@ from .states import (
     block_least_eigenvalue,
     bloch_components,
     check_x_rows,
+    product_least_eigenvalue,
 )
-from .tolerances import BLOCH_BOUND, ORACLE_RESIDUAL, PSD_FLOOR
+from .tolerances import ORACLE_RESIDUAL, PSD_FLOOR
 
 
 class CaseId(enum.IntEnum):
@@ -64,23 +65,27 @@ class CaseLabel:
 
 @dataclass(frozen=True)
 class ProductPair:
-    """Bloch vectors (a, b) of a product state rho_A (x) rho_B."""
+    """Bloch vectors (a, b) of rho_A (x) rho_B, valid as its matrix is:
+    :func:`xqcorr.states.product_least_eigenvalue` of the norms, each
+    sqrt(x^2 + y^2 + z^2) summed as ``np.sum`` does, is >= -``PSD_FLOOR``."""
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
+        norms = []
         for name in ("a", "b"):
             arr = np.array(getattr(self, name), dtype=np.float64).reshape(3)
-            vals = arr.tolist()
-            if not all(map(math.isfinite, vals)):
+            x, y, z = arr.tolist()
+            if not all(map(math.isfinite, (x, y, z))):
                 raise InvalidStateError("non-finite Bloch vector")
-            norm = math.hypot(*vals)
-            if norm > 1.0 + BLOCH_BOUND:
-                raise InvalidStateError(
-                    "Bloch vector %s has norm %.12f > 1" % (name, norm))
+            norms.append(math.sqrt(x * x + y * y + z * z))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        least = product_least_eigenvalue(*norms)
+        if not least >= -PSD_FLOOR:
+            raise InvalidStateError(
+                "product state not positive: least eigenvalue %.3e" % least)
 
     def to_matrix(self) -> DensityMatrix4:
         rho_a = 0.5 * (ID2 + sum(self.a[i] * PAULI[i] for i in range(3)))
@@ -229,10 +234,10 @@ def check_report_rows(params: np.ndarray, reports: np.ndarray) -> None:
     case = reports[:, _kernels.COL_CASE]
     y3 = np.where(case == CaseId.CASE2, _kernels.z_bloch(*params[:, :4].T)[1],
                   0.0)
-    bound = 1.0 + BLOCH_BOUND
     a3, b3 = reports[:, _kernels.COL_A3], reports[:, _kernels.COL_B3]
-    bad = np.flatnonzero(~(np.abs(a3) <= bound) | ~(np.abs(b3) <= bound)
-                         | ~(np.abs(y3) <= bound))
+    least = np.minimum(product_least_eigenvalue(np.abs(a3), np.abs(b3)),
+                       product_least_eigenvalue(0.0, np.abs(y3)))
+    bad = np.flatnonzero(~(least >= -PSD_FLOOR))
     # A row before the first bad pair can fail only its classical state.
     first = bad[0] if bad.size else case.size
     classical = closest_classical_rows(params, case)
@@ -257,8 +262,8 @@ def _objective(x, y, T, a, b):
 
 
 def _fixed_point_residual(x, y, T, a, b):
-    ra = a - (x + T @ b) / (1.0 + float(b @ b))
-    rb = b - (y + T.T @ a) / (1.0 + float(a @ a))
+    ra = a - (x + np.sum(T * b, axis=1)) / (1.0 + np.sum(b * b))
+    rb = b - (y + np.sum(T.T * a, axis=1)) / (1.0 + np.sum(a * a))
     return float(max(np.max(np.abs(ra)), np.max(np.abs(rb))))
 
 
@@ -269,14 +274,14 @@ def _newton_polish(x, y, T, a, b):
     b = b.copy()
     eye3 = np.eye(3)
     for _ in range(_NEWTON_STEPS):
-        ga = 0.5 * (a * (1.0 + b @ b) - x - T @ b)
-        gb = 0.5 * (b * (1.0 + a @ a) - y - T.T @ a)
+        ga = 0.5 * (a * (1.0 + np.sum(b * b)) - x - np.sum(T * b, axis=1))
+        gb = 0.5 * (b * (1.0 + np.sum(a * a)) - y - np.sum(T.T * a, axis=1))
         g = np.concatenate([ga, gb])
         if np.max(np.abs(g)) < 1e-15:
             break
         H = np.empty((6, 6))
-        H[:3, :3] = 0.5 * (1.0 + b @ b) * eye3
-        H[3:, 3:] = 0.5 * (1.0 + a @ a) * eye3
+        H[:3, :3] = 0.5 * (1.0 + np.sum(b * b)) * eye3
+        H[3:, 3:] = 0.5 * (1.0 + np.sum(a * a)) * eye3
         H[:3, 3:] = 0.5 * (2.0 * np.outer(a, b) - T)
         H[3:, :3] = H[:3, 3:].T
         try:
@@ -342,7 +347,9 @@ def closest_products_general(states, seeds):
     ``default_rng(seed)``.  Newton's method on the stationarity system then
     polishes each state's best start, kept only if it does not raise the
     distance; near a maximally entangled state alternating minimization
-    alone stalls with a residual near 1e-6.  The oracle works on all six
+    alone stalls with a residual near 1e-6.  Its products are sums over a
+    last axis, not BLAS calls; the polish's 6x6 ``np.linalg.solve``
+    (LAPACK) stays.  The oracle works on all six
     Bloch components of an arbitrary state and shares no code with the
     X-state quintic.  Returns the Bloch vectors (a, b) as (S, 3) arrays
     clipped to [-1, 1]; no state's pair depends on the states batched with
@@ -381,8 +388,9 @@ def _closest_products(x, y, T, seeds):
             a[i], b[i] = polished
         residual[i] = _fixed_point_residual(x[i], y[i], T[i], a[i], b[i])
     a, b = np.clip(a, -1.0, 1.0), np.clip(b, -1.0, 1.0)
-    # Only a pair past the unit ball or off the residual bound is built.
-    far = ~(np.maximum(np.sum(a * a, axis=1), np.sum(b * b, axis=1)) <= 1.0)
+    # Only a pair that is no state or is off the residual bound is built.
+    na, nb = (np.sqrt(np.sum(v * v, axis=1)) for v in (a, b))
+    far = ~(product_least_eigenvalue(na, nb) >= -PSD_FLOOR)
     for i in np.flatnonzero(far | (residual > ORACLE_RESIDUAL)):
         pair = ProductPair(a[i], b[i])
         if residual[i] > ORACLE_RESIDUAL:

@@ -40,7 +40,7 @@ from .errors import InvalidStateError, UnphysicalParametersError
 from .states import (ID2, PAULI, BlochForm, DensityMatrix4, XStateParams,
                      check_densities, check_x_rows, x_bloch_components,
                      x_matrices)
-from .tolerances import CASE_BOUNDARY, CLAMP, PSD_FLOOR
+from .tolerances import CASE_BOUNDARY, CLAMP
 
 REPORT_CSV_HEADER = "case,k1,k2,k3,tg,dg,cg,lg,res,res_l,a3,b3,boundary"
 
@@ -186,28 +186,13 @@ def bell_diagonal_quantifiers(t11: float, t22: float,
 
     t_g = (T11^2+T22^2+T33^2)/4, c_g = T^2/4 and d_g their difference,
     where T = max |Tii|; the closure defect vanishes and additivity is
-    exact.  Raises :class:`UnphysicalParametersError` when the triple does
-    not describe a positive state.
+    exact.  Raises :class:`UnphysicalParametersError` when the state's
+    :class:`XStateParams` is not valid; its blocks' eigenvalues are the
+    Bell-basis ones, (1 + s1 t11 + s2 t22 + s3 t33)/4 with s1 s2 s3 = -1.
     """
     diag = np.array([t11, t22, t33], dtype=np.float64)
     if not np.all(np.isfinite(diag)):
         raise UnphysicalParametersError("non-finite tensor diagonal")
-    # Eigenvalues of the composed matrix in the Bell basis.
-    eigs = np.array([
-        1.0 - t11 - t22 - t33,
-        1.0 - t11 + t22 + t33,
-        1.0 + t11 - t22 + t33,
-        1.0 + t11 + t22 - t33,
-    ]) / 4.0
-    if eigs.min() < -PSD_FLOOR:
-        raise UnphysicalParametersError(
-            "tensor diagonal (%g, %g, %g) gives eigenvalue %.3e"
-            % (t11, t22, t33, eigs.min())
-        )
-    sq = diag * diag
-    tmax_sq = float(sq.max())
-    total = float(sq.sum())
-
     r14 = abs(t11 - t22) / 4.0
     r23 = abs(t11 + t22) / 4.0
     g14 = 0.0 if t11 - t22 >= 0.0 else math.pi
@@ -218,11 +203,12 @@ def bell_diagonal_quantifiers(t11: float, t22: float,
         p = XStateParams(hi, lo, lo, hi, r14, r23, g14, g23)
     except InvalidStateError as exc:
         raise UnphysicalParametersError(
-            "tensor diagonal (%g, %g, %g) is marginally unphysical: %s"
-            % (t11, t22, t33, exc)
-        ) from exc
+            "tensor diagonal (%g, %g, %g) is not a state: %s"
+            % (t11, t22, t33, exc)) from exc
     case = k_eigenvalues_x(p)
-
+    sq = diag * diag
+    tmax_sq = float(sq.max())
+    total = float(sq.sum())
     t_g = total / 4.0
     c_g = tmax_sq / 4.0
     d_g = (total - tmax_sq) / 4.0

@@ -30,8 +30,7 @@ import numpy as np
 
 from ._kernels import z_bloch
 from .errors import InvalidStateError, NotAnXStateError
-from .tolerances import (BLOCH_BOUND, HERMITIAN, PSD_FLOOR, TRACE,
-                         X_PATTERN)
+from .tolerances import HERMITIAN, PSD_FLOOR, TRACE, X_PATTERN
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,6 +181,14 @@ def block_least_eigenvalue(a, b, c):
                             else np.sqrt(s))
 
 
+def product_least_eigenvalue(na, nb):
+    """Least eigenvalue min((1 - h)(1 - l), (1 - h)(1 + l))/4 of the
+    eigenvalues (1 +- na)(1 +- nb)/4 of rho_A (x) rho_B, with h and l the
+    larger and smaller Bloch vector norm; floats and arrays get equal bits."""
+    h, low = np.maximum(na, nb), np.minimum(na, nb)
+    return np.minimum((1.0 - h) * (1.0 - low), (1.0 - h) * (1.0 + low)) / 4.0
+
+
 def x_state_violations(r11, r22, r33, r44, r14, r23):
     """The four X-state thresholds, on floats or numpy columns alike.
 
@@ -231,7 +238,9 @@ def x_matrices(params: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlochForm:
-    """Bloch decomposition: local vectors x, y and correlation tensor T."""
+    """Bloch decomposition: local vectors x, y and correlation tensor T.
+    Only shape and finiteness are checked, as for :class:`DensityMatrix4`;
+    positivity is ``bloch_compose(b).validate()``."""
 
     x: np.ndarray
     y: np.ndarray
@@ -241,11 +250,6 @@ class BlochForm:
         object.__setattr__(self, "x", _frozen_array(self.x, (3,)))
         object.__setattr__(self, "y", _frozen_array(self.y, (3,)))
         object.__setattr__(self, "T", _frozen_array(self.T, (3, 3)))
-        if (np.linalg.norm(self.x) > 1.0 + BLOCH_BOUND
-                or np.linalg.norm(self.y) > 1.0 + BLOCH_BOUND):
-            raise InvalidStateError("Bloch vector norm exceeds 1")
-        if np.max(np.abs(self.T)) > 1.0 + BLOCH_BOUND:
-            raise InvalidStateError("correlation tensor entry exceeds 1")
 
 
 def bloch_components(m: np.ndarray):

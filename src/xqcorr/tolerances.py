@@ -9,12 +9,10 @@ and step counts stay inside the algorithms that use them.
 HERMITIAN = 1e-12
 # Unit trace: |Tr(rho) - 1|.
 TRACE = 1e-12
-# Positivity: eigenvalues >= -PSD_FLOOR, of a matrix or an X state's blocks.
+# Positivity: eigenvalues >= -PSD_FLOOR (matrices, X blocks, product pairs).
 PSD_FLOOR = 1e-10
 # Magnitude allowed on non-X entries of a dense matrix.
 X_PATTERN = 1e-10
-# Bloch vector / correlation tensor bound: <= 1 + BLOCH_BOUND.
-BLOCH_BOUND = 1e-10
 # Fixed-point residual of the closest-product stationarity system.
 STATIONARITY = 1e-10
 # Quintic residual |q| at or below which a polished root is kept.

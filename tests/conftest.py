@@ -48,8 +48,10 @@ def threshold_rows(seed, count):
     [-2 PSD_FLOOR, 0], or at its smaller diagonal entry if that is lower,
     by setting the coherence to sqrt((a - lam)(b - lam)).  A quarter of the
     rows have one block of trace 1e-4, a quarter one diagonal entry drawn
-    in [-2 PSD_FLOOR, 0], and every trace is off by up to TRACE.  Rows are
-    not filtered: about four in five of them fail a block.
+    in [-2 PSD_FLOOR, 0], a quarter one such entry in each block, and every
+    trace is off by up to TRACE.  With two negative entries |x3| or |y3|
+    reaches 1 + 4 PSD_FLOOR.  Rows are not filtered: most of them fail a
+    block.
     """
     rng = np.random.default_rng(seed)
     d = rng.dirichlet(np.ones(4), size=count)
@@ -63,6 +65,10 @@ def threshold_rows(seed, count):
     low = rows[rng.random(count) < 0.25]
     d[low, rng.integers(4, size=low.size)] = rng.uniform(
         -2.0 * PSD_FLOOR, 0.0, low.size)
+    both = rows[rng.random(count) < 0.25]
+    for block in blocks:
+        d[both, block[rng.integers(2, size=both.size)]] = rng.uniform(
+            -2.0 * PSD_FLOOR, 0.0, both.size)
     top = np.argmax(d, axis=1)
     d[rows, top] += 1.0 - d.sum(axis=1) + rng.uniform(-TRACE, TRACE, count)
     a, b = d[:, [0, 1]], d[:, [3, 2]]

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -32,10 +33,36 @@ FIG3_JSON = json.dumps({
 })
 
 
+# Valid states, each with a reported closest state that has a Bloch vector
+# of norm past 1 + 1e-10 and a valid matrix: the closest product
+# (a3 = 1 + 1.3e-10) of the first, the classical closest product
+# (y3 = 1 + 1.2e-10) of the second.
+PAST_NORM_ONE = (
+    (1.0000000001, 0.0, -5e-11, -5e-11, 0.0, 0.0),
+    (0.50000000003, -3e-11, 0.50000000003, -3e-11,
+     5.4772255757089284e-06, 5.4772255757089284e-06),
+)
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def x_and_dense_docs(values):
+    """An X state's file in X form and as its dense matrix."""
+    x_doc = dict(zip(("rho11", "rho22", "rho33", "rho44", "rho14", "rho23",
+                      "gamma14", "gamma23"), values), kind="x")
+    m = x_matrices(np.array([list(values) + [0.0] * (8 - len(values))]))[0]
+    return x_doc, {"kind": "dense", "re": m.real.tolist(),
+                   "im": m.imag.tolist()}
+
+
+def evolve_exit(path, tmp_path):
+    return main(["evolve", path, "--gamma0", "1", "--lambda", "0.1",
+                 "--t-max", "1", "--steps", "3",
+                 "--out", str(tmp_path / "t.csv")])
 
 
 class TestAnalyze:
@@ -135,19 +162,44 @@ class TestAnalyze:
                   0.5967889091597588, 0.49040460253989065,
                   4.876352510675811e-07, 5.455702749704525,
                   5.143443821535083]
-        x_doc = dict(zip(("rho11", "rho22", "rho33", "rho44", "rho14",
-                          "rho23", "gamma14", "gamma23"), values), kind="x")
-        m = x_matrices(np.array([values]))[0]
-        dense_doc = {"kind": "dense", "re": m.real.tolist(),
-                     "im": m.imag.tolist()}
         codes = set()
-        for name, doc in (("x.json", x_doc), ("dense.json", dense_doc)):
-            f = write(tmp_path, name, json.dumps(doc))
+        for i, doc in enumerate(x_and_dense_docs(values)):
+            f = write(tmp_path, "%d.json" % i, json.dumps(doc))
             codes.add(main(["analyze", f, "--out", str(tmp_path / "a")]))
-            codes.add(main(["evolve", f, "--gamma0", "1", "--lambda", "0.1",
-                            "--t-max", "1", "--steps", "3",
-                            "--out", str(tmp_path / "t.csv")]))
+            codes.add(evolve_exit(f, tmp_path))
         assert codes == {3}
+
+    @pytest.mark.parametrize("values", PAST_NORM_ONE)
+    def test_closest_states_past_norm_one(self, tmp_path, values):
+        # Both once exited 3 ("Bloch vector ... has norm ... > 1").
+        for i, doc in enumerate(x_and_dense_docs(values)):
+            f = write(tmp_path, "%d.json" % i, json.dumps(doc))
+            assert main(["analyze", f, "--out", str(tmp_path / "a")]) == 0
+            assert evolve_exit(f, tmp_path) == 0
+
+    def test_dense_non_x_past_norm_one(self, tmp_path, capsys):
+        # x3 = 1 + 2e-10; once exited 3 ("Bloch vector norm exceeds 1").
+        _, doc = x_and_dense_docs(PAST_NORM_ONE[0])
+        doc["re"][0][1] = doc["re"][1][0] = 2e-10
+        f = write(tmp_path, "d.json", json.dumps(doc))
+        assert main(["analyze", f]) == 0
+        assert "only the geometric discord" in capsys.readouterr().out
+
+    def test_closest_product_past_the_floor_exits_invalid(self, tmp_path,
+                                                          capsys):
+        # A valid case-2 state with x3 = 0 and y3 = 1 + 4.005e-10: its
+        # closest product, the first closest state built, is (0, y3), whose
+        # least eigenvalue (1 - y3)/4 = -1.0013e-10 is also its classical
+        # state's smaller diagonal entry.
+        values = (0.50000000010035, -9.99e-11, 0.50000000010035, -9.99e-11,
+                  2.2137072981683614e-07, 2.2137072981683614e-07)
+        for i, doc in enumerate(x_and_dense_docs(values)):
+            f = write(tmp_path, "%d.json" % i, json.dumps(doc))
+            assert evolve_exit(f, tmp_path) == 0
+            assert main(["analyze", f]) == 3
+            assert capsys.readouterr().err == (
+                "invalid state: product state not positive: least "
+                "eigenvalue -1.001e-10\n")
 
     def test_dense_state_is_validated_once(self, tmp_path, monkeypatch,
                                            capsys):
@@ -443,6 +495,26 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=60)
         assert done.returncode == 0
+
+    def test_every_tolerance_is_imported(self):
+        # A rule deleted from the package leaves no threshold behind.
+        pkg = os.path.dirname(xqcorr.__file__)
+
+        def tree(name):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                return ast.parse(fh.read())
+
+        defined = {target.id for node in tree("tolerances.py").body
+                   if isinstance(node, ast.Assign) for target in node.targets}
+        imported = set()
+        for name in os.listdir(pkg):
+            if name.endswith(".py") and name != "tolerances.py":
+                imported.update(
+                    alias.name for node in ast.walk(tree(name))
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module in ("tolerances", "xqcorr.tolerances")
+                    for alias in node.names)
+        assert defined and not defined - imported, defined - imported
 
 
 class TestHelp:

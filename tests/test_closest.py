@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,9 +36,10 @@ from xqcorr.states import (
     XStateParams,
     bloch_decompose,
     hs_norm_sq,
+    product_least_eigenvalue,
     x_params_to_bloch,
 )
-from xqcorr.tolerances import BLOCH_BOUND
+from xqcorr.tolerances import PSD_FLOOR
 
 BELL = XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 WITNESS = XStateParams(0.5, 0.1, 0.1, 0.3, 0.35, 0.05)
@@ -362,8 +364,10 @@ class TestClosestProductOfClassical:
 
 class TestProductPair:
     def test_norm_bound_enforced(self):
-        with pytest.raises(InvalidStateError):
-            ProductPair((1.0, 1.0, 0.0), (0.0, 0.0, 0.0))
+        # The squared norm of (1e200, 0, 1e200) overflows to inf.
+        for a in ((1.0, 1.0, 0.0), (1e200, 0.0, 1e200)):
+            with pytest.raises(InvalidStateError):
+                ProductPair(a, (0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -373,20 +377,50 @@ class TestProductPair:
                                match="^non-finite Bloch vector$"):
                 ProductPair(a, b)
 
-    def test_norm_bound_is_one_plus_bloch_bound(self):
-        edge = 1.0 + BLOCH_BOUND
-        pair = ProductPair((0.0, 0.0, edge), (0.0, -edge, 0.0))
+    def test_least_eigenvalue_bound_is_psd_floor(self):
+        # With |b| = 0.5 and |a| past 1 the least eigenvalue is
+        # (1 - |a|)(1 + |b|)/4; edge is the largest |a| it leaves at or
+        # above -PSD_FLOOR.
+        def least(n):
+            return product_least_eigenvalue(n, 0.5)
+
+        edge = 1.0 + 4.0 * PSD_FLOOR / 1.5
+        while least(edge) < -PSD_FLOOR:
+            edge = math.nextafter(edge, 0.0)
+        while least(math.nextafter(edge, math.inf)) >= -PSD_FLOOR:
+            edge = math.nextafter(edge, math.inf)
+        assert -PSD_FLOOR <= least(edge) < -PSD_FLOOR + 1e-16
+        pair = ProductPair((0.0, 0.0, edge), (0.0, -0.5, 0.0))
         assert pair.a.tolist() == [0.0, 0.0, edge]
         assert pair.b.dtype == np.float64 and not pair.b.flags.writeable
+        eig = np.linalg.eigvalsh(pair.to_matrix().matrix).min()
+        assert abs(eig + PSD_FLOOR) < 1e-15
+        ProductPair((0.0, 0.5, 0.0), (-edge, 0.0, 0.0))
         over = edge
         for _ in range(3):
             over = math.nextafter(over, math.inf)
-        for a, b, name in (((0.0, 0.0, over), (0.0, 0.0, 0.0), "a"),
-                           ((0.0, 0.0, 0.0), (-over, 0.0, 0.0), "b")):
+        for a, b in (((0.0, 0.0, over), (0.0, -0.5, 0.0)),
+                     ((0.0, 0.5, 0.0), (-over, 0.0, 0.0))):
             with pytest.raises(InvalidStateError) as exc:
                 ProductPair(a, b)
             assert str(exc.value) == (
-                "Bloch vector %s has norm 1.000000000100 > 1" % name)
+                "product state not positive: least eigenvalue -1.000e-10")
+
+    def test_least_eigenvalue_is_the_matrix_least_eigenvalue(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 500, 3))
+        na, nb = rng.uniform(0.0, 1.5, (2, 500, 1))
+        a *= na / np.linalg.norm(a, axis=1, keepdims=True)
+        b *= nb / np.linalg.norm(b, axis=1, keepdims=True)
+        norms = [np.sqrt(np.sum(v * v, axis=1)) for v in (a, b)]
+        least = product_least_eigenvalue(*norms)
+        for i in range(500):
+            pair = ProductPair.to_matrix(SimpleNamespace(a=a[i], b=b[i]))
+            eig = np.linalg.eigvalsh(pair.matrix).min()
+            assert abs(least[i] - eig) < 1e-15
+            one = product_least_eigenvalue(float(norms[0][i]),
+                                           float(norms[1][i]))
+            assert one.tobytes() == least[i].tobytes()
 
     def test_to_matrix_is_product(self):
         pair = ProductPair((0.0, 0.0, 0.5), (0.0, 0.0, -0.25))

@@ -1,12 +1,15 @@
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import dense_state, sample_states, threshold_rows
-from xqcorr.closest import check_report_rows, k_matrices, x_report_rows
+from xqcorr import _kernels
+from xqcorr.closest import (CaseId, ProductPair, check_report_rows,
+                            closest_classical_rows, k_matrices, x_report_rows)
 from xqcorr.dynamics import DynamicsConfig, trajectory
 from xqcorr.ensemble import SamplerConfig, sample_x_arrays
 from xqcorr.errors import InvalidStateError, NotAnXStateError
@@ -430,21 +433,30 @@ class TestCheckDensities:
         assert check_densities(stack) is stack
 
 
-def _matrix_accepts(rows):
-    # Whether check_densities accepts each row's matrix, one at a time.
-    accepted = []
-    for m in x_matrices(rows):
-        try:
-            check_densities(m[None])
-        except InvalidStateError:
-            accepted.append(False)
-        else:
-            accepted.append(True)
-    return np.array(accepted)
+def _passes(check, *args):
+    # Whether check(*args) returns without an InvalidStateError.
+    try:
+        check(*args)
+    except InvalidStateError:
+        return False
+    return True
+
+
+def _matrix_accepts(matrices):
+    # Whether check_densities accepts each matrix, one at a time.
+    return np.array([_passes(check_densities, m[None]) for m in matrices])
+
+
+def _pair_matrices(a3, b3):
+    # The matrices of the z-axis product pairs (a3, b3), unvalidated.
+    return [ProductPair.to_matrix(SimpleNamespace(
+        a=np.array([0.0, 0.0, a]), b=np.array([0.0, 0.0, b]))).matrix
+        for a, b in zip(a3, b3)]
 
 
 class TestValidAsItsMatrix:
-    """An X state is valid exactly when its dense matrix is."""
+    """An X state is valid exactly when its dense matrix is, and its report
+    exactly when the matrices of the closest states it reports are too."""
 
     def test_x_validation_agrees_with_the_matrix(self):
         rows = threshold_rows(seed=23, count=20_000)
@@ -460,16 +472,15 @@ class TestValidAsItsMatrix:
             else:
                 scalar.append(True)
         assert np.array_equal(scalar, accepted)
-        disagree = np.flatnonzero(_matrix_accepts(rows) != accepted)
+        disagree = np.flatnonzero(_matrix_accepts(x_matrices(rows))
+                                  != accepted)
         assert disagree.size == 0, rows[disagree[:5]].tolist()
 
     def test_every_path_accepts_what_the_matrix_accepts(self):
-        rows = threshold_rows(seed=29, count=4000)
-        rows = rows[_matrix_accepts(rows)]
+        # Paths that check the state alone; reports are checked below.
+        rows = threshold_rows(seed=29, count=5000)
+        rows = rows[_matrix_accepts(x_matrices(rows))]
         assert len(rows) >= 800
-        check_report_rows(rows, x_report_rows(rows))
-        for row in rows[:400].tolist():
-            quantifiers_x(XStateParams(*row)).to_json_dict()
         for row in rows[:150].tolist():
             initial = XStateParams(*row)
             for lam in (0.1, 5.0):  # under- and overdamped
@@ -479,6 +490,37 @@ class TestValidAsItsMatrix:
         errors = oracle_errors(rows[:60], seed=0)
         assert np.all(errors <= [ORACLE_DISTANCE, ORACLE_TRANSVERSE,
                                  ORACLE_DISCORD])
+
+    def test_reports_fail_exactly_when_a_reported_matrix_fails(self):
+        # Every valid row of 3000, and the first 300 rows whatever they are.
+        rows = threshold_rows(seed=31, count=3000)
+        own = _matrix_accepts(x_matrices(rows))
+        kept = own | (np.arange(len(rows)) < 300)
+        rows, own = rows[kept], own[kept]
+        reports = x_report_rows(rows)
+        case = reports[:, _kernels.COL_CASE]
+        a3, b3 = reports[:, _kernels.COL_A3], reports[:, _kernels.COL_B3]
+        y3 = np.where(case == CaseId.CASE2,
+                      _kernels.z_bloch(*rows[:, :4].T)[1], 0.0)
+        pair = _matrix_accepts(_pair_matrices(a3, b3))
+        expected = (own & pair
+                    & _matrix_accepts(_pair_matrices(0.0 * y3, y3))
+                    & _matrix_accepts(x_matrices(
+                        closest_classical_rows(rows, case))))
+        report_ok = np.array([
+            _passes(lambda r: quantifiers_x(XStateParams(*r)).to_json_dict(),
+                    row) for row in rows.tolist()])
+        disagree = np.flatnonzero(report_ok != expected)
+        assert disagree.size == 0, rows[disagree[:5]].tolist()
+        # check_report_rows checks the closest states of valid rows.
+        rows_ok = [_passes(check_report_rows, rows[i:i + 1], reports[i:i + 1])
+                   for i in np.flatnonzero(own)]
+        assert np.array_equal(rows_ok, expected[own])
+        # The fuzz reaches states that a bound of 1 + 1e-10 on |a3|, |b3|
+        # and |y3| rejected, and closest products that are not states.
+        old_bound = np.maximum(np.maximum(abs(a3), abs(b3)), abs(y3))
+        assert np.sum(expected & (old_bound > 1.0 + 1e-10)) >= 20
+        assert np.sum(own & ~pair) >= 5
 
 
 class TestStateJson:
