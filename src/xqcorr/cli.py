@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -36,13 +37,12 @@ from .errors import (
 from .quantifiers import (
     CSV_FLOAT,
     REPORT_CSV_HEADER,
-    geometric_discord_general,
+    geometric_discords,
     oracle_errors,
     quantifiers_x,
     write_text,
 )
 from .states import (
-    BlochForm,
     DensityMatrix4,
     XStateParams,
     bloch_components,
@@ -53,6 +53,12 @@ from .tolerances import ORACLE_DISCORD, ORACLE_DISTANCE, ORACLE_TRANSVERSE
 
 # The index and the eight parameters that start each row of a sample CSV.
 _SAMPLE_CSV_PREFIX = ",".join(["%d"] + [CSV_FLOAT] * 8 + [""])
+
+# The tokens that start with "-" and that float() parses, where a digit or
+# "." follows the "-": values, not options.  argparse's own pattern takes an
+# exponent, as in -1e-3, for an option.
+_NEGATIVE_NUMBER = re.compile(
+    r"-(\d(_?\d)*(\.(\d(_?\d)*)?)?|\.\d(_?\d)*)([eE][-+]?\d(_?\d)*)?\s*$")
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -77,21 +83,16 @@ exit codes:
 
 def _cmd_analyze(args) -> int:
     state = load_state_file(args.state_file)
-    if isinstance(state, DensityMatrix4):
-        try:
+    try:
+        if isinstance(state, DensityMatrix4):
             state = matrix_to_x_params(state)
-        except NotAnXStateError:
-            # matrix_to_x_params validated it: BlochForm checks no positivity.
-            x, y, T = bloch_components(state.matrix[None])
-            bloch = BlochForm(x[0], y[0], T[0])
-            doc = {
-                "dg": geometric_discord_general(bloch),
-                "note": "input is not an X state; only the geometric "
-                        "discord closed form applies",
-            }
-            write_text(args.out, json.dumps(doc, indent=2) + "\n")
-            return EXIT_OK
-    doc = quantifiers_x(state).to_json_dict()
+    except NotAnXStateError:
+        x, _, T = bloch_components(state.matrix[None])
+        doc = {"dg": float(geometric_discords(x, T)[0]),
+               "note": "input is not an X state; only the geometric "
+                       "discord closed form applies"}
+    else:
+        doc = quantifiers_x(state).to_json_dict()
     write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
@@ -101,11 +102,9 @@ def _cmd_sample(args) -> int:
                         case_filter=args.case, phase_mode=args.phase_mode)
     if args.histogram is not None:
         quantity = Quantity(args.histogram)
-        if args.range is not None:
-            lo, hi = args.range
-            spec = HistogramSpec(args.bins, lo, hi, quantity)
-        else:
-            spec = HistogramSpec.default_for(quantity, args.bins)
+        spec = (HistogramSpec.default_for(quantity, args.bins)
+                if args.range is None
+                else HistogramSpec(args.bins, *args.range, quantity))
         result = run_histogram(cfg, spec)
         write_histogram(result, args.out)
         return EXIT_OK
@@ -214,6 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle_check)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,18 +143,13 @@ def x_report_rows(params: np.ndarray) -> np.ndarray:
     return rows
 
 
-def x_report_row(p: XStateParams) -> list:
-    """One-row :func:`x_report_rows` of an X state, as a list."""
-    return x_report_rows(p.as_array()[None, :])[0].tolist()
-
-
 def closest_product_x(p: XStateParams) -> ProductPair:
     """Product state closest to an X state in squared HS distance.
 
     Both Bloch vectors point along the z axis; (a3, b3) is the global
     minimizer among all real solutions of the stationarity system.
     """
-    row = x_report_row(p)
+    row = x_report_rows(p.as_array()[None, :])[0]
     return ProductPair((0.0, 0.0, row[_kernels.COL_A3]),
                        (0.0, 0.0, row[_kernels.COL_B3]))
 
@@ -162,81 +157,70 @@ def closest_product_x(p: XStateParams) -> ProductPair:
 def closest_classical_rows(params: np.ndarray, case) -> np.ndarray:
     """Closest classical states of an (n, 8) X-parameter array, as (n, 8).
 
-    ``case`` holds each row's :class:`CaseId`.  Case 1 keeps the diagonal
-    and drops the coherences; case 2 is the state with diagonal
+    ``case`` is the array of each row's :class:`CaseId`.  Case 1 keeps the
+    diagonal and drops the coherences; case 2 is the state with diagonal
     ((1 + y3)/4, (1 - y3)/4, (1 + y3)/4, (1 - y3)/4), both coherences
     (rho14 + rho23)/2 and the original phases.  Where that mean coherence
     takes the classical state's block below -``PSD_FLOOR``, the floor a
     valid state's blocks meet, it is replaced by the block bound
     sqrt(rho11 rho44) = sqrt(rho22 rho33).  The rows are not validated.
-    The arithmetic is elementwise, so an array of Python numbers (dtype
-    object) gives the bits of float64 and keeps each number's type.
     """
     r11, r22, r33, r44, r14, r23, g14, g23 = params.T
     y3 = _kernels.z_bloch(r11, r22, r33, r44)[1]
+    hi, lo = 0.25 * (1.0 + y3), 0.25 * (1.0 - y3)
     coh = 0.5 * (r14 + r23)
-    hi = 0.25 * (1.0 + y3)
-    lo = 0.25 * (1.0 - y3)
-    past = block_least_eigenvalue(
-        *(np.asarray(v, dtype=np.float64) for v in (hi, lo, coh))) < -PSD_FLOOR
-    if past.any():
-        bound = np.sqrt(np.maximum(hi * lo, 0.0).astype(np.float64))
-        coh = np.where(past, bound.astype(coh.dtype), coh)
-    zero = np.full_like(r11, 0.0)
-    return np.where((np.asarray(case) == CaseId.CASE1)[:, None],
+    coh = np.where(block_least_eigenvalue(hi, lo, coh) < -PSD_FLOOR,
+                   np.sqrt(np.maximum(hi * lo, 0.0)), coh)
+    zero = np.zeros_like(r11)
+    return np.where((case == CaseId.CASE1)[:, None],
                     np.stack([r11, r22, r33, r44, zero, zero, zero, zero], 1),
                     np.stack([hi, lo, hi, lo, coh, coh, g14, g23], 1))
 
 
-def _closest_classical(p: XStateParams, case_id: CaseId) -> XStateParams:
-    # One-row view of closest_classical_rows on the state's own numbers
-    # (dtype object), so an integer diagonal entry stays an integer.
-    row = closest_classical_rows(np.array([astuple(p)], dtype=object),
-                                 [case_id])[0]
-    return XStateParams(*row.tolist())
+def classical_product_rows(params: np.ndarray, case, a3, b3):
+    """Closest products of the closest classical states of an (n, 8)
+    X-parameter array with cases ``case`` and closest products (a3, b3),
+    as the z components (a, b) of their Bloch vectors: (a3, b3) in case 1,
+    whose classical state keeps x3, y3 and T33, and (0, y3) in case 2."""
+    two = case == CaseId.CASE2
+    y3 = _kernels.z_bloch(*params[:, :4].T)[1]
+    return np.where(two, 0.0, a3), np.where(two, y3, b3)
 
 
 def closest_classical_x(p: XStateParams) -> XStateParams:
-    """Closest classical (zero-discord) state; an X state in both cases."""
-    return _closest_classical(p, k_eigenvalues_x(p).case_id)
-
-
-def _classical_product_pair(p: XStateParams, case_id: CaseId,
-                            product_pair) -> ProductPair:
-    if case_id is CaseId.CASE1:
-        return product_pair
-    y3 = _kernels.z_bloch(p.rho11, p.rho22, p.rho33, p.rho44)[1]
-    return ProductPair((0.0, 0.0, 0.0), (0.0, 0.0, y3))
+    """Closest classical (zero-discord) state; an X state in both cases.
+    One-row view of :func:`closest_classical_rows`."""
+    params = p.as_array()[None, :]
+    row = closest_classical_rows(params, _kernels.k_eigenvalues(params)[3])
+    return XStateParams(*row[0].tolist())
 
 
 def closest_product_of_classical_x(p: XStateParams) -> ProductPair:
-    """Product state closest to the closest classical state.
-
-    Case 1 reuses the pair of the original state (the classical state shares
-    its diagonal, and only x3, y3, T33 enter the solver); case 2 has the
-    closed form a = 0, b = (0, 0, y3).
-    """
-    case_id = k_eigenvalues_x(p).case_id
-    pair = closest_product_x(p) if case_id is CaseId.CASE1 else None
-    return _classical_product_pair(p, case_id, pair)
+    """Product state closest to the closest classical state: a one-row
+    view of :func:`classical_product_rows`."""
+    params = p.as_array()[None, :]
+    row = x_report_rows(params)
+    a, b = classical_product_rows(params, row[:, _kernels.COL_CASE],
+                                  row[:, _kernels.COL_A3],
+                                  row[:, _kernels.COL_B3])
+    return ProductPair((0.0, 0.0, a[0]), (0.0, 0.0, b[0]))
 
 
 def check_report_rows(params: np.ndarray, reports: np.ndarray) -> None:
     """Run the checks of each row's closest states, over whole arrays.
 
     ``reports`` is :func:`x_report_rows` of the (n, 8) array ``params``.
-    Each row's closest product (a3, b3), its closest classical state and,
-    in case 2, that state's closest product (0, y3) must be what
-    :class:`ProductPair` and :class:`XStateParams` accept.  The first row
-    that fails has those objects built, in that order, and the first to
-    fail raises its :class:`InvalidStateError`.
+    Each row's closest product (a3, b3), its closest classical state and
+    that state's closest product must be what :class:`ProductPair` and
+    :class:`XStateParams` accept.  The first row that fails has those
+    objects built, in that order, and the first to fail raises its
+    :class:`InvalidStateError`.
     """
     case = reports[:, _kernels.COL_CASE]
-    y3 = np.where(case == CaseId.CASE2, _kernels.z_bloch(*params[:, :4].T)[1],
-                  0.0)
     a3, b3 = reports[:, _kernels.COL_A3], reports[:, _kernels.COL_B3]
+    a, b = classical_product_rows(params, case, a3, b3)
     least = np.minimum(product_least_eigenvalue(np.abs(a3), np.abs(b3)),
-                       product_least_eigenvalue(0.0, np.abs(y3)))
+                       product_least_eigenvalue(np.abs(a), np.abs(b)))
     bad = np.flatnonzero(~(least >= -PSD_FLOOR))
     # A row before the first bad pair can fail only its classical state.
     first = bad[0] if bad.size else case.size
@@ -245,7 +229,7 @@ def check_report_rows(params: np.ndarray, reports: np.ndarray) -> None:
     if bad.size:
         ProductPair((0.0, 0.0, a3[first]), (0.0, 0.0, b3[first]))
         XStateParams(*classical[first].tolist())
-        ProductPair((0.0, 0.0, 0.0), (0.0, 0.0, y3[first]))
+        ProductPair((0.0, 0.0, a[first]), (0.0, 0.0, b[first]))
 
 
 # ---------------------------------------------------------------------------

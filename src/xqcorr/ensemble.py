@@ -84,6 +84,8 @@ class HistogramSpec:
             raise ValueError("bin_count must be >= 2")
         if not self.lo < self.hi:
             raise ValueError("histogram range must satisfy lo < hi")
+        if not math.isfinite(self.hi - self.lo):  # only if lo, hi are too
+            raise ValueError("histogram range must have a finite width")
         object.__setattr__(self, "quantity", Quantity(self.quantity))
 
     @classmethod

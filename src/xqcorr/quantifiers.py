@@ -27,13 +27,12 @@ from .closest import (
     CaseId,
     CaseLabel,
     ProductPair,
-    _classical_product_pair,
-    _closest_classical,
     _objective,
+    classical_product_rows,
+    closest_classical_rows,
     closest_products_general,
     k_eigenvalues_x,
     k_matrices,
-    x_report_row,
     x_report_rows,
 )
 from .errors import InvalidStateError, UnphysicalParametersError
@@ -98,12 +97,16 @@ class CorrelationReport:
 
     @cached_property
     def classical_state(self) -> XStateParams:
-        return _closest_classical(self.state, self.case.case_id)
+        row = closest_classical_rows(self.state.as_array()[None],
+                                     np.array([self.case.case_id]))
+        return XStateParams(*row[0].tolist())
 
     @cached_property
     def classical_product_pair(self) -> ProductPair:
-        return _classical_product_pair(self.state, self.case.case_id,
-                                       self.product_pair)
+        a, b = classical_product_rows(self.state.as_array()[None],
+                                      np.array([self.case.case_id]),
+                                      self.a3, self.b3)
+        return ProductPair((0.0, 0.0, a[0]), (0.0, 0.0, b[0]))
 
     def to_csv_row(self) -> str:
         case = self.case
@@ -162,7 +165,7 @@ def quantifiers_x(p: XStateParams, *, row=None) -> CorrelationReport:
     :func:`xqcorr.closest.check_report_rows`.
     """
     if row is None:
-        row = x_report_row(p)
+        row = x_report_rows(p.as_array()[None, :])[0].tolist()
     return CorrelationReport(
         t_g=row[_kernels.COL_TG],
         d_g=row[_kernels.COL_DG],

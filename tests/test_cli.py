@@ -1,5 +1,7 @@
+import argparse
 import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -154,6 +156,22 @@ class TestAnalyze:
         chi = XStateParams(**doc["closest_classical"])
         assert chi.rho14 == chi.rho23 == math.sqrt(chi.rho11 * chi.rho44)
 
+    def test_integer_spelled_entries_print_as_floats(self, tmp_path, capsys):
+        # A case-1 state's closest classical state once printed "rho22": 0
+        # for an entry spelled 0; every number of the report is a float.
+        floats = {"kind": "x", "rho11": 0.5, "rho22": 0.0, "rho33": 0.0,
+                  "rho44": 0.5, "rho14": 0.1, "rho23": 0.0, "gamma14": 0.0,
+                  "gamma23": 0.0}
+        ints = {k: int(v) if v == 0.0 else v for k, v in floats.items()}
+        outs = []
+        for name, doc in (("f.json", floats), ("i.json", ints)):
+            f = write(tmp_path, name, json.dumps(doc))
+            assert main(["analyze", f]) == 0
+            outs.append(capsys.readouterr().out)
+        assert '"rho22": 0,' in json.dumps(ints)
+        assert json.loads(outs[0])["case"] == 1
+        assert outs[1] == outs[0]
+
     def test_x_and_dense_forms_exit_alike(self, tmp_path):
         # rho33 = -1e-12 and rho23^2 > rho22 rho33: the inner block's least
         # eigenvalue is -1.05e-9.  The X form once exited 0, and its own
@@ -280,9 +298,9 @@ class TestSample:
         # report builds them; check_report_rows checks them as arrays.
         argv = ["sample", "--seed", "7", "--count", "300", "--out"]
         assert main(argv + [str(tmp_path / "plain.csv")]) == 0
-        for module in (quantifiers, closest):
-            forbid(monkeypatch, module, "ProductPair", "_closest_classical",
-                   "_classical_product_pair")
+        forbid(monkeypatch, quantifiers, "ProductPair",
+               "closest_classical_rows", "classical_product_rows")
+        forbid(monkeypatch, closest, "ProductPair")
         assert main(argv + [str(tmp_path / "lazy.csv")]) == 0
         assert ((tmp_path / "lazy.csv").read_bytes()
                 == (tmp_path / "plain.csv").read_bytes())
@@ -346,6 +364,47 @@ class TestSample:
         assert len(lines) == 51
 
 
+    def test_negative_exponent_range(self, tmp_path):
+        # argparse's own pattern took -1e-3 for an option ("expected 2
+        # arguments").
+        out = tmp_path / "hist.csv"
+        assert main(["sample", "--seed", "3", "--count", "200", "--case", "2",
+                     "--histogram", "rel_residual", "--range", "-1e-3", "0",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == 201
+        assert float(lines[1].split(",")[0]) == -0.001
+
+    def test_non_finite_range_exits_parse(self, tmp_path, capsys):
+        for lo, hi in (("0", "inf"), ("-1e308", "1e308")):
+            assert main(["sample", "--seed", "3", "--count", "20",
+                         "--histogram", "rel_residual", "--range", lo, hi,
+                         "--out", str(tmp_path / "h.csv")]) == 2
+            assert capsys.readouterr().err == (
+                "parse error: histogram range must have a finite width\n")
+
+    @pytest.mark.parametrize("token", [
+        "-1", "-1.", "-.5", "-1e-3", "-1E+3", "-1.e5", "-1_000", "-.5_5",
+        "-1.5e-3_0", "-1 ", "-1__0", "-1_", "-.e5", "-.", "-1e", "-1e-",
+        "-1.5e-3_", "-1x", "-0x10", "-1.2.3", "-_1", "-1._5", "-1_.5",
+        "-1e_5", "-5j", "-h", "--out", "-inf", "-nan"])
+    def test_negative_numbers_are_what_float_parses(self, token):
+        # Each parser reads a token as a value exactly when float() parses
+        # it and a digit or "." follows its "-".
+        try:
+            float(token)
+            value = token[1] in "0123456789."
+        except ValueError:
+            value = False
+        parser = cli.build_parser()
+        sub, = (a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+        parsers = [parser, *sub.choices.values()]
+        assert len(parsers) == 5
+        for p in parsers:
+            assert bool(p._negative_number_matcher.match(token)) is value
+
+
 class TestEvolve:
     def test_fig3_trajectory(self, tmp_path):
         psi = write(tmp_path, "psi.json", FIG3_JSON)
@@ -378,6 +437,14 @@ class TestEvolve:
         assert main(["evolve", psi, "--gamma0", "1", "--lambda", "1",
                      "--t-max", "1", "--steps", "1",
                      "--out", str(tmp_path / "t.csv")]) == 2
+
+    def test_negative_exponent_is_a_value(self, tmp_path, capsys):
+        # Once "expected one argument" from argparse.
+        psi = write(tmp_path, "psi.json", BELL_JSON)
+        assert main(["evolve", psi, "--gamma0", "1", "--lambda", "-1e-3",
+                     "--t-max", "1", "--steps", "20",
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == "parse error: lam must be positive\n"
 
     def test_builds_no_per_point_objects(self, tmp_path, monkeypatch):
         psi = write(tmp_path, "psi.json", FIG3_JSON)
@@ -495,6 +562,35 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=60)
         assert done.returncode == 0
+
+    def test_readme_plural_singular_table_names_the_package(self):
+        # Every backticked name of the README's table of plural (array) and
+        # singular (object) functions, less its argument list, is an
+        # attribute path from the package or from one of its modules.
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        table = text.split("| stacked (arrays) | one state (objects) |\n"
+                           "|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        rows = [line.split("|")[1:3] for line in table.splitlines()]
+        names = [cell.strip().strip("`").split("(")[0]
+                 for row in rows for cell in row]
+        assert len(rows) >= 11 and all(names)
+        pkg = os.path.dirname(xqcorr.__file__)
+        roots = [xqcorr] + [importlib.import_module("xqcorr." + f[:-3])
+                            for f in sorted(os.listdir(pkg))
+                            if f.endswith(".py") and f != "__init__.py"]
+
+        def resolves(name):
+            for obj in roots:
+                for part in name.split("."):
+                    obj = getattr(obj, part, None)
+                if callable(obj):
+                    return True
+            return False
+
+        assert [n for n in names if not resolves(n)] == []
 
     def test_every_tolerance_is_imported(self):
         # A rule deleted from the package leaves no threshold behind.

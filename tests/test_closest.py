@@ -362,6 +362,24 @@ class TestClosestProductOfClassical:
         assert np.all(pair.a == 0.0) and np.all(pair.b == 0.0)
 
 
+    def test_one_kernel_call(self, monkeypatch):
+        # The case and (a3, b3) come from one batch_reports row, whose
+        # k_eigenvalues call is the only one.
+        calls = []
+        k_eigenvalues = _kernels.k_eigenvalues
+
+        def counted(params):
+            calls.append(len(params))
+            return k_eigenvalues(params)
+
+        monkeypatch.setattr(_kernels, "k_eigenvalues", counted)
+        for case in (CaseId.CASE1, CaseId.CASE2):
+            p = sample_states(seed=79, count=1, case=case)[0]
+            calls.clear()
+            closest_product_of_classical_x(p)
+            assert calls == [1]
+
+
 class TestProductPair:
     def test_norm_bound_enforced(self):
         # The squared norm of (1e200, 0, 1e200) overflows to inf.

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,18 @@ class TestHistogram:
             HistogramSpec(1, 0.0, 1.0, Quantity.REL_RESIDUAL)
         with pytest.raises(ValueError):
             HistogramSpec(10, 1.0, 0.0, Quantity.REL_RESIDUAL)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0),
+                                        (-1e308, 1e308)])
+    def test_spec_rejects_what_numpy_cannot_bin(self, lo, hi):
+        # Once numpy's "supplied range of [0.0, inf] is not finite", or its
+        # "Too many bins" after overflow warnings, from run_histogram.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^histogram range must "
+                               "have a finite width$"):
+                HistogramSpec(4, lo, hi, Quantity.REL_RESIDUAL)
+        HistogramSpec(4, -1e307, 1e307, Quantity.REL_RESIDUAL)
 
     def test_default_ranges(self):
         spec = HistogramSpec.default_for(Quantity.REL_RESIDUAL)

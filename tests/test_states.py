@@ -9,7 +9,8 @@ import pytest
 from conftest import dense_state, sample_states, threshold_rows
 from xqcorr import _kernels
 from xqcorr.closest import (CaseId, ProductPair, check_report_rows,
-                            closest_classical_rows, k_matrices, x_report_rows)
+                            classical_product_rows, closest_classical_rows,
+                            k_matrices, x_report_rows)
 from xqcorr.dynamics import DynamicsConfig, trajectory
 from xqcorr.ensemble import SamplerConfig, sample_x_arrays
 from xqcorr.errors import InvalidStateError, NotAnXStateError
@@ -23,10 +24,12 @@ from xqcorr.states import (
     bloch_components,
     bloch_compose,
     bloch_decompose,
+    block_least_eigenvalue,
     check_densities,
     check_x_rows,
     matrix_to_x_params,
     parse_state_json,
+    product_least_eigenvalue,
     state_to_json_dict,
     x_bloch_components,
     x_matrices,
@@ -521,6 +524,31 @@ class TestValidAsItsMatrix:
         old_bound = np.maximum(np.maximum(abs(a3), abs(b3)), abs(y3))
         assert np.sum(expected & (old_bound > 1.0 + 1e-10)) >= 20
         assert np.sum(own & ~pair) >= 5
+
+
+    def test_classical_pair_fails_only_with_its_classical_state(self):
+        # In case 2 the classical state's closest product (0, y3) has least
+        # eigenvalue (1 - |y3|)/4: bit for bit the smaller diagonal entry
+        # min(hi, lo) of the classical state, hi, lo = (1 +- y3)/4, which
+        # bounds its blocks' least eigenvalues up to rounding.  So the pair
+        # fails only where that state fails too, and check_report_rows
+        # raises for the state, which it builds first: no fuzz share makes
+        # the pair the first closest state to fail.
+        sampled, _ = sample_x_arrays(SamplerConfig(seed=43, count=10**4,
+                                                   case_filter=CaseId.CASE2))
+        for rows in (threshold_rows(seed=31, count=3000), sampled):
+            case = _kernels.k_eigenvalues(rows)[3]
+            two = case == CaseId.CASE2
+            zeros = np.zeros_like(case)
+            a, b = classical_product_rows(rows, case, zeros, zeros)
+            least = product_least_eigenvalue(np.abs(a), np.abs(b))[two]
+            hi, lo, _, _, coh = closest_classical_rows(rows, case)[two, :5].T
+            hi_lo = np.minimum(hi, lo)
+            assert two.sum() >= 900
+            assert np.array_equal(least.view(np.uint64),
+                                  hi_lo.view(np.uint64))
+            assert np.all(block_least_eigenvalue(hi, lo, coh)
+                          <= hi_lo + 1e-16)
 
 
 class TestStateJson:
