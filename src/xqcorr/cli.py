@@ -74,7 +74,9 @@ state file schema (JSON):
   {"kind": "x", "rho11": .., "rho22": .., "rho33": .., "rho44": ..,
    "rho14": .., "rho23": .., "gamma14": .., "gamma23": ..}
   {"kind": "dense", "re": [[4x4]], "im": [[4x4]]}
-  gamma fields default to 0; NaN/Infinity are rejected.
+  Every entry, in both kinds of file, is a JSON number that is finite as
+  a float: strings, booleans, null, NaN/Infinity and 1e400 are rejected.
+  gamma fields default to 0.
 
 exit codes:
   0 ok, 2 parse error, 3 invalid state, 4 numerical failure.

@@ -197,12 +197,15 @@ def closest_classical_x(p: XStateParams) -> XStateParams:
 
 def closest_product_of_classical_x(p: XStateParams) -> ProductPair:
     """Product state closest to the closest classical state: a one-row
-    view of :func:`classical_product_rows`."""
+    view of :func:`classical_product_rows`.  Only a case-1 state needs the
+    closest-product solve; a case-2 state's pair is (0, y3)."""
     params = p.as_array()[None, :]
-    row = x_report_rows(params)
-    a, b = classical_product_rows(params, row[:, _kernels.COL_CASE],
-                                  row[:, _kernels.COL_A3],
-                                  row[:, _kernels.COL_B3])
+    case = _kernels.k_eigenvalues(params)[3]
+    a3 = b3 = np.zeros(1)
+    if case[0] == CaseId.CASE1:
+        row = x_report_rows(params)
+        a3, b3 = row[:, _kernels.COL_A3], row[:, _kernels.COL_B3]
+    a, b = classical_product_rows(params, case, a3, b3)
     return ProductPair((0.0, 0.0, a[0]), (0.0, 0.0, b[0]))
 
 

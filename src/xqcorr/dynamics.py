@@ -147,7 +147,13 @@ def evolve(cfg: DynamicsConfig):
 
 
 def case_crossings(cfg: DynamicsConfig):
-    """Times (units 1/gamma0) where k1 - k3 changes sign, to CROSSING_TOL."""
+    """Times (units 1/gamma0) where k1 - k3 changes sign, to CROSSING_TOL.
+
+    Returns, sorted, the grid times where k1 - k3 is exactly 0 and the
+    midpoint of each grid interval across which it changes sign, after
+    bisecting all such intervals together to width CROSSING_TOL.  A
+    bisection point where it is exactly 0 closes its interval there.
+    """
 
     def gaps_at(taus):
         k1, _, k3, _ = _kernels.k_eigenvalues(_params_at(cfg, taus))
@@ -155,29 +161,19 @@ def case_crossings(cfg: DynamicsConfig):
 
     taus = np.linspace(0.0, cfg.t_max, cfg.steps)
     gaps = gaps_at(taus)
-    crossings = []
-    for i in range(taus.size - 1):
-        g0, g1 = gaps[i], gaps[i + 1]
-        if g0 == 0.0:
-            crossings.append(float(taus[i]))
-            continue
-        if g0 * g1 < 0.0:
-            lo, hi = taus[i], taus[i + 1]
-            glo = g0
-            while hi - lo > CROSSING_TOL:
-                mid = 0.5 * (lo + hi)
-                gm = gaps_at(np.array([mid]))[0]
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if glo * gm < 0.0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-            crossings.append(0.5 * (lo + hi))
-    if gaps[-1] == 0.0:
-        crossings.append(float(taus[-1]))
-    return crossings
+    left = np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0)
+    lo, hi, glo = taus[left], taus[left + 1], gaps[left]
+    active = np.flatnonzero(hi - lo > CROSSING_TOL)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        gm = gaps_at(mid)
+        below = glo[active] * gm < 0.0
+        hi[active] = np.where(below | (gm == 0.0), mid, hi[active])
+        lo[active] = np.where(below, lo[active], mid)
+        glo[active] = np.where(below, glo[active], gm)
+        active = active[hi[active] - lo[active] > CROSSING_TOL]
+    return np.sort(np.concatenate(
+        [taus[gaps == 0.0], 0.5 * (lo + hi)])).tolist()
 
 
 def trajectory_csv(taus, params, reports) -> str:

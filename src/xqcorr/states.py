@@ -338,8 +338,18 @@ _X_KEYS_REQUIRED = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
 _X_KEYS_OPTIONAL = ("gamma14", "gamma23")
 
 
-def _reject_constants(token):
-    raise ValueError("non-finite number %r not allowed in state files" % token)
+def _check_number(value, name):
+    """Raise ValueError unless ``value`` is a JSON number that is finite
+    as a float: an int or float, not a bool."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError("%s must be a number" % name)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError as exc:
+        raise ValueError("%s is too large for a float (%s)"
+                         % (name, exc)) from None
+    if not finite:
+        raise ValueError("%s is not finite" % name)
 
 
 def parse_state_json(text: str):
@@ -350,10 +360,10 @@ def parse_state_json(text: str):
         {"kind": "x", "rho11": ..., ..., "gamma14": ..., "gamma23": ...}
         {"kind": "dense", "re": [[...4x4...]], "im": [[...4x4...]]}
 
-    NaN/Infinity tokens are rejected.  Raises ValueError on malformed input
-    and InvalidStateError on unphysical states.
+    Every entry must be a JSON number that is finite as a float.  Raises
+    ValueError on malformed input and InvalidStateError on unphysical states.
     """
-    doc = json.loads(text, parse_constant=_reject_constants)
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("state file must contain a JSON object")
     kind = doc.get("kind")
@@ -368,30 +378,20 @@ def parse_state_json(text: str):
         vals = {k: doc[k] for k in _X_KEYS_REQUIRED}
         vals.update({k: doc.get(k, 0.0) for k in _X_KEYS_OPTIONAL})
         for k, v in vals.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError("field %r must be a number" % k)
-            try:
-                finite = math.isfinite(v)
-            except OverflowError:
-                raise ValueError("field %r is too large for a float"
-                                 % k) from None
-            if not finite:
-                raise ValueError("field %r is not finite" % k)
+            _check_number(v, "field %r" % k)
         return XStateParams(**vals)
     if kind == "dense":
         unknown = sorted(set(doc) - {"kind", "re", "im"})
         if unknown:
             raise ValueError("unknown keys in dense-state file: %s" % unknown)
-        try:
-            re = np.array(doc["re"], dtype=np.float64)
-            im = np.array(doc["im"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError("dense state needs numeric 're' and 'im' 4x4 "
-                             "arrays: %s" % exc) from exc
-        if re.shape != (4, 4) or im.shape != (4, 4):
-            raise ValueError("'re' and 'im' must both be 4x4 arrays")
-        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-            raise ValueError("dense state entries must be finite")
+        for key in ("re", "im"):
+            rows = doc.get(key)
+            if not (isinstance(rows, list) and len(rows) == 4 and all(
+                    isinstance(row, list) and len(row) == 4 for row in rows)):
+                raise ValueError("%r must be a 4x4 array of numbers" % key)
+            for i, j in np.ndindex(4, 4):
+                _check_number(rows[i][j], "entry %r[%d][%d]" % (key, i, j))
+        re, im = (np.array(doc[key], dtype=np.float64) for key in ("re", "im"))
         return DensityMatrix4(re + 1j * im)
     raise ValueError("state file 'kind' must be 'x' or 'dense', got %r" % kind)
 

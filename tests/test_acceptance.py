@@ -19,6 +19,7 @@ from xqcorr.closest import (
     closest_product_general,
     closest_product_x,
     product_distance,
+    x_report_rows,
 )
 from xqcorr.dynamics import DynamicsConfig, evolve
 from xqcorr.ensemble import (
@@ -58,7 +59,9 @@ def _ensemble(seed, count, case):
     t0 = time.perf_counter()
     states = sample_x_states(
         SamplerConfig(seed=seed, count=count, case_filter=case))
-    reports = [quantifiers_x(p) for p in states]
+    rows = x_report_rows(np.array([p.as_array() for p in states]))
+    reports = [quantifiers_x(p, row=row)
+               for p, row in zip(states, rows.tolist())]
     return states, reports, time.perf_counter() - t0
 
 

@@ -131,6 +131,29 @@ class TestAnalyze:
             assert err[0].startswith("parse error: ")
             assert "too large" in err[0]
 
+    @pytest.mark.parametrize("token", [
+        '"0.5"', "true", "false", "null", "[0.5]", "NaN", "Infinity",
+        "-Infinity", "1e400", "1" + "0" * 400], ids=[
+        "string", "true", "false", "null", "list", "nan", "inf", "-inf",
+        "1e400", "10^400"])
+    def test_every_entry_is_a_finite_number(self, tmp_path, capsys, token):
+        # Dense entries once went through numpy's float coercion, which
+        # read "0.5" as 0.5 and true as 1.0.
+        mark = 0.123456789
+        x_doc, dense = x_and_dense_docs([0.5, 0.0, 0.0, 0.5, 0.5, 0.0])
+        x_doc["rho11"] = mark
+        docs = {"'rho11'": x_doc}
+        for key, (i, j) in (("re", (0, 0)), ("im", (1, 2))):
+            doc = json.loads(json.dumps(dense))
+            doc[key][i][j] = mark
+            docs["%r[%d][%d]" % (key, i, j)] = doc
+        for where, doc in docs.items():
+            f = write(tmp_path, "s.json",
+                      json.dumps(doc).replace(repr(mark), token))
+            assert main(["analyze", f]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("parse error: ") and where in err
+
     def test_invalid_state(self, tmp_path):
         f = write(tmp_path, "invalid.json", json.dumps({
             "kind": "x", "rho11": 0.25, "rho22": 0.25, "rho33": 0.25,

@@ -30,7 +30,8 @@ from xqcorr.closest import (
 )
 from xqcorr import _kernels, closest
 from xqcorr.ensemble import SamplerConfig, sample_x_arrays
-from xqcorr.errors import ConvergenceFailureError, InvalidStateError
+from xqcorr.errors import (ConvergenceFailureError, InvalidStateError,
+                           SolverFailureError)
 from xqcorr.quantifiers import geometric_discord_general
 from xqcorr.states import (
     XStateParams,
@@ -362,22 +363,36 @@ class TestClosestProductOfClassical:
         assert np.all(pair.a == 0.0) and np.all(pair.b == 0.0)
 
 
-    def test_one_kernel_call(self, monkeypatch):
-        # The case and (a3, b3) come from one batch_reports row, whose
-        # k_eigenvalues call is the only one.
+    def test_only_case_1_calls_the_solver(self, monkeypatch):
+        # The case comes from k_eigenvalues; only a case-1 state needs the
+        # closest-product solve of one batch_reports row.
         calls = []
-        k_eigenvalues = _kernels.k_eigenvalues
+        batch_reports = _kernels.batch_reports
 
         def counted(params):
             calls.append(len(params))
-            return k_eigenvalues(params)
+            return batch_reports(params)
 
-        monkeypatch.setattr(_kernels, "k_eigenvalues", counted)
-        for case in (CaseId.CASE1, CaseId.CASE2):
+        monkeypatch.setattr(_kernels, "batch_reports", counted)
+        for case, want in ((CaseId.CASE1, [1]), (CaseId.CASE2, [])):
             p = sample_states(seed=79, count=1, case=case)[0]
             calls.clear()
             closest_product_of_classical_x(p)
-            assert calls == [1]
+            assert calls == want
+
+    def test_case2_survives_a_failing_solver(self, monkeypatch):
+        def fail(params):
+            raise SolverFailureError("solver called")
+
+        case1, case2 = (sample_states(seed=83, count=1, case=case)[0]
+                        for case in (CaseId.CASE1, CaseId.CASE2))
+        want = closest_product_of_classical_x(case2)
+        monkeypatch.setattr(_kernels, "batch_reports", fail)
+        pair = closest_product_of_classical_x(case2)
+        assert pair.a.tobytes() == want.a.tobytes()
+        assert pair.b.tobytes() == want.b.tobytes()
+        with pytest.raises(SolverFailureError):
+            closest_product_of_classical_x(case1)
 
 
 class TestProductPair:

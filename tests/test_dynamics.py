@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_states, threshold_rows
-from xqcorr import _kernels
+from xqcorr import _kernels, dynamics
 from xqcorr.cli import main
 from xqcorr.dynamics import (
     TRAJECTORY_CSV_HEADER,
@@ -21,6 +21,49 @@ from xqcorr.states import XStateParams, state_to_json_dict, x_state_violations
 
 FIG3_INITIAL = XStateParams(2.0 / 3.0, 0.0, 0.0, 1.0 / 3.0,
                             math.sqrt(2.0) / 3.0, 0.0)
+# k1 = k3 = 1/4 exactly.
+ON_THE_BOUNDARY = XStateParams(0.375, 0.375, 0.125, 0.125, 0.125, 0.125)
+
+
+def crossings_reference(cfg):
+    """case_crossings as a loop over grid intervals, bisecting each sign
+    change with one-time gap evaluations."""
+
+    def gaps_at(taus):
+        k1, _, k3, _ = _kernels.k_eigenvalues(dynamics._params_at(cfg, taus))
+        return k1 - k3
+
+    taus = np.linspace(0.0, cfg.t_max, cfg.steps)
+    gaps = gaps_at(taus)
+    crossings = []
+    for i in range(taus.size - 1):
+        g0, g1 = gaps[i], gaps[i + 1]
+        if g0 == 0.0:
+            crossings.append(float(taus[i]))
+            continue
+        if g0 * g1 < 0.0:
+            lo, hi = taus[i], taus[i + 1]
+            glo = g0
+            while hi - lo > dynamics.CROSSING_TOL:
+                mid = 0.5 * (lo + hi)
+                gm = gaps_at(np.array([mid]))[0]
+                if gm == 0.0:
+                    lo = hi = mid
+                    break
+                if glo * gm < 0.0:
+                    hi = mid
+                else:
+                    lo, glo = mid, gm
+            crossings.append(float(0.5 * (lo + hi)))
+    if gaps[-1] == 0.0:
+        crossings.append(float(taus[-1]))
+    return crossings
+
+
+def assert_same_crossings(got, want):
+    assert all(type(t) is float for t in got)
+    assert (np.array(got).view(np.uint64).tolist()
+            == np.array(want).view(np.uint64).tolist())
 
 
 class TestSurvivalProbability:
@@ -206,6 +249,47 @@ class TestCaseCrossings:
 
         for tau in crossings:
             assert gap(tau - 5e-6) * gap(tau + 5e-6) < 0.0
+
+
+    # (gamma0, lambda, t_max, steps): slow and fast damping, t_max = 0.
+    SETTINGS = ((1.0, 0.01, 50.0, 500), (1.0, 5.0, 10.0, 300),
+                (2.0, 0.1, 30.0, 1000), (1.0, 0.01, 0.0, 3))
+
+    def test_matches_the_loop_bit_for_bit(self):
+        states = sample_states(seed=3, count=40)
+        states += [FIG3_INITIAL, ON_THE_BOUNDARY]
+        found = 0
+        for p in states:
+            for setting in self.SETTINGS:
+                cfg = DynamicsConfig(*setting, p)
+                want = crossings_reference(cfg)
+                assert_same_crossings(case_crossings(cfg), want)
+                found += len(want)
+        assert found >= 100
+
+    def test_a_grid_time_on_the_boundary_is_a_crossing(self):
+        cfg = DynamicsConfig(1.0, 0.01, 50.0, 500, ON_THE_BOUNDARY)
+        crossings = case_crossings(cfg)
+        assert crossings[0] == 0.0
+        assert_same_crossings(crossings, crossings_reference(cfg))
+        # At t_max = 0 every grid time is on the boundary.
+        cfg = DynamicsConfig(1.0, 0.01, 0.0, 3, ON_THE_BOUNDARY)
+        assert_same_crossings(case_crossings(cfg), [0.0, 0.0, 0.0])
+
+    def test_a_bisection_point_on_the_boundary_closes_its_interval(
+            self, monkeypatch):
+        # On the grid 0, 0.5, 1 the gap (t - 0.25)(t - 0.5 - 2^-10) is
+        # exactly 0 at the first bisection point of one interval and at the
+        # ninth of the other.
+        roots = np.array([0.25, 0.5 + 2.0 ** -10])
+        monkeypatch.setattr(
+            dynamics, "_params_at",
+            lambda cfg, taus: np.prod(taus[:, None] - roots, axis=1)[:, None])
+        monkeypatch.setattr(_kernels, "k_eigenvalues",
+                            lambda rows: (rows[:, 0], None, 0.0, None))
+        cfg = DynamicsConfig(1.0, 0.01, 1.0, 3, FIG3_INITIAL)
+        assert_same_crossings(crossings_reference(cfg), roots.tolist())
+        assert_same_crossings(case_crossings(cfg), roots.tolist())
 
 
 class TestTrajectoryCsv:

@@ -396,6 +396,23 @@ class TestCheckXRows:
                 check_x_rows(rows)
             assert str(exc.value) == _scalar_message(row)
 
+class TestDensityMatrix4:
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 4), (4, 5)])
+    def test_rejects_a_shape_other_than_4x4(self, shape):
+        with pytest.raises(InvalidStateError, match="expected a 4x4 matrix"):
+            DensityMatrix4(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0.0, math.nan),
+                                     complex(0.0, math.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(4, dtype=np.complex128) / 4.0
+        m[1, 2] = bad
+        with pytest.raises(InvalidStateError,
+                           match="^non-finite matrix entries$"):
+            DensityMatrix4(m)
+
+
 class TestCheckDensities:
     MIXED_MATRIX = np.eye(4, dtype=np.complex128) / 4.0
     NON_HERMITIAN = MIXED_MATRIX + np.diag([2e-9, 0, 0], 1)
@@ -589,6 +606,17 @@ class TestStateJson:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             parse_state_json('{"kind": "dense", "re": [[1.0]], "im": [[0.0]]}')
+
+    def test_rejects_a_document_that_is_not_an_object(self):
+        for text in ("[]", "0.5", '"x"', "null"):
+            with pytest.raises(ValueError, match="must contain a JSON object"):
+                parse_state_json(text)
+
+    def test_rejects_missing_x_keys(self):
+        with pytest.raises(ValueError,
+                           match=r"missing keys in x-state file: \['rho23'\]"):
+            parse_state_json('{"kind": "x", "rho11": 0.25, "rho22": 0.25,'
+                             ' "rho33": 0.25, "rho44": 0.25, "rho14": 0}')
 
     def test_rejects_integers_too_large_for_a_float(self):
         # 10^400 is a valid JSON integer, but no float holds it.
