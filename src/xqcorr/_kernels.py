@@ -35,6 +35,19 @@ REPORT_COLS = 13
 # companion stack among them, and so the peak memory of a batch.
 CHUNK_ROWS = 4096
 
+# The one Pauli table, in the basis {|1>, |0>}: sigma_3 = diag(1, -1).
+# _PAULI_PRODUCTS[i, j] = s_i (x) s_j with s_0 = ID2 and s_1..3 = PAULI: the
+# entrywise products np.kron forms, without its 16 calls at import.
+_ID_AND_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                          [[1, 0], [0, -1]]], dtype=np.complex128)
+_ID_AND_PAULI.setflags(write=False)
+ID2, SIGMA1, SIGMA2, SIGMA3 = _ID_AND_PAULI
+PAULI = (SIGMA1, SIGMA2, SIGMA3)
+_PAULI_PRODUCTS = (
+    _ID_AND_PAULI[:, None, :, None, :, None]
+    * _ID_AND_PAULI[None, :, None, :, None, :]).reshape(4, 4, 4, 4)
+_PAULI_PRODUCTS.setflags(write=False)
+
 
 def k_eigenvalues(params):
     """Closed-form eigenvalues of K for an (n, 8) X-parameter array.
@@ -455,10 +468,7 @@ def pt_values(ts, gamma0, lam):
 
 
 # sigma_i (x) I for i = 1, 2, 3: the Pauli matrices acting on qubit A.
-_SIGMA_A = np.kron(
-    np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]],
-              [[1.0, 0.0], [0.0, -1.0]]]),
-    np.eye(2))
+_SIGMA_A = _PAULI_PRODUCTS[1:, 0]
 
 
 def pinched_distances(rho, n):

@@ -151,8 +151,9 @@ def case_crossings(cfg: DynamicsConfig):
 
     Returns, sorted, the grid times where k1 - k3 is exactly 0 and the
     midpoint of each grid interval across which it changes sign, after
-    bisecting all such intervals together to width CROSSING_TOL.  A
-    bisection point where it is exactly 0 closes its interval there.
+    bisecting all such intervals together to width CROSSING_TOL or until
+    the midpoint rounds to an end.  A bisection point where it is exactly
+    0 closes its interval there.
     """
 
     def gaps_at(taus):
@@ -166,12 +167,13 @@ def case_crossings(cfg: DynamicsConfig):
     active = np.flatnonzero(hi - lo > CROSSING_TOL)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
+        stuck = (mid == lo[active]) | (mid == hi[active])
         gm = gaps_at(mid)
         below = glo[active] * gm < 0.0
         hi[active] = np.where(below | (gm == 0.0), mid, hi[active])
         lo[active] = np.where(below, lo[active], mid)
         glo[active] = np.where(below, glo[active], gm)
-        active = active[hi[active] - lo[active] > CROSSING_TOL]
+        active = active[~stuck & (hi[active] - lo[active] > CROSSING_TOL)]
     return np.sort(np.concatenate(
         [taus[gaps == 0.0], 0.5 * (lo + hi)])).tolist()
 

@@ -22,13 +22,14 @@ import numpy as np
 from . import _kernels
 from .closest import CaseId, x_report_rows
 from .errors import RejectionExhaustionError
-from .quantifiers import csv_float, write_text
-from .states import XStateParams
+from .quantifiers import CSV_FLOAT, write_text
+from .states import TWO_PI, XStateParams
 from .tolerances import HISTOGRAM_EDGE, TG_FLOOR
 
 _BATCH = 4096
 _ACCEPTANCE_WINDOW = 20000
 _MIN_ACCEPTANCE = 1e-4
+_HIST_ROW_FORMAT = ",".join([CSV_FLOAT] * 2 + ["%d"])
 
 
 class PhaseMode(str, enum.Enum):
@@ -117,7 +118,7 @@ def _draw_batch(rng: np.random.Generator, size: int,
     fracs = rng.random((size, 2))
     batch = np.empty((size, 8))
     if phase_mode is PhaseMode.FREE:
-        batch[:, 6:8] = rng.random((size, 2)) * (2.0 * math.pi)
+        batch[:, 6:8] = rng.random((size, 2)) * TWO_PI
     else:
         batch[:, 6:8] = 0.0
     batch[:, 0] = c0
@@ -176,11 +177,10 @@ class HistogramResult:
     config: SamplerConfig
 
     def to_csv(self) -> str:
+        edges = self.edges.tolist()
         lines = ["bin_lo,bin_hi,count"]
-        for i in range(self.counts.size):
-            lines.append("%s,%s,%d" % (csv_float(self.edges[i]),
-                                       csv_float(self.edges[i + 1]),
-                                       int(self.counts[i])))
+        lines += [_HIST_ROW_FORMAT % row for row in
+                  zip(edges[:-1], edges[1:], self.counts.tolist())]
         return "\n".join(lines) + "\n"
 
     def sidecar_dict(self) -> dict:

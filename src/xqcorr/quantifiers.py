@@ -50,11 +50,6 @@ CSV_FLOAT = "%.17g"
 _REPORT_CSV_ROW = ",".join(["%d"] + [CSV_FLOAT] * 11 + ["%d"])
 
 
-def csv_float(x: float) -> str:
-    """A float as it appears in every CSV output, by :data:`CSV_FLOAT`."""
-    return CSV_FLOAT % float(x)
-
-
 def write_text(path, text: str) -> None:
     """Write ``text`` to the file ``path`` as UTF-8, or to stdout if None."""
     if path is None:

@@ -28,26 +28,26 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._kernels import z_bloch
+# ID2 and PAULI are re-exported: the Pauli table lives in _kernels.
+from ._kernels import ID2, PAULI, _PAULI_PRODUCTS, z_bloch
 from .errors import InvalidStateError, NotAnXStateError
 from .tolerances import HERMITIAN, PSD_FLOOR, TRACE, X_PATTERN
 
 TWO_PI = 2.0 * math.pi
 
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-ID2 = np.eye(2, dtype=np.complex128)
-PAULI = (SIGMA1, SIGMA2, SIGMA3)
-for _m in (*PAULI, ID2):
-    _m.setflags(write=False)
-# _PAULI_PRODUCTS[i, j] = s_i (x) s_j with s_0 = I and s_1..3 = PAULI: the
-# entrywise products np.kron forms, without its 16 calls at import.
-_ID_AND_PAULI = np.array([ID2, *PAULI])
-_PAULI_PRODUCTS = (
-    _ID_AND_PAULI[:, None, :, None, :, None]
-    * _ID_AND_PAULI[None, :, None, :, None, :]).reshape(4, 4, 4, 4)
-_PAULI_PRODUCTS.setflags(write=False)
+
+def wrap_phase(g):
+    """A phase, or an array of them, wrapped into [0, 2*pi) with the same
+    bits for both: fmod by TWO_PI, plus TWO_PI where that is negative, and
+    +0.0 where the result is zero or rounds up to TWO_PI."""
+    if isinstance(g, np.ndarray):
+        g = np.fmod(g, TWO_PI)
+        g = np.where(g < 0.0, g + TWO_PI, g)
+        return np.where((g == 0.0) | (g == TWO_PI), 0.0, g)
+    g = math.fmod(g, TWO_PI)
+    g = g + TWO_PI if g < 0.0 else g
+    return 0.0 if g == 0.0 or g == TWO_PI else g
+
 
 # Index pairs (0-based) that must vanish for the X pattern.
 _NON_X_ENTRIES = (
@@ -129,8 +129,9 @@ class XStateParams:
     """The eight real parameters of an X-shaped density matrix.
 
     ``rho14``/``rho23`` are the *magnitudes* of the two coherences (always
-    nonnegative); ``gamma14``/``gamma23`` their phases, normalized into
-    [0, 2*pi) on construction.
+    nonnegative); ``gamma14``/``gamma23`` their phases, wrapped into
+    [0, 2*pi) on construction by :func:`wrap_phase`: a phase whose wrap is
+    zero, or rounds up to 2*pi, is stored as +0.0.
     """
 
     rho11: float
@@ -147,11 +148,8 @@ class XStateParams:
                 self.rho14, self.rho23, self.gamma14, self.gamma23]
         if not all(map(math.isfinite, vals)):
             raise InvalidStateError("non-finite X-state parameter")
-        for name in ("gamma14", "gamma23"):
-            g = math.fmod(getattr(self, name), TWO_PI)
-            if g < 0.0:
-                g += TWO_PI
-            object.__setattr__(self, name, g)
+        object.__setattr__(self, "gamma14", wrap_phase(self.gamma14))
+        object.__setattr__(self, "gamma23", wrap_phase(self.gamma23))
         flags, values = x_state_violations(
             self.rho11, self.rho22, self.rho33, self.rho44,
             self.rho14, self.rho23)
@@ -219,16 +217,10 @@ def check_x_rows(params: np.ndarray) -> None:
         XStateParams(*params[bad[0]].tolist())
 
 
-def _phases(params):
-    # The phase columns in [0, 2*pi), with the bits of XStateParams' rule.
-    g = np.fmod(params[:, 6:], TWO_PI)
-    return np.where(g < 0.0, g + TWO_PI, g)
-
-
 def x_matrices(params: np.ndarray) -> np.ndarray:
     """The (n, 4, 4) matrices of an (n, 8) X-parameter array, unvalidated;
-    phases are normalized as :class:`XStateParams` does."""
-    c = params[:, 4:6] * np.exp(1j * _phases(params))
+    phases are wrapped by :func:`wrap_phase`."""
+    c = params[:, 4:6] * np.exp(1j * wrap_phase(params[:, 6:]))
     m = np.zeros((params.shape[0], 4, 4), dtype=np.complex128)
     m[:, range(4), range(4)] = params[:, :4]
     m[:, 0, 3], m[:, 1, 2] = c.T
@@ -281,8 +273,8 @@ def bloch_compose(b: BlochForm) -> DensityMatrix4:
 
 def x_bloch_components(params: np.ndarray):
     """x, y (n, 3) and T (n, 3, 3) of an (n, 8) X-parameter array, from
-    the closed form; phases are normalized as in :func:`x_matrices`."""
-    g = _phases(params)
+    the closed form; phases are wrapped as in :func:`x_matrices`."""
+    g = wrap_phase(params[:, 6:])
     (c14, c23), (s14, s23) = 2.0 * np.cos(g).T, 2.0 * np.sin(g).T
     r14, r23 = params[:, 4], params[:, 5]
     x, y = np.zeros((2, params.shape[0], 3))
@@ -320,7 +312,7 @@ def matrix_to_x_params(rho: DensityMatrix4) -> XStateParams:
         mag = abs(z)
         if mag <= X_PATTERN:
             return mag, 0.0
-        return mag, math.atan2(z.imag, z.real) % TWO_PI
+        return mag, math.atan2(z.imag, z.real)
 
     r14, g14 = mag_phase(m[0, 3])
     r23, g23 = mag_phase(m[1, 2])

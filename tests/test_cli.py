@@ -427,6 +427,15 @@ class TestSample:
         for p in parsers:
             assert bool(p._negative_number_matcher.match(token)) is value
 
+    def test_argparse_has_the_negative_number_hook(self):
+        # build_parser sets this private attribute; a Python whose argparse
+        # dropped or renamed it would ignore the setting without an error.
+        parser = argparse.ArgumentParser()
+        assert hasattr(parser, "_negative_number_matcher"), (
+            "argparse.ArgumentParser has no _negative_number_matcher on "
+            "Python %s: cli.build_parser can no longer make -1e-3 a value"
+            % sys.version.split()[0])
+
 
 class TestEvolve:
     def test_fig3_trajectory(self, tmp_path):

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import sample_states, threshold_rows
+import xqcorr
 from xqcorr import _kernels, dynamics
 from xqcorr.cli import main
 from xqcorr.dynamics import (
@@ -16,7 +20,7 @@ from xqcorr.dynamics import (
     trajectory,
     trajectory_csv,
 )
-from xqcorr.quantifiers import csv_float
+from xqcorr.quantifiers import CSV_FLOAT
 from xqcorr.states import XStateParams, state_to_json_dict, x_state_violations
 
 FIG3_INITIAL = XStateParams(2.0 / 3.0, 0.0, 0.0, 1.0 / 3.0,
@@ -291,6 +295,27 @@ class TestCaseCrossings:
         assert_same_crossings(crossings_reference(cfg), roots.tolist())
         assert_same_crossings(case_crossings(cfg), roots.tolist())
 
+    def test_returns_where_the_time_spacing_exceeds_the_tolerance(self):
+        # Near t ~ 1e10 the float spacing of t (1.9e-6) is wider than
+        # CROSSING_TOL, so bisection reaches midpoints equal to an end.  A
+        # child process, so a bisection that never stops fails by timeout.
+        code = ("import json, math\n"
+                "from xqcorr.dynamics import DynamicsConfig, case_crossings\n"
+                "from xqcorr.states import XStateParams\n"
+                "p = XStateParams(2 / 3, 0, 0, 1 / 3, math.sqrt(2) / 3, 0)\n"
+                "cfg = DynamicsConfig(1.0, 1e-12, 2e10, 2000, p)\n"
+                "print(json.dumps(case_crossings(cfg)))\n")
+        src = os.path.dirname(os.path.dirname(xqcorr.__file__))
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        crossings = json.loads(done.stdout)
+        assert len(crossings) >= 2
+        assert all(isinstance(t, float) for t in crossings)
+        assert crossings == sorted(crossings)
+        assert 0.0 <= crossings[0] and crossings[-1] <= 2e10
+
 
 class TestTrajectoryCsv:
     def test_schema_and_parse(self):
@@ -313,7 +338,7 @@ class TestTrajectoryCsv:
         for pt in points:
             s, r = pt.state, pt.report
             lines.append(",".join(
-                [csv_float(v) for v in (pt.t, s.rho11, s.rho22, s.rho33,
+                [CSV_FLOAT % v for v in (pt.t, s.rho11, s.rho22, s.rho33,
                                         s.rho44, s.rho14, s.rho23, pt.k1,
                                         pt.k3, r.t_g, r.d_g, r.c_g, r.l_g)]
                 + [str(int(r.case.case_id))]))

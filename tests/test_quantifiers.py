@@ -9,9 +9,9 @@ from xqcorr.closest import CaseId, closest_product_of_classical_x
 from xqcorr.ensemble import SamplerConfig, sample_x_arrays
 from xqcorr.errors import InvalidStateError, UnphysicalParametersError
 from xqcorr.quantifiers import (
+    CSV_FLOAT,
     REPORT_CSV_HEADER,
     bell_diagonal_quantifiers,
-    csv_float,
     discord_measurement_oracle,
     discord_measurement_oracles,
     geometric_discord_general,
@@ -386,7 +386,7 @@ class TestReportSerialization:
         # field on its own, and a list row gives the report of its array.
         def joined(r):
             cols = [str(int(r.case.case_id))]
-            cols += [csv_float(v) for v in (
+            cols += [CSV_FLOAT % v for v in (
                 r.case.k1, r.case.k2, r.case.k3, r.t_g, r.d_g, r.c_g, r.l_g,
                 r.residual_closure, r.residual_with_l,
                 r.product_pair.a[2], r.product_pair.b[2])]

@@ -18,6 +18,7 @@ from xqcorr.quantifiers import geometric_discords, oracle_errors, quantifiers_x
 from xqcorr.states import (
     ID2,
     PAULI,
+    TWO_PI,
     BlochForm,
     DensityMatrix4,
     XStateParams,
@@ -35,6 +36,7 @@ from xqcorr.states import (
     x_matrices,
     x_params_to_bloch,
     x_state_violations,
+    wrap_phase,
 )
 from xqcorr.tolerances import (ORACLE_DISCORD, ORACLE_DISTANCE,
                                ORACLE_TRANSVERSE)
@@ -311,6 +313,63 @@ class TestXStateParamsInvariants:
     def test_non_finite(self):
         with pytest.raises(InvalidStateError):
             XStateParams(float("nan"), 0.25, 0.25, 0.25, 0.0, 0.0)
+
+
+def _plain_wrap(g):
+    # fmod, plus 2*pi below zero: wrap_phase without its +0.0 rule.
+    g = math.fmod(g, TWO_PI)
+    return g + TWO_PI if g < 0.0 else g
+
+
+class TestWrapPhase:
+    EDGES = [0.0, -0.0, 1e-17, -1e-17, 3e-16, -3e-16, -4.4e-16, 1e300,
+             -1e300, 5e-324, -5e-324, math.pi, -math.pi]
+    EDGES += [s * v for v in (TWO_PI, np.nextafter(TWO_PI, 0.0),
+                              np.nextafter(TWO_PI, 7.0), 2.0 * TWO_PI,
+                              3.0 * TWO_PI) for s in (1.0, -1.0)]
+    PHASES = np.concatenate([
+        EDGES, sample_x_arrays(SamplerConfig(seed=7, count=2000))[0][:, 6:]
+        .ravel(), np.random.default_rng(5).normal(scale=50.0, size=4000),
+        np.random.default_rng(6).uniform(-1e-15, 1e-15, size=1000)])
+
+    def test_floats_and_arrays_give_the_same_bits(self):
+        floats = np.array([wrap_phase(g) for g in self.PHASES.tolist()])
+        assert (floats.view(np.uint64)
+                == wrap_phase(self.PHASES).view(np.uint64)).all()
+
+    def test_results_lie_in_the_half_open_range_without_a_sign_bit(self):
+        got = wrap_phase(self.PHASES)
+        assert np.all((got >= 0.0) & (got < TWO_PI))
+        assert not np.signbit(got).any()
+
+    def test_only_a_zero_or_two_pi_wrap_differs_from_the_plain_rule(self):
+        plain = np.array([_plain_wrap(g) for g in self.PHASES.tolist()])
+        edge = (plain == 0.0) | (plain == TWO_PI)
+        got = wrap_phase(self.PHASES)
+        assert (got[~edge].view(np.uint64)
+                == plain[~edge].view(np.uint64)).all()
+        assert np.all(got[edge] == 0.0)
+        # -0.0, -2*pi and tiny negative phases are the inputs that change.
+        changed = plain.view(np.uint64) != got.view(np.uint64)
+        assert changed.sum() >= 4 and np.all(self.PHASES[changed] <= 0.0)
+
+    def test_every_phase_user_wraps_a_tiny_negative_to_plus_zero(self):
+        p = XStateParams(0.4, 0.1, 0.1, 0.4, 0.1, 0.05, -1e-17, -3e-16)
+        q = XStateParams(0.4, 0.1, 0.1, 0.4, 0.1, 0.05, -0.0, -TWO_PI)
+        for r in (p, q):
+            assert math.copysign(1.0, r.gamma14) == 1.0 and r.gamma14 == 0.0
+            assert math.copysign(1.0, r.gamma23) == 1.0 and r.gamma23 == 0.0
+        zero = XStateParams(0.4, 0.1, 0.1, 0.4, 0.1, 0.05).as_array()[None]
+        rows = np.array([zero[0], p.as_array(), q.as_array()])
+        rows[1:, 6:] = [[-1e-17, -3e-16], [-0.0, -TWO_PI]]
+        for form in (x_matrices, lambda a: x_bloch_components(a)[2]):
+            got = form(rows)
+            assert got[1].tobytes() == got[0].tobytes()
+            assert got[2].tobytes() == got[0].tobytes()
+        m = x_matrices(zero)[0]
+        m[0, 3], m[3, 0] = complex(0.1, -0.0), complex(0.1, 0.0)
+        back = matrix_to_x_params(DensityMatrix4(m))
+        assert math.copysign(1.0, back.gamma14) == 1.0
 
 
 def _accepted(row):
