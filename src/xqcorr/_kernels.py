@@ -5,7 +5,10 @@ where the X-state quantifiers are computed: it takes an (n, 8) parameter
 array and returns an (n, 13) report array, and the scalar APIs in
 :mod:`xqcorr.closest` and :mod:`xqcorr.quantifiers` are one-row views of
 it.  Within each chunk of ``CHUNK_ROWS`` rows every step is an array
-operation.  Where a proof shows the quintic increasing (every sampled row
+operation.  Each loop steps every row of the chunk until the last one
+stops, with a mask that keeps a stopped row's value: no row is dropped,
+as every chunk of the benchmark inputs stops within 9 Newton and 3 walk
+steps.  Where a proof shows the quintic increasing (every sampled row
 so far), the row has one real root, solved as one float per row: a
 safeguarded Newton on a known bracket, then an ulp walk on the
 compensated-Horner sign of the quintic to the root's canonical float, so
@@ -138,28 +141,25 @@ def _canonicalize(c4, c2, c1, c0, a, dq):
     sign (or reaches zero), with the smaller |q|; on an exact tie the
     smaller |a|, so the rule commutes with negation.  From each root the
     walk goes by ulps towards the sign change (the Newton direction, from
-    the sign of q * dq), at most 64 steps, with ``live`` indexing the roots
-    still walking.  A root with q = 0 or dq = 0, or with no sign change in
-    reach, keeps its value.  Returns ``a``.
+    the sign of q * dq), at most 64 steps, with ``walking`` masking the
+    roots still walking.  A root with q = 0 or dq = 0, or with no sign
+    change in reach, keeps its value.  Returns ``a``.
     """
     q = _quintic_compensated(c4, c2, c1, c0, a)
-    live = np.flatnonzero((q != 0.0) & (dq != 0.0))
-    cur, qcur = a[live], q[live]
-    down = (qcur > 0.0) == (dq[live] > 0.0)
+    walking = (q != 0.0) & (dq != 0.0)
+    toward = np.where((q > 0.0) == (dq > 0.0), -np.inf, np.inf)
+    cur, qcur = a, q
     for _ in range(64):
-        if live.size == 0:
+        if not walking.any():
             break
-        nxt = np.nextafter(cur, np.where(down, -np.inf, np.inf))
-        qnxt = _quintic_compensated(c4[live], c2[live], c1[live], c0[live],
-                                    nxt)
-        change = (qnxt == 0.0) | ((qnxt > 0.0) != (qcur > 0.0))
-        qc, qn = np.abs(qcur[change]), np.abs(qnxt[change])
-        ac, an = cur[change], nxt[change]
-        take = (qn < qc) | ((qn == qc) & (np.abs(an) < np.abs(ac)))
-        a[live[change]] = np.where(take, an, ac)
-        walking = ~change
-        live, cur, qcur, down = (
-            v[walking] for v in (live, nxt, qnxt, down))
+        nxt = np.nextafter(cur, toward)
+        qnxt = _quintic_compensated(c4, c2, c1, c0, nxt)
+        change = walking & ((qnxt == 0.0) | ((qnxt > 0.0) != (qcur > 0.0)))
+        qc, qn = np.abs(qcur), np.abs(qnxt)
+        take = (qn < qc) | ((qn == qc) & (np.abs(nxt) < np.abs(cur)))
+        a[change] = np.where(take, nxt, cur)[change]
+        walking &= ~change
+        cur, qcur = nxt, qnxt
     return a
 
 
@@ -199,34 +199,25 @@ def _bracketed_roots(c4, c2, c1, c0, lo, hi):
     midpoint.  Each value of q moves the bracket end on its side to the
     iterate, and a Newton step that leaves the bracket becomes a bisection.
     A row stops when its step falls to 1e-15 * max(1, |a|), at least 4.5
-    ulps of a, or after 100 steps; ``live`` indexes the rows still
-    iterating, and their coefficients and bracket are compacted only on a
-    step where some row stops.  Then :func:`_kept_canonical`.
+    ulps of a, or after 100 steps; ``moving`` masks the rows still
+    iterating.  Then :func:`_kept_canonical`.
 
     Returns (a, kept), both length m.
     """
     a = np.where(c0 == 0.0, 0.0, 0.5 * (lo + hi))
-    live = np.flatnonzero(c0 != 0.0)
-    k4, k2, k1, k0, low, high, cur = (
-        v[live] for v in (c4, c2, c1, c0, lo, hi, a))
+    moving = c0 != 0.0
     for _ in range(100):
-        if live.size == 0:
+        if not moving.any():
             break
-        q, dq = _quintic_eval(k4, k2, k1, k0, cur)
-        low = np.where(q < 0.0, cur, low)
-        high = np.where(q > 0.0, cur, high)
-        nxt = cur - q / dq
-        inside = (nxt >= low) & (nxt <= high)
-        if not inside.all():
-            nxt = np.where(inside, nxt, 0.5 * (low + high))
-        # np.maximum, not fmax: |nxt - cur| is NaN wherever |nxt| is.
-        moving = ~(np.abs(nxt - cur) <= 1e-15 * np.maximum(1.0, np.abs(nxt)))
-        cur = nxt
-        if not moving.all():
-            a[live[~moving]] = nxt[~moving]
-            live, k4, k2, k1, k0, low, high, cur = (
-                v[moving] for v in (live, k4, k2, k1, k0, low, high, cur))
-    a[live] = cur
+        q, dq = _quintic_eval(c4, c2, c1, c0, a)
+        lo = np.where(q < 0.0, a, lo)
+        hi = np.where(q > 0.0, a, hi)
+        nxt = a - q / dq
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        # np.maximum, not fmax: |nxt - a| is NaN wherever |nxt| is.
+        small = np.abs(nxt - a) <= 1e-15 * np.maximum(1.0, np.abs(nxt))
+        a = np.where(moving, nxt, a)
+        moving &= ~small
     return _kept_canonical(c4, c2, c1, c0, a)
 
 
@@ -239,15 +230,13 @@ def _companion_roots(c4, c2, c1, c0):
     by exactly 0.0 (a tiny nonzero eigenvalue there would stay as a kept
     root).  Newton refines every seed, linear-rate safe even at multiple
     roots, each stopping when its derivative vanishes or its step falls to
-    1e-15 * max(1, |a|), or after 60 steps; ``live`` indexes the seeds
+    1e-15 * max(1, |a|), or after 60 steps; ``moving`` masks the seeds
     still iterating.  Then :func:`_kept_canonical`, of which only the kept
     roots are returned, in row order, then seed order.  A seed still
     moving after the 60th step is not kept: it can sit 1e-11 from a root
     with |q| inside the filter and no sign change in the walk's reach.
     """
     m = c4.size
-    if m == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0)
     comp = np.zeros((m, 5, 5))
     comp[:, (1, 2, 3, 4), (0, 1, 2, 3)] = 1.0
     comp[:, 0, 0] = -c4
@@ -261,19 +250,17 @@ def _companion_roots(c4, c2, c1, c0):
     # Sorted by row, then |a|: every fifth seed is its row's least |a|.
     z = np.flatnonzero(coeffs[3] == 0.0)
     a[z[np.lexsort((np.abs(a[z]), rows[z]))[::5]]] = 0.0
-    live = np.arange(a.size)
+    moving = np.ones(a.size, dtype=bool)
     for _ in range(60):
-        if live.size == 0:
+        if not moving.any():
             break
-        q, dq = _quintic_eval(*(c[live] for c in coeffs), a[live])
-        moving = dq != 0.0
-        live = live[moving]
-        step = q[moving] / dq[moving]
-        polished = a[live] - step
-        a[live] = polished
-        live = live[~(np.abs(step) <= 1e-15 * np.fmax(1.0, np.abs(polished)))]
+        q, dq = _quintic_eval(*coeffs, a)
+        moving &= dq != 0.0
+        step = np.divide(q, dq, out=np.zeros_like(q), where=moving)
+        a = np.where(moving, a - step, a)
+        moving &= ~(np.abs(step) <= 1e-15 * np.fmax(1.0, np.abs(a)))
     a, kept = _kept_canonical(*coeffs, a)
-    kept[live] = False
+    kept &= ~moving
     return rows[kept], a[kept]
 
 
@@ -357,8 +344,9 @@ def solve_a3b3(x3, y3, t33):
     a3[i], found[i] = np.where(kept, a, 0.0), kept
 
     j = np.flatnonzero(~one & finite)
-    rows, roots = _companion_roots(c4[j], c2[j], c1[j], c0[j])
-    a3[j], found[j] = _least_distance(x3[j], y3[j], t33[j], rows, roots)
+    if j.size:
+        rows, roots = _companion_roots(c4[j], c2[j], c1[j], c0[j])
+        a3[j], found[j] = _least_distance(x3[j], y3[j], t33[j], rows, roots)
     b3 = np.where(found, (y3 + t33 * a3) / (1.0 + a3 * a3), 0.0)
     return a3, b3, found
 

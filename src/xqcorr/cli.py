@@ -100,13 +100,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    binning = {key: getattr(args, key) for key in ("bin_count", "span")
+               if getattr(args, key) is not None}
+    if binning and args.histogram is None:
+        raise ValueError("--bins and --range apply only with --histogram")
     cfg = SamplerConfig(seed=args.seed, count=args.count,
                         case_filter=args.case, phase_mode=args.phase_mode)
     if args.histogram is not None:
-        quantity = Quantity(args.histogram)
-        spec = (HistogramSpec.default_for(quantity, args.bins)
-                if args.range is None
-                else HistogramSpec(args.bins, *args.range, quantity))
+        spec = HistogramSpec.default_for(args.histogram, **binning)
         result = run_histogram(cfg, spec)
         write_histogram(result, args.out)
         return EXIT_OK
@@ -192,9 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histogram", choices=[q.value for q in Quantity],
                    default=None,
                    help="emit a histogram of this quantity instead of states")
-    p.add_argument("--bins", type=int, default=200)
-    p.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"),
-                   default=None)
+    p.add_argument("--bins", dest="bin_count", type=int, metavar="N",
+                   default=None,
+                   help="number of histogram bins; needs --histogram")
+    p.add_argument("--range", dest="span", type=float, nargs=2,
+                   metavar=("LO", "HI"), default=None,
+                   help="histogram range, if not the quantity's default; "
+                        "needs --histogram")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 

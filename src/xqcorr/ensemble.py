@@ -90,9 +90,11 @@ class HistogramSpec:
         object.__setattr__(self, "quantity", Quantity(self.quantity))
 
     @classmethod
-    def default_for(cls, quantity, bin_count: int = 200) -> "HistogramSpec":
+    def default_for(cls, quantity, bin_count: int = 200,
+                    span=None) -> "HistogramSpec":
+        """The spec of ``quantity``, on its default range unless ``span``."""
         quantity = Quantity(quantity)
-        lo, hi = DEFAULT_RANGES[quantity]
+        lo, hi = DEFAULT_RANGES[quantity] if span is None else span
         return cls(bin_count, lo, hi, quantity)
 
 

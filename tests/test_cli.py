@@ -386,6 +386,18 @@ class TestSample:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 51
 
+    def test_binning_without_histogram_exits_parse(self, tmp_path, capsys):
+        # The state CSV has no bins: --bins or --range without --histogram
+        # is refused, not ignored.
+        out = tmp_path / "s.csv"
+        for extra in (["--bins", "5"], ["--range", "0", "1"],
+                      ["--bins", "5", "--range", "0", "1"]):
+            assert main(["sample", "--seed", "1", "--count", "3", *extra,
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "parse error: --bins and --range apply only with "
+                "--histogram\n")
+            assert not os.path.exists(out)
 
     def test_negative_exponent_range(self, tmp_path):
         # argparse's own pattern took -1e-3 for an option ("expected 2

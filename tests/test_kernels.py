@@ -330,10 +330,33 @@ class TestQuinticSolver:
                 x3, y3 * t33 - 2.0 * x3, 1.0 + y3 * y3 - t33 * t33)[0]
 
     def test_sampled_rows_skip_the_eigensolver(self, monkeypatch):
-        # The benchmarked inputs are all seeded from the bracket; a Bell
-        # state still reaches the companion.
+        # The benchmarked inputs are all seeded from the bracket, and every
+        # chunk of them stops within a few steps, which the kernel's loops
+        # over whole-chunk masks rely on; a Bell state still reaches the
+        # companion.
         monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
         import workloads
+
+        chunks = []
+
+        def count_calls(name):
+            original = getattr(_kernels, name)
+
+            def counted(*args):
+                chunks[-1][name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(_kernels, name, counted)
+
+        fill = _kernels._fill_reports
+
+        def per_chunk(params, out):
+            chunks.append({"_quintic_eval": 0, "_quintic_compensated": 0})
+            fill(params, out)
+
+        monkeypatch.setattr(_kernels, "_fill_reports", per_chunk)
+        count_calls("_quintic_eval")
+        count_calls("_quintic_compensated")
 
         initial = parse_state_json(json.dumps(workloads.case2_state(1)))
         forbid(monkeypatch, np.linalg, "eigvals")
@@ -346,6 +369,9 @@ class TestQuinticSolver:
             gamma0=1.0, lam=0.01, t_max=50.0, steps=workloads.TRAJ_STEPS,
             initial=initial))
         assert np.all(rep[:, _kernels.COL_CASE] != 0.0)
+        assert len(chunks) == 13  # 5 + 5 sampled, 3 of the trajectory
+        assert max(c["_quintic_eval"] for c in chunks) <= 12
+        assert max(c["_quintic_compensated"] for c in chunks) <= 6
         bell = np.array([[0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0]])
         with pytest.raises(AssertionError, match="eigvals"):
             _kernels.batch_reports(bell)
