@@ -34,9 +34,18 @@ COL_TG, COL_DG, COL_CG, COL_LG, COL_RES, COL_RESL, COL_BOUNDARY = (
 )
 REPORT_COLS = 13
 
-# Rows per chunk of batch_reports: bounds the temporaries of the solve, the
-# companion stack among them, and so the peak memory of a batch.
+# Rows per chunk of batch_reports, and of every command that streams its
+# states: bounds the temporaries of the solve, the companion stack among
+# them, and so the peak memory of a batch.
 CHUNK_ROWS = 4096
+
+
+def row_chunks(n: int):
+    """The slices of ``CHUNK_ROWS`` consecutive rows that cover n rows, in
+    order; only the last may be shorter."""
+    return (slice(start, start + CHUNK_ROWS)
+            for start in range(0, n, CHUNK_ROWS))
+
 
 # The one Pauli table, in the basis {|1>, |0>}: sigma_3 = diag(1, -1).
 # _PAULI_PRODUCTS[i, j] = s_i (x) s_j with s_0 = ID2 and s_1..3 = PAULI: the
@@ -370,9 +379,8 @@ def batch_reports(params):
     out = np.empty((params.shape[0], REPORT_COLS), dtype=np.float64)
     # A non-finite row would warn as it is computed; it is then zeroed.
     with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, params.shape[0], CHUNK_ROWS):
-            stop = start + CHUNK_ROWS
-            _fill_reports(params[start:stop], out[start:stop])
+        for rows in row_chunks(params.shape[0]):
+            _fill_reports(params[rows], out[rows])
     return out
 
 

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._kernels import row_chunks
 from .closest import check_report_rows, x_report_rows
 from .dynamics import DynamicsConfig, trajectory, write_trajectory_csv
 from .ensemble import (
@@ -83,6 +84,22 @@ exit codes:
 """
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int of at least ``low``, so that a bad value
+    is a parse error that names its flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid int value: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be >= %d, got %d" % (low, value))
+        return value
+    return parse
+
+
 def _cmd_analyze(args) -> int:
     state = load_state_file(args.state_file)
     try:
@@ -115,16 +132,26 @@ def _cmd_sample(args) -> int:
     params, _ = sample_x_arrays(cfg)
     reports = x_report_rows(params)
     check_report_rows(params, reports)
-    lines = ["index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
-             + REPORT_CSV_HEADER]
-    for i, (vals, row) in enumerate(zip(params.tolist(), reports.tolist())):
-        p = XStateParams(*vals)
-        lines.append(_SAMPLE_CSV_PREFIX % (
-            i, p.rho11, p.rho22, p.rho33, p.rho44, p.rho14, p.rho23,
-            p.gamma14, p.gamma23) + quantifiers_x(p, row=row).to_csv_row())
-    write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, _sample_csv(params, reports))
     write_sidecar(args.out, cfg.to_json_dict())
     return EXIT_OK
+
+
+def _sample_csv(params, reports):
+    """The sample CSV of checked rows, as one string per chunk of rows
+    after the header line."""
+    yield ("index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
+           + REPORT_CSV_HEADER + "\n")
+    for rows in row_chunks(params.shape[0]):
+        lines = []
+        for i, (vals, row) in enumerate(zip(params[rows].tolist(),
+                                            reports[rows].tolist()),
+                                        rows.start):
+            p = XStateParams(*vals)
+            lines.append(_SAMPLE_CSV_PREFIX % (
+                i, p.rho11, p.rho22, p.rho33, p.rho44, p.rho14, p.rho23,
+                p.gamma14, p.gamma23) + quantifiers_x(p, row=row).to_csv_row())
+        yield "\n".join(lines) + "\n"
 
 
 def _cmd_evolve(args) -> int:
@@ -185,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("sample", help="random X states or residual histograms")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
+    p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--case", type=int, choices=(1, 2), default=None)
     p.add_argument("--phase-mode", choices=[m.value for m in PhaseMode],
                    default=PhaseMode.FREE.value)
@@ -216,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check",
                        help="cross-validate closed forms against the "
                             "numerical oracles")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle_check)
     for p in (parser, *sub.choices.values()):

@@ -178,13 +178,21 @@ def case_crossings(cfg: DynamicsConfig):
         [taus[gaps == 0.0], 0.5 * (lo + hi)])).tolist()
 
 
+def _trajectory_csv(taus, params, reports):
+    # The CSV as one string per chunk of rows after the header line.
+    yield TRAJECTORY_CSV_HEADER + "\n"
+    for rows in _kernels.row_chunks(taus.shape[0]):
+        table = np.column_stack([taus[rows], params[rows, :6],
+                                 reports[rows, _REPORT_COLUMNS]])
+        yield "\n".join([_ROW_FORMAT % tuple(row)
+                         for row in table.tolist()]) + "\n"
+
+
 def trajectory_csv(taus, params, reports) -> str:
     """CSV text of the :func:`trajectory` arrays, one row per time."""
-    table = np.column_stack([taus, params[:, :6], reports[:, _REPORT_COLUMNS]])
-    lines = [TRAJECTORY_CSV_HEADER]
-    lines += [_ROW_FORMAT % tuple(row) for row in table.tolist()]
-    return "\n".join(lines) + "\n"
+    return "".join(_trajectory_csv(taus, params, reports))
 
 
 def write_trajectory_csv(taus, params, reports, path) -> None:
-    write_text(path, trajectory_csv(taus, params, reports))
+    """Write :func:`trajectory_csv` to ``path`` chunk by chunk."""
+    write_text(path, _trajectory_csv(taus, params, reports))

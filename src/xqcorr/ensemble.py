@@ -29,6 +29,9 @@ from .tolerances import HISTOGRAM_EDGE, TG_FLOOR
 _BATCH = 4096
 _ACCEPTANCE_WINDOW = 20000
 _MIN_ACCEPTANCE = 1e-4
+# Histogram values binned per np.histogram call, whose cost has an
+# O(bin_count) part.
+_BIN_VALUES = 32768
 _HIST_ROW_FORMAT = ",".join([CSV_FLOAT] * 2 + ["%d"])
 
 
@@ -132,31 +135,57 @@ def _draw_batch(rng: np.random.Generator, size: int,
     return batch
 
 
-def sample_x_arrays(cfg: SamplerConfig):
-    """Sample X states as an (count, 8) parameter array.
+def sample_x_chunks(cfg: SamplerConfig):
+    """Sample X states as (m, 8) parameter arrays, one chunk at a time.
 
-    Returns (array, acceptance_rate).  Deterministic for a fixed config;
-    raises :class:`RejectionExhaustionError` when the case filter accepts
-    fewer than 1 in 10^4 draws over a sampling window.
+    Yields (chunk, accepted, drawn): the next ``_kernels.CHUNK_ROWS`` rows
+    in sampling order, and the draws accepted and made so far.  The chunks
+    concatenate to ``cfg.count`` rows, only the last one shorter; at it
+    accepted / drawn is the run's acceptance rate.  The draws come in
+    4096-row batches in one generator order whatever the chunk size, and
+    the case filter keeps rows of each batch, so every row is the same as
+    in :func:`sample_x_arrays`.  Raises :class:`RejectionExhaustionError`
+    when the case filter accepts fewer than 1 in 10^4 draws over a
+    sampling window.
     """
     rng = np.random.default_rng(cfg.seed)
-    kept = []
-    accepted = 0
-    drawn = 0
-    while accepted < cfg.count:
+    pending = np.empty((0, 8))
+    accepted = drawn = emitted = 0
+    while emitted < cfg.count:
         batch = _draw_batch(rng, _BATCH, cfg.phase_mode)
         drawn += _BATCH
         if cfg.case_filter is not None:
             batch = batch[_case_mask(batch, cfg.case_filter)]
         accepted += batch.shape[0]
-        kept.append(batch)
         if drawn >= _ACCEPTANCE_WINDOW and accepted / drawn < _MIN_ACCEPTANCE:
             raise RejectionExhaustionError(
                 "acceptance rate %.2e below %.0e after %d draws; "
                 "the requested filter looks unreachable"
                 % (accepted / drawn, _MIN_ACCEPTANCE, drawn)
             )
-    out = np.concatenate(kept, axis=0)[: cfg.count]
+        pending = np.concatenate((pending, batch))
+        if accepted >= cfg.count:  # the last batch: trim it, emit the rest
+            pending = pending[:cfg.count - emitted]
+            ready = pending.shape[0]
+        else:
+            ready = pending.shape[0] - pending.shape[0] % _kernels.CHUNK_ROWS
+        for rows in _kernels.row_chunks(ready):
+            yield pending[rows], accepted, drawn
+        emitted += ready
+        pending = pending[ready:]
+
+
+def sample_x_arrays(cfg: SamplerConfig):
+    """Sample X states as an (count, 8) parameter array.
+
+    Returns (array, acceptance_rate): the chunks of
+    :func:`sample_x_chunks`, joined.  Deterministic for a fixed config.
+    """
+    out = np.empty((cfg.count, 8))
+    stop = 0
+    for chunk, accepted, drawn in sample_x_chunks(cfg):
+        out[stop:stop + chunk.shape[0]] = chunk
+        stop += chunk.shape[0]
     return out, accepted / drawn
 
 
@@ -212,31 +241,47 @@ def relative_quantities(reports: np.ndarray, quantity: Quantity):
     return reports[keep, col] / tg[keep], int(np.count_nonzero(~keep))
 
 
+def _bin(values: list, spec: HistogramSpec):
+    """``np.histogram`` of the joined value arrays on the spec's bins."""
+    return np.histogram(np.concatenate(values), bins=spec.bin_count,
+                        range=(spec.lo, spec.hi))
+
+
 def run_histogram(cfg: SamplerConfig, spec: HistogramSpec) -> HistogramResult:
     """Sample, compute quantifiers, and bin the requested relative residual.
 
     Values within ``HISTOGRAM_EDGE`` past a range edge are folded into
     the edge bin (pure floating-point slack); anything farther out lands in
-    the underflow/overflow counters of the sidecar.
+    the underflow/overflow counters of the sidecar.  Each chunk of
+    :func:`sample_x_chunks` is solved on its own, and its values are
+    binned once ``_BIN_VALUES`` of them wait, so memory does not grow with
+    ``cfg.count`` and a call's O(``bin_count``) cost is shared by many
+    values.  With uniform bins a value's bin depends on the value alone, so
+    the summed counts are those of one pass over all states.
     """
-    arr, acceptance = sample_x_arrays(cfg)
-    reports = x_report_rows(arr)
-    values, dropped = relative_quantities(reports, spec.quantity)
-
-    near_lo = (values < spec.lo) & (values >= spec.lo - HISTOGRAM_EDGE)
-    near_hi = (values > spec.hi) & (values <= spec.hi + HISTOGRAM_EDGE)
-    values = np.where(near_lo, spec.lo, values)
-    values = np.where(near_hi, spec.hi, values)
-    underflow = int(np.count_nonzero(values < spec.lo))
-    overflow = int(np.count_nonzero(values > spec.hi))
-    inside = values[(values >= spec.lo) & (values <= spec.hi)]
-    counts, edges = np.histogram(
-        inside, bins=spec.bin_count, range=(spec.lo, spec.hi)
-    )
+    counts = np.zeros(spec.bin_count, dtype=np.intp)
+    dropped = underflow = overflow = 0
+    waiting = []  # value arrays inside the range, not yet binned
+    for params, accepted, drawn in sample_x_chunks(cfg):
+        values, chunk_dropped = relative_quantities(x_report_rows(params),
+                                                    spec.quantity)
+        near_lo = (values < spec.lo) & (values >= spec.lo - HISTOGRAM_EDGE)
+        near_hi = (values > spec.hi) & (values <= spec.hi + HISTOGRAM_EDGE)
+        values = np.where(near_lo, spec.lo, values)
+        values = np.where(near_hi, spec.hi, values)
+        dropped += chunk_dropped
+        underflow += int(np.count_nonzero(values < spec.lo))
+        overflow += int(np.count_nonzero(values > spec.hi))
+        if sum(map(len, waiting)) >= _BIN_VALUES:
+            counts += _bin(waiting, spec)[0]
+            waiting = []
+        waiting.append(values[(values >= spec.lo) & (values <= spec.hi)])
+    last, edges = _bin(waiting, spec)
+    counts += last
     return HistogramResult(
         spec=spec, edges=edges, counts=counts, total=int(counts.sum()),
         dropped=dropped, underflow=underflow, overflow=overflow,
-        acceptance_rate=acceptance, config=cfg,
+        acceptance_rate=accepted / drawn, config=cfg,
     )
 
 

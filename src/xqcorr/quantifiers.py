@@ -50,13 +50,17 @@ CSV_FLOAT = "%.17g"
 _REPORT_CSV_ROW = ",".join(["%d"] + [CSV_FLOAT] * 11 + ["%d"])
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` to the file ``path`` as UTF-8, or to stdout if None."""
+def write_text(path, text) -> None:
+    """Write ``text``, a string or an iterable of strings, to the file
+    ``path`` as UTF-8, or to stdout if None.  An iterable is written as it
+    yields, so a long output need not be held in memory."""
+    if isinstance(text, str):
+        text = (text,)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(text)
 
 
 @dataclass(frozen=True)

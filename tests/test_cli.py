@@ -596,6 +596,43 @@ class TestOracleCheck:
         assert capsys.readouterr().out == plain
 
 
+class TestCountAndSeedFlags:
+    """--count, --trials and --seed are checked as they are parsed: exit 2,
+    with a message that names the flag, before any file is written."""
+
+    @staticmethod
+    def parse_error(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err.splitlines()[-1]
+
+    def test_count(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        for value, message in (("0", "must be >= 1, got 0"),
+                               ("2.5", "invalid int value: '2.5'")):
+            assert self.parse_error(
+                ["sample", "--seed", "1", "--count", value, "--out",
+                 str(out)], capsys) \
+                == "xqcorr sample: error: argument --count: " + message
+        assert not out.exists()
+
+    def test_trials(self, capsys):
+        assert self.parse_error(["oracle-check", "--trials", "0"], capsys) \
+            == ("xqcorr oracle-check: error: argument --trials: "
+                "must be >= 1, got 0")
+
+    @pytest.mark.parametrize("argv", (["sample", "--count", "5", "--out"],
+                                      ["oracle-check", "--trials", "2",
+                                       "--out"]))
+    def test_seed(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.parse_error(argv + [str(out), "--seed", "-1"], capsys) \
+            == "xqcorr %s: error: argument --seed: must be >= 0, got -1" \
+            % argv[0]
+        assert not out.exists()
+
+
 class TestImports:
     def test_no_scipy_at_import(self):
         # The package runs on numpy alone; scipy is a test dependency.
