@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._kernels import row_chunks
 from .closest import check_report_rows, x_report_rows
 from .dynamics import DynamicsConfig, trajectory, write_trajectory_csv
 from .ensemble import (
@@ -38,6 +37,7 @@ from .errors import (
 from .quantifiers import (
     CSV_FLOAT,
     REPORT_CSV_HEADER,
+    csv_chunks,
     geometric_discords,
     oracle_errors,
     quantifiers_x,
@@ -138,20 +138,20 @@ def _cmd_sample(args) -> int:
 
 
 def _sample_csv(params, reports):
-    """The sample CSV of checked rows, as one string per chunk of rows
-    after the header line."""
-    yield ("index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
-           + REPORT_CSV_HEADER + "\n")
-    for rows in row_chunks(params.shape[0]):
-        lines = []
+    """The sample CSV of checked rows, as strings to write."""
+    def lines(rows):
+        out = []
         for i, (vals, row) in enumerate(zip(params[rows].tolist(),
                                             reports[rows].tolist()),
                                         rows.start):
             p = XStateParams(*vals)
-            lines.append(_SAMPLE_CSV_PREFIX % (
+            out.append(_SAMPLE_CSV_PREFIX % (
                 i, p.rho11, p.rho22, p.rho33, p.rho44, p.rho14, p.rho23,
                 p.gamma14, p.gamma23) + quantifiers_x(p, row=row).to_csv_row())
-        yield "\n".join(lines) + "\n"
+        return out
+    return csv_chunks(
+        "index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
+        + REPORT_CSV_HEADER, params.shape[0], lines)
 
 
 def _cmd_evolve(args) -> int:
@@ -220,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histogram", choices=[q.value for q in Quantity],
                    default=None,
                    help="emit a histogram of this quantity instead of states")
-    p.add_argument("--bins", dest="bin_count", type=int, metavar="N",
-                   default=None,
+    p.add_argument("--bins", dest="bin_count", type=_int_at_least(2),
+                   metavar="N", default=None,
                    help="number of histogram bins; needs --histogram")
     p.add_argument("--range", dest="span", type=float, nargs=2,
                    metavar=("LO", "HI"), default=None,
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--t-max", type=float, required=True,
                    help="end time in units of 1/gamma0")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_int_at_least(2), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evolve)
 

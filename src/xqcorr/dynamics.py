@@ -31,8 +31,8 @@ import numpy as np
 
 from . import _kernels
 from .closest import x_report_rows
-from .quantifiers import (CSV_FLOAT, CorrelationReport, quantifiers_x,
-                          write_text)
+from .quantifiers import (CSV_FLOAT, CorrelationReport, csv_chunks,
+                          quantifiers_x, write_text)
 from .states import XStateParams, check_x_rows
 
 TRAJECTORY_CSV_HEADER = (
@@ -179,13 +179,12 @@ def case_crossings(cfg: DynamicsConfig):
 
 
 def _trajectory_csv(taus, params, reports):
-    # The CSV as one string per chunk of rows after the header line.
-    yield TRAJECTORY_CSV_HEADER + "\n"
-    for rows in _kernels.row_chunks(taus.shape[0]):
+    # The CSV as strings to write, one per chunk of rows after the header.
+    def lines(rows):
         table = np.column_stack([taus[rows], params[rows, :6],
                                  reports[rows, _REPORT_COLUMNS]])
-        yield "\n".join([_ROW_FORMAT % tuple(row)
-                         for row in table.tolist()]) + "\n"
+        return [_ROW_FORMAT % tuple(row) for row in table.tolist()]
+    return csv_chunks(TRAJECTORY_CSV_HEADER, taus.shape[0], lines)
 
 
 def trajectory_csv(taus, params, reports) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .closest import CaseId, x_report_rows
 from .errors import RejectionExhaustionError
-from .quantifiers import CSV_FLOAT, write_text
+from .quantifiers import CSV_FLOAT, csv_chunks, write_text
 from .states import TWO_PI, XStateParams
 from .tolerances import HISTOGRAM_EDGE, TG_FLOOR
 
@@ -207,12 +207,16 @@ class HistogramResult:
     acceptance_rate: float
     config: SamplerConfig
 
+    def _csv_chunks(self):
+        # The CSV as strings to write, one per chunk of bins after the header.
+        def lines(rows):
+            return [_HIST_ROW_FORMAT % row for row in zip(
+                self.edges[:-1][rows].tolist(), self.edges[1:][rows].tolist(),
+                self.counts[rows].tolist())]
+        return csv_chunks("bin_lo,bin_hi,count", self.counts.size, lines)
+
     def to_csv(self) -> str:
-        edges = self.edges.tolist()
-        lines = ["bin_lo,bin_hi,count"]
-        lines += [_HIST_ROW_FORMAT % row for row in
-                  zip(edges[:-1], edges[1:], self.counts.tolist())]
-        return "\n".join(lines) + "\n"
+        return "".join(self._csv_chunks())
 
     def sidecar_dict(self) -> dict:
         return {
@@ -293,5 +297,5 @@ def write_sidecar(path, doc: dict) -> None:
 
 def write_histogram(result: HistogramResult, path) -> None:
     """Write the histogram CSV plus its JSON metadata sidecar."""
-    write_text(path, result.to_csv())
+    write_text(path, result._csv_chunks())
     write_sidecar(path, result.sidecar_dict())

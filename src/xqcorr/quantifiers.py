@@ -63,6 +63,15 @@ def write_text(path, text) -> None:
             fh.writelines(text)
 
 
+def csv_chunks(header: str, n: int, lines):
+    """An n-row CSV as strings for :func:`write_text`: the header line,
+    then, for each slice of :func:`xqcorr._kernels.row_chunks`, the list
+    of row lines that ``lines(rows)`` returns, newline-joined."""
+    yield header + "\n"
+    for rows in _kernels.row_chunks(n):
+        yield "\n".join(lines(rows)) + "\n"
+
+
 @dataclass(frozen=True)
 class CorrelationReport:
     """All quantifiers of one state plus the closest states realizing them.

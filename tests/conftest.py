@@ -1,10 +1,14 @@
 """Shared helpers: deterministic state samples and independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import scipy.optimize
 
+import xqcorr
 from xqcorr import _kernels
 from xqcorr.closest import CaseId
 from xqcorr.ensemble import PhaseMode, SamplerConfig, sample_x_states
@@ -243,3 +247,30 @@ def forbid(monkeypatch, module, *names):
                                  % (module.__name__, _name))
 
         monkeypatch.setattr(module, name, refuse)
+
+
+# Runs one command in a process forked from a small interpreter and prints
+# its ru_maxrss.  A process spawned straight from the test runner would not
+# do: on Linux its ru_maxrss starts at the runner's own peak, which hides
+# the command's.
+_PEAK_CHILD = """
+import os, resource, sys
+pid = os.fork()
+if pid == 0:
+    from xqcorr import cli
+    code = cli.main(sys.argv[1:])
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
+    os._exit(code)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def peak_rss_kb(argv):
+    """The peak RSS, in kilobytes (ru_maxrss on Linux), of the process that
+    runs ``xqcorr`` with the arguments ``argv``; the command must exit 0."""
+    src = os.path.dirname(os.path.dirname(xqcorr.__file__))
+    done = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)

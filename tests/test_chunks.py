@@ -1,21 +1,20 @@
 """Chunked sampling, solving and writing: the bits, the errors and the memory.
 
 `sample` and `evolve` work through their states in chunks of
-``_kernels.CHUNK_ROWS`` rows.  Each test here uses counts of 3 chunks plus
-17 rows, so a chunk that drops or repeats a row at its edge moves a byte.
-The references are built in one pass over all states, as the commands
-were before they were chunked.
+``_kernels.CHUNK_ROWS`` rows, and every CSV is written in chunks of as many
+rows.  The tests here use counts of 3 chunks plus 17 rows, and histograms
+with bin counts at a chunk's edge, so a chunk that drops or repeats a row
+at its edge moves a byte.  The references are built and formatted in one
+pass over all rows, as the commands were before they were chunked.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import xqcorr
+from conftest import peak_rss_kb
 from xqcorr import _kernels, cli, closest, ensemble
 from xqcorr.cli import main
 from xqcorr.closest import x_report_rows
@@ -88,6 +87,14 @@ def one_pass_histogram(cfg, spec):
         acceptance_rate=acceptance, config=cfg)
 
 
+def one_pass_histogram_csv(result):
+    edges = result.edges.tolist()
+    lines = ["bin_lo,bin_hi,count"]
+    for lo, hi, count in zip(edges[:-1], edges[1:], result.counts.tolist()):
+        lines.append("%s,%s,%d" % (CSV_FLOAT % lo, CSV_FLOAT % hi, count))
+    return "\n".join(lines) + "\n"
+
+
 def sidecar_text(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -135,11 +142,30 @@ class TestChunkEdgesMoveNoBit:
         spec = HistogramSpec(50, -0.5, -0.1, "rel_residual")
         expected = one_pass_histogram(cfg, spec)
         assert expected.underflow > 0 and expected.overflow > 0
-        assert out.read_text() == expected.to_csv()
+        assert out.read_text() == one_pass_histogram_csv(expected)
         sidecar = (tmp_path / "h.csv.meta.json").read_text()
         assert sidecar == sidecar_text(expected.sidecar_dict())
         assert json.loads(sidecar)["acceptance_rate"] \
             == expected.acceptance_rate
+
+    @pytest.mark.parametrize("bins", (_kernels.CHUNK_ROWS - 1,
+                                      _kernels.CHUNK_ROWS,
+                                      _kernels.CHUNK_ROWS + 1, COUNT))
+    def test_histogram_rows(self, bins, tmp_path):
+        out = tmp_path / "h.csv"
+        assert main(["sample", "--seed", "12", "--count", "1000",
+                     "--case", "2", "--histogram", "rel_residual",
+                     "--bins", str(bins), "--range", "-0.5", "-0.1",
+                     "--out", str(out)]) == 0
+        cfg = SamplerConfig(seed=12, count=1000, case_filter=2)
+        expected = one_pass_histogram(
+            cfg, HistogramSpec(bins, -0.5, -0.1, "rel_residual"))
+        assert expected.underflow > 0 and expected.overflow > 0
+        csv = one_pass_histogram_csv(expected)
+        assert expected.to_csv() == csv
+        assert out.read_bytes() == csv.encode()
+        assert (tmp_path / "h.csv.meta.json").read_bytes() \
+            == sidecar_text(expected.sidecar_dict()).encode()
 
     def test_evolve(self, tmp_path):
         psi = tmp_path / "psi.json"
@@ -214,33 +240,19 @@ class TestErrorInALaterChunk:
             "states, first %r\n" % (_kernels.CHUNK_ROWS, bad[0]))
 
 
-# Runs one command in a process forked from a small interpreter and prints
-# its ru_maxrss.  A process spawned straight from the test runner would not
-# do: on Linux its ru_maxrss starts at the runner's own peak, which hides
-# the command's.
-_PEAK_CHILD = """
-import os, resource, sys
-pid = os.fork()
-if pid == 0:
-    from xqcorr import cli
-    code = cli.main(sys.argv[1:])
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
-    os._exit(code)
-sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-"""
-
-
 def test_histogram_peak_memory_does_not_grow_with_the_count(tmp_path):
-    # ru_maxrss is in kilobytes on Linux.
-    src = os.path.dirname(os.path.dirname(xqcorr.__file__))
-    peaks = []
-    for count in (2000, 200000):
-        done = subprocess.run(
-            [sys.executable, "-c", _PEAK_CHILD, "sample", "--seed", "1",
-             "--count", str(count), "--case", "2",
-             "--histogram", "rel_residual", "--out", str(tmp_path / "h.csv")],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        peaks.append(int(done.stdout))
+    peaks = [peak_rss_kb(["sample", "--seed", "1", "--count", count,
+                          "--case", "2", "--histogram", "rel_residual",
+                          "--out", str(tmp_path / "h.csv")])
+             for count in ("2000", "200000")]
     assert peaks[1] - peaks[0] <= 8 * 1024, peaks
+
+
+def test_histogram_peak_memory_does_not_grow_with_the_bins(tmp_path):
+    # The CSV is formatted one chunk of bins at a time.  Built whole, its
+    # 100000 rows once lifted the peak by 21 MB.
+    peaks = [peak_rss_kb(["sample", "--seed", "1", "--count", "4000",
+                          "--case", "2", "--histogram", "rel_residual",
+                          "--bins", bins, "--out", str(tmp_path / "h.csv")])
+             for bins in ("200", "100000")]
+    assert peaks[1] - peaks[0] <= 4 * 1024, peaks

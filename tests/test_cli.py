@@ -478,9 +478,11 @@ class TestEvolve:
 
     def test_bad_steps(self, tmp_path, capsys):
         psi = write(tmp_path, "psi.json", BELL_JSON)
-        assert main(["evolve", psi, "--gamma0", "1", "--lambda", "1",
-                     "--t-max", "1", "--steps", "1",
-                     "--out", str(tmp_path / "t.csv")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", psi, "--gamma0", "1", "--lambda", "1",
+                  "--t-max", "1", "--steps", "1",
+                  "--out", str(tmp_path / "t.csv")])
+        assert exc.value.code == 2
 
     def test_negative_exponent_is_a_value(self, tmp_path, capsys):
         # Once "expected one argument" from argparse.
@@ -597,8 +599,9 @@ class TestOracleCheck:
 
 
 class TestCountAndSeedFlags:
-    """--count, --trials and --seed are checked as they are parsed: exit 2,
-    with a message that names the flag, before any file is written."""
+    """--count, --trials, --seed, --steps and --bins are checked as they
+    are parsed: exit 2, with a message that names the flag, before any file
+    is written."""
 
     @staticmethod
     def parse_error(argv, capsys):
@@ -630,6 +633,26 @@ class TestCountAndSeedFlags:
         assert self.parse_error(argv + [str(out), "--seed", "-1"], capsys) \
             == "xqcorr %s: error: argument --seed: must be >= 0, got -1" \
             % argv[0]
+        assert not out.exists()
+
+
+    def test_steps(self, tmp_path, capsys):
+        psi = write(tmp_path, "psi.json", BELL_JSON)
+        out = tmp_path / "t.csv"
+        assert self.parse_error(
+            ["evolve", psi, "--gamma0", "1", "--lambda", "1", "--t-max", "1",
+             "--steps", "1", "--out", str(out)], capsys) \
+            == "xqcorr evolve: error: argument --steps: must be >= 2, got 1"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("histogram", (["--histogram", "rel_residual"],
+                                           []))
+    def test_bins(self, histogram, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        assert self.parse_error(
+            ["sample", "--seed", "1", "--count", "5", *histogram,
+             "--bins", "1", "--out", str(out)], capsys) \
+            == "xqcorr sample: error: argument --bins: must be >= 2, got 1"
         assert not out.exists()
 
 
