@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .closest import check_report_rows, x_report_rows
-from .dynamics import DynamicsConfig, trajectory, write_trajectory_csv
+from .dynamics import DynamicsConfig, write_trajectory_csv
 from .ensemble import (
     HistogramSpec,
     PhaseMode,
@@ -23,6 +23,7 @@ from .ensemble import (
     SamplerConfig,
     run_histogram,
     sample_x_arrays,
+    sample_x_chunks,
     write_histogram,
     write_sidecar,
 )
@@ -129,29 +130,29 @@ def _cmd_sample(args) -> int:
         write_histogram(result, args.out)
         return EXIT_OK
 
-    params, _ = sample_x_arrays(cfg)
-    reports = x_report_rows(params)
-    check_report_rows(params, reports)
-    write_text(args.out, _sample_csv(params, reports))
+    write_text(args.out, csv_chunks(
+        "index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
+        + REPORT_CSV_HEADER, _sample_lines(cfg)))
     write_sidecar(args.out, cfg.to_json_dict())
     return EXIT_OK
 
 
-def _sample_csv(params, reports):
-    """The sample CSV of checked rows, as strings to write."""
-    def lines(rows):
-        out = []
-        for i, (vals, row) in enumerate(zip(params[rows].tolist(),
-                                            reports[rows].tolist()),
-                                        rows.start):
+def _sample_lines(cfg):
+    # The sample CSV's row lines, one list per sampler chunk, each chunk
+    # solved and its closest states checked before it is formatted.
+    start = 0
+    for params, _, _ in sample_x_chunks(cfg):
+        reports = x_report_rows(params)
+        check_report_rows(params, reports)
+        lines = []
+        for i, (vals, row) in enumerate(zip(params.tolist(),
+                                            reports.tolist()), start):
             p = XStateParams(*vals)
-            out.append(_SAMPLE_CSV_PREFIX % (
+            lines.append(_SAMPLE_CSV_PREFIX % (
                 i, p.rho11, p.rho22, p.rho33, p.rho44, p.rho14, p.rho23,
                 p.gamma14, p.gamma23) + quantifiers_x(p, row=row).to_csv_row())
-        return out
-    return csv_chunks(
-        "index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
-        + REPORT_CSV_HEADER, params.shape[0], lines)
+        start += len(lines)
+        yield lines
 
 
 def _cmd_evolve(args) -> int:
@@ -160,7 +161,7 @@ def _cmd_evolve(args) -> int:
         state = matrix_to_x_params(state)
     cfg = DynamicsConfig(gamma0=args.gamma0, lam=args.lam,
                          t_max=args.t_max, steps=args.steps, initial=state)
-    write_trajectory_csv(*trajectory(cfg), args.out)
+    write_trajectory_csv(cfg, args.out)
     return EXIT_OK
 
 

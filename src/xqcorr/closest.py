@@ -217,14 +217,9 @@ def check_report_rows(params: np.ndarray, reports: np.ndarray) -> None:
     that state's closest product must be what :class:`ProductPair` and
     :class:`XStateParams` accept.  The first row that fails has those
     objects built, in that order, and the first to fail raises its
-    :class:`InvalidStateError`.  Works in chunks of ``CHUNK_ROWS`` rows in
-    order, so its temporaries do not grow with n.
+    :class:`InvalidStateError`.  The temporaries are a few times the size
+    of the arguments: ``sample`` passes one chunk of rows at a time.
     """
-    for rows in _kernels.row_chunks(params.shape[0]):
-        _check_report_chunk(params[rows], reports[rows])
-
-
-def _check_report_chunk(params, reports):
     case = reports[:, _kernels.COL_CASE]
     a3, b3 = reports[:, _kernels.COL_A3], reports[:, _kernels.COL_B3]
     a, b = classical_product_rows(params, case, a3, b3)

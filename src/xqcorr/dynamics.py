@@ -16,10 +16,9 @@ between the two spectral cases k1 <= k3 and k1 > k3.
 :func:`trajectory` computes a whole trajectory as three arrays: the time
 grid, the (n, 8) evolved parameters, validated once as an array by
 :func:`xqcorr.states.check_x_rows`, and their (n, 13) report array from one
-:func:`xqcorr.closest.x_report_rows` solve.  ``xqcorr evolve`` writes its
-CSV straight from those arrays and builds no per-point objects;
-:func:`evolve` is the per-point view of the same arrays, one
-:class:`TrajectoryPoint` with a full :class:`CorrelationReport` per time.
+:func:`xqcorr.closest.x_report_rows` solve; :func:`evolve` is its per-point
+view.  ``xqcorr evolve`` (:func:`write_trajectory_csv`) checks, solves and
+writes one ``row_chunks`` slice of the time grid at a time instead.
 """
 
 from __future__ import annotations
@@ -178,20 +177,24 @@ def case_crossings(cfg: DynamicsConfig):
         [taus[gaps == 0.0], 0.5 * (lo + hi)])).tolist()
 
 
-def _trajectory_csv(taus, params, reports):
-    # The CSV as strings to write, one per chunk of rows after the header.
-    def lines(rows):
-        table = np.column_stack([taus[rows], params[rows, :6],
-                                 reports[rows, _REPORT_COLUMNS]])
-        return [_ROW_FORMAT % tuple(row) for row in table.tolist()]
-    return csv_chunks(TRAJECTORY_CSV_HEADER, taus.shape[0], lines)
+def _trajectory_lines(cfg: DynamicsConfig):
+    # The CSV's row lines, one list per row_chunks slice of the time grid;
+    # each slice is checked, then solved, before it is formatted.
+    taus = np.linspace(0.0, cfg.t_max, cfg.steps)
+    for rows in _kernels.row_chunks(cfg.steps):
+        params = _params_at(cfg, taus[rows])
+        check_x_rows(params)
+        table = np.column_stack([taus[rows], params[:, :6],
+                                 x_report_rows(params)[:, _REPORT_COLUMNS]])
+        yield [_ROW_FORMAT % tuple(row) for row in table.tolist()]
 
 
-def trajectory_csv(taus, params, reports) -> str:
-    """CSV text of the :func:`trajectory` arrays, one row per time."""
-    return "".join(_trajectory_csv(taus, params, reports))
+def trajectory_csv(cfg: DynamicsConfig) -> str:
+    """CSV text of the :func:`trajectory` of ``cfg``, one row per time."""
+    return "".join(csv_chunks(TRAJECTORY_CSV_HEADER, _trajectory_lines(cfg)))
 
 
-def write_trajectory_csv(taus, params, reports, path) -> None:
-    """Write :func:`trajectory_csv` to ``path`` chunk by chunk."""
-    write_text(path, _trajectory_csv(taus, params, reports))
+def write_trajectory_csv(cfg: DynamicsConfig, path) -> None:
+    """Write :func:`trajectory_csv` to ``path`` one chunk at a time."""
+    write_text(path, csv_chunks(TRAJECTORY_CSV_HEADER,
+                                _trajectory_lines(cfg)))

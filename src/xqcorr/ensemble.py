@@ -213,7 +213,8 @@ class HistogramResult:
             return [_HIST_ROW_FORMAT % row for row in zip(
                 self.edges[:-1][rows].tolist(), self.edges[1:][rows].tolist(),
                 self.counts[rows].tolist())]
-        return csv_chunks("bin_lo,bin_hi,count", self.counts.size, lines)
+        return csv_chunks("bin_lo,bin_hi,count",
+                          map(lines, _kernels.row_chunks(self.counts.size)))
 
     def to_csv(self) -> str:
         return "".join(self._csv_chunks())

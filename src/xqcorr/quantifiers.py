@@ -16,6 +16,8 @@ and t_g + l_g - d_g - c_g = a3^2 (T33 - a3 b3)^2 / 2.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -51,25 +53,42 @@ _REPORT_CSV_ROW = ",".join(["%d"] + [CSV_FLOAT] * 11 + ["%d"])
 
 
 def write_text(path, text) -> None:
-    """Write ``text``, a string or an iterable of strings, to the file
-    ``path`` as UTF-8, or to stdout if None.  An iterable is written as it
-    yields, so a long output need not be held in memory."""
+    """Write ``text``, a string or an iterable of strings, as it yields, to
+    the file ``path`` as UTF-8, or to stdout if None.  A new or regular
+    file, or a symlink's target, is replaced by ``<file>.<pid>.tmp`` once
+    that holds the whole text, so an error leaves the file as it was; a
+    replaced file keeps its mode.  A FIFO or a terminal is written in
+    place."""
     if isinstance(text, str):
         text = (text,)
     if path is None:
         sys.stdout.writelines(text)
-    else:
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(text)
+        return
+    path = os.path.realpath(path) if os.path.islink(path) else path
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            if os.path.exists(path):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            fh.writelines(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def csv_chunks(header: str, n: int, lines):
-    """An n-row CSV as strings for :func:`write_text`: the header line,
-    then, for each slice of :func:`xqcorr._kernels.row_chunks`, the list
-    of row lines that ``lines(rows)`` returns, newline-joined."""
+def csv_chunks(header: str, chunks):
+    """A CSV as strings for :func:`write_text`: the header line, then each
+    of ``chunks``, an iterable of lists of row lines, newline-joined.  A
+    generator's lists are made one at a time, as they are written: map
+    keeps neither a list nor its text while the next list is made."""
     yield header + "\n"
-    for rows in _kernels.row_chunks(n):
-        yield "\n".join(lines(rows)) + "\n"
+    yield from map(lambda lines: "\n".join(lines) + "\n", chunks)
 
 
 @dataclass(frozen=True)

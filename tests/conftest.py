@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import scipy.optimize
@@ -247,6 +248,31 @@ def forbid(monkeypatch, module, *names):
                                  % (module.__name__, _name))
 
         monkeypatch.setattr(module, name, refuse)
+
+
+def corrupt_row(monkeypatch, module, name, row, value, column=None):
+    """Wrap ``module.name``, a function of one chunk's rows as an array,
+    its first argument, that returns an array with a row for each, so
+    that global row ``row`` of its results, counted across calls in call
+    order, is set to ``value`` (only its ``column``, if one is given).
+
+    Returns a record: ``calls``, the rows of each call's result, and
+    ``hits``, the corrupted row's argument and result, as lists.
+    """
+    fn = getattr(module, name)
+    record = types.SimpleNamespace(calls=[], hits=[])
+
+    def wrapped(arg, *args, **kwargs):
+        out = fn(arg, *args, **kwargs)
+        i = row - sum(record.calls)
+        record.calls.append(out.shape[0])
+        if 0 <= i < out.shape[0]:
+            out[i if column is None else (i, column)] = value
+            record.hits.append((arg[i].tolist(), out[i].tolist()))
+        return out
+
+    monkeypatch.setattr(module, name, wrapped)
+    return record
 
 
 # Runs one command in a process forked from a small interpreter and prints

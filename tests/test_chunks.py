@@ -9,13 +9,16 @@ pass over all rows, as the commands were before they were chunked.
 """
 
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
 
 import xqcorr
-from conftest import peak_rss_kb
-from xqcorr import _kernels, cli, closest, ensemble
+from conftest import corrupt_row, peak_rss_kb
+from xqcorr import _kernels, cli, closest, dynamics, ensemble
 from xqcorr.cli import main
 from xqcorr.closest import x_report_rows
 from xqcorr.dynamics import (TRAJECTORY_CSV_HEADER, DynamicsConfig,
@@ -188,56 +191,181 @@ class TestChunkEdgesMoveNoBit:
         assert out.read_text() == "\n".join(lines) + "\n"
 
 
+def write_psi(tmp_path):
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps(PSI))
+    return str(psi)
+
+
+def evolve_argv(psi, steps, out):
+    return ["evolve", psi, "--gamma0", "1", "--lambda", "0.01",
+            "--t-max", "50", "--steps", str(steps), "--out", str(out)]
+
+
+def temp_files(directory):
+    return sorted(p.name for p in directory.iterdir() if p.suffix == ".tmp")
+
+
+def fail_one_solve(monkeypatch, row):
+    """Make the solve of global row ``row`` fail, as batch_reports marks a
+    failed row; returns the conftest.corrupt_row record."""
+    return corrupt_row(monkeypatch, _kernels, "batch_reports", row, 0.0)
+
+
+def solver_failure(record):
+    # The message of a solve that failed on the one corrupted row: it
+    # counts the states of that row's chunk.
+    (params, _), = record.hits
+    return ("numerical failure: closest-product solver failed on 1 of %d "
+            "states, first %r\n" % (_kernels.CHUNK_ROWS, params))
+
+
 class TestErrorInALaterChunk:
     """An error found past the first chunk still leaves no output file."""
 
     BAD_ROW = _kernels.CHUNK_ROWS + 5
 
     def test_sample_csv(self, tmp_path, monkeypatch, capsys):
-        solve = cli.x_report_rows
-        bad = []
-
-        def solve_one_bad_row(params):
-            rows = solve(params)
-            rows[self.BAD_ROW, _kernels.COL_A3] = 1.0 + 1e-9
-            bad.append(rows[self.BAD_ROW, _kernels.COL_B3])
-            return rows
-
-        monkeypatch.setattr(cli, "x_report_rows", solve_one_bad_row)
+        record = corrupt_row(monkeypatch, cli, "x_report_rows", self.BAD_ROW,
+                             1.0 + 1e-9, column=_kernels.COL_A3)
         out = tmp_path / "s.csv"
         assert main(["sample", "--seed", "7", "--count", str(COUNT),
                      "--out", str(out)]) == 3
         assert not out.exists()
         assert not (tmp_path / "s.csv.meta.json").exists()
+        assert temp_files(tmp_path) == []
+        (_, row), = record.hits
         with pytest.raises(xqcorr.InvalidStateError) as exc:
-            closest.ProductPair((0.0, 0.0, 1.0 + 1e-9), (0.0, 0.0, bad[0]))
+            closest.ProductPair((0.0, 0.0, 1.0 + 1e-9),
+                                (0.0, 0.0, row[_kernels.COL_B3]))
         assert capsys.readouterr().err == "invalid state: %s\n" % exc.value
+
+    def test_sample_csv_solver_failure(self, tmp_path, monkeypatch, capsys):
+        record = fail_one_solve(monkeypatch, self.BAD_ROW)
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--seed", "7", "--count", str(COUNT),
+                     "--out", str(out)]) == 4
+        assert record.calls == [_kernels.CHUNK_ROWS] * 2
+        assert not out.exists()
+        assert not (tmp_path / "s.csv.meta.json").exists()
+        assert temp_files(tmp_path) == []
+        assert capsys.readouterr().err == solver_failure(record)
 
     def test_histogram(self, tmp_path, monkeypatch, capsys):
         # The second chunk's solve fails on its sixth row.  The message
         # counts the states of that chunk's solve.
-        batch_reports = _kernels.batch_reports
-        calls, bad = [], []
-
-        def fail_one_row(params):
-            rows = batch_reports(params)
-            calls.append(params.shape[0])
-            if len(calls) == 2:
-                rows[5] = 0.0
-                bad.append(params[5].tolist())
-            return rows
-
-        monkeypatch.setattr(_kernels, "batch_reports", fail_one_row)
+        record = fail_one_solve(monkeypatch, self.BAD_ROW)
         out = tmp_path / "h.csv"
         assert main(["sample", "--seed", "7", "--count", str(COUNT),
                      "--case", "2", "--histogram", "rel_residual",
                      "--out", str(out)]) == 4
-        assert calls == [_kernels.CHUNK_ROWS] * 2
+        assert record.calls == [_kernels.CHUNK_ROWS] * 2
         assert not out.exists()
         assert not (tmp_path / "h.csv.meta.json").exists()
-        assert capsys.readouterr().err == (
-            "numerical failure: closest-product solver failed on 1 of %d "
-            "states, first %r\n" % (_kernels.CHUNK_ROWS, bad[0]))
+        assert temp_files(tmp_path) == []
+        assert capsys.readouterr().err == solver_failure(record)
+
+    def test_evolve(self, tmp_path, monkeypatch, capsys):
+        record = fail_one_solve(monkeypatch, self.BAD_ROW)
+        out = tmp_path / "t.csv"
+        assert main(evolve_argv(write_psi(tmp_path), COUNT, out)) == 4
+        assert record.calls == [_kernels.CHUNK_ROWS] * 2
+        assert not out.exists()
+        assert temp_files(tmp_path) == []
+        assert capsys.readouterr().err == solver_failure(record)
+
+    def test_evolve_invalid_state(self, tmp_path, monkeypatch, capsys):
+        # P_t = 1.5 at one time of the second chunk makes rho22 negative
+        # there: exit 3, and that chunk is never solved.
+        corrupt_row(monkeypatch, _kernels, "pt_values", self.BAD_ROW, 1.5)
+        solve, solves = _kernels.batch_reports, []
+        monkeypatch.setattr(_kernels, "batch_reports",
+                            lambda p: solves.append(len(p)) or solve(p))
+        out = tmp_path / "t.csv"
+        assert main(evolve_argv(write_psi(tmp_path), COUNT, out)) == 3
+        assert solves == [_kernels.CHUNK_ROWS]
+        assert not out.exists()
+        assert temp_files(tmp_path) == []
+        initial = XStateParams(**{k: v for k, v in PSI.items()
+                                  if k != "kind"})
+        bad = dynamics._propagate(initial, np.array([1.5]))[0]
+        with pytest.raises(xqcorr.InvalidStateError) as exc:
+            XStateParams(*bad.tolist())
+        assert capsys.readouterr().err == "invalid state: %s\n" % exc.value
+
+    @pytest.mark.parametrize("command", ("sample", "evolve"))
+    def test_a_file_at_out_keeps_its_bytes(self, command, tmp_path,
+                                           monkeypatch):
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"old bytes\n")
+        out.chmod(0o640)
+        fail_one_solve(monkeypatch, self.BAD_ROW)
+        argv = (["sample", "--seed", "7", "--count", str(COUNT),
+                 "--out", str(out)] if command == "sample"
+                else evolve_argv(write_psi(tmp_path), COUNT, out))
+        assert main(argv) == 4
+        assert out.read_bytes() == b"old bytes\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert not (tmp_path / "old.csv.meta.json").exists()
+        assert temp_files(tmp_path) == []
+
+
+class TestOutputTargets:
+    """``--out`` through a symlink, into a FIFO, and a new file's mode."""
+
+    def reference(self, tmp_path, psi):
+        plain = tmp_path / "plain.csv"
+        assert main(evolve_argv(psi, 5, plain)) == 0
+        return plain.read_bytes()
+
+    def test_symlink_keeps_the_link_and_its_target_gets_the_bytes(
+            self, tmp_path):
+        psi = write_psi(tmp_path)
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"old bytes\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        assert main(evolve_argv(psi, 5, link)) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == self.reference(tmp_path, psi)
+        assert temp_files(tmp_path) == []
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        psi = write_psi(tmp_path)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(evolve_argv(psi, 5, fifo)) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [self.reference(tmp_path, psi)]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert temp_files(tmp_path) == []
+
+    def test_a_new_file_has_the_mode_open_gives(self, tmp_path):
+        psi = write_psi(tmp_path)
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "by-open.csv", "w"):
+                pass
+            assert main(evolve_argv(psi, 5, tmp_path / "new.csv")) == 0
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "by-open.csv").stat().st_mode)
+        assert mode == 0o640
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == mode
+
+    def test_a_replaced_file_keeps_its_mode(self, tmp_path):
+        psi = write_psi(tmp_path)
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"old bytes\n")
+        out.chmod(0o600)
+        assert main(evolve_argv(psi, 5, out)) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_bytes() == self.reference(tmp_path, psi)
 
 
 def test_histogram_peak_memory_does_not_grow_with_the_count(tmp_path):
@@ -256,3 +384,15 @@ def test_histogram_peak_memory_does_not_grow_with_the_bins(tmp_path):
                           "--bins", bins, "--out", str(tmp_path / "h.csv")])
              for bins in ("200", "100000")]
     assert peaks[1] - peaks[0] <= 4 * 1024, peaks
+
+
+@pytest.mark.parametrize("command", ("sample", "evolve"))
+def test_csv_peak_memory_does_not_grow_with_the_rows(command, tmp_path):
+    # Each chunk is solved, checked and written before the next.  Solved
+    # whole first, 10^5 rows lifted the peak by 15-17 MB over 10^4.
+    psi, out = write_psi(tmp_path), tmp_path / "out.csv"
+    peaks = [peak_rss_kb(["sample", "--seed", "1", "--count", str(rows),
+                          "--out", str(out)] if command == "sample"
+                         else evolve_argv(psi, rows, out))
+             for rows in (10 ** 4, 10 ** 5)]
+    assert peaks[1] - peaks[0] <= 8 * 1024, peaks

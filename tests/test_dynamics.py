@@ -320,7 +320,7 @@ class TestCaseCrossings:
 class TestTrajectoryCsv:
     def test_schema_and_parse(self):
         cfg = DynamicsConfig(1.0, 0.5, 5.0, 10, FIG3_INITIAL)
-        text = trajectory_csv(*trajectory(cfg))
+        text = trajectory_csv(cfg)
         lines = text.strip().split("\n")
         assert lines[0] == TRAJECTORY_CSV_HEADER
         assert len(lines) == 11
@@ -342,4 +342,4 @@ class TestTrajectoryCsv:
                                         s.rho44, s.rho14, s.rho23, pt.k1,
                                         pt.k3, r.t_g, r.d_g, r.c_g, r.l_g)]
                 + [str(int(r.case.case_id))]))
-        assert trajectory_csv(*trajectory(cfg)) == "\n".join(lines) + "\n"
+        assert trajectory_csv(cfg) == "\n".join(lines) + "\n"

@@ -165,6 +165,19 @@ class TestHistogram:
         assert np.all(res.counts[:-1] == 0)
         assert res.underflow == 0 and res.overflow == 0
 
+    def test_edge_slack_is_a_fixed_width(self, monkeypatch):
+        # Values 3e-11 past an edge fold into the edge bin; values 3e-10
+        # past it are under- or overflow.  Literal widths, not
+        # HISTOGRAM_EDGE, so that a tenfold change of it fails here.
+        spec = HistogramSpec(4, -1.0, 0.0, Quantity.REL_RESIDUAL)
+        values = np.array([spec.hi + 3e-11, spec.hi + 3e-10,
+                           spec.lo - 3e-11, spec.lo - 3e-10])
+        monkeypatch.setattr(ensemble, "relative_quantities",
+                            lambda reports, quantity: (values, 0))
+        res = run_histogram(SamplerConfig(seed=1, count=1), spec)
+        assert res.counts.tolist() == [1, 0, 0, 1]
+        assert (res.total, res.underflow, res.overflow) == (2, 1, 1)
+
     def test_csv_deterministic(self):
         cfg = SamplerConfig(seed=10, count=500, case_filter=CaseId.CASE2)
         spec = HistogramSpec.default_for(Quantity.REL_RESIDUAL)

@@ -530,6 +530,19 @@ class TestBatchReports:
         rep = _kernels.batch_reports(arr)
         assert rep[0, _kernels.COL_BOUNDARY] == 1.0
 
+    def test_boundary_flag_is_a_fixed_width(self):
+        # Diagonal (0.4, 0.1, 0.1, 0.4) gives k3 = 0.36, and rho14 =
+        # sqrt((0.36 + d)/4) gives k1 - k3 = d to within 2e-16.  Literal
+        # widths, not CASE_BOUNDARY, so that a tenfold change of it fails.
+        deltas = np.array([3e-11, -3e-11, 3e-10, -3e-10])
+        arr = np.zeros((4, 8))
+        arr[:, :4] = [0.4, 0.1, 0.1, 0.4]
+        arr[:, 4] = np.sqrt((0.36 + deltas) / 4.0)
+        rep = x_report_rows(arr)
+        gap = rep[:, _kernels.COL_K1] - rep[:, _kernels.COL_K3]
+        assert np.all(np.abs(gap - deltas) <= 2e-16)
+        assert rep[:, _kernels.COL_BOUNDARY].tolist() == [1.0, 1.0, 0.0, 0.0]
+
     def test_batching_changes_no_bit(self):
         n = 2 * _kernels.CHUNK_ROWS + 3
         arr = np.array([p.as_array() for p in sample_states(seed=181,
