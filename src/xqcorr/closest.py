@@ -62,6 +62,12 @@ class CaseLabel:
                 % (self.k1, self.k3)
             )
 
+    @classmethod
+    def of_row(cls, row) -> CaseLabel:
+        """The label of a row of :func:`xqcorr._kernels.batch_reports`."""
+        return cls(CaseId(int(row[_kernels.COL_CASE])), row[_kernels.COL_K1],
+                   row[_kernels.COL_K2], row[_kernels.COL_K3])
+
 
 @dataclass(frozen=True)
 class ProductPair:
@@ -131,15 +137,22 @@ def x_report_rows(params: np.ndarray) -> np.ndarray:
     """:func:`xqcorr._kernels.batch_reports` of an (n, 8) X-parameter array.
 
     Raises :class:`SolverFailureError` when the closest-product solve
-    failed on any row.
+    failed on any row.  Then checks every row's label as :class:`CaseLabel`
+    would, over the whole array: the first row with k1 < k2, or with case 1
+    other than exactly when k1 <= k3, is built as a ``CaseLabel``, which
+    raises its :class:`InvalidStateError`.
     """
     rows = _kernels.batch_reports(params)
-    failed = np.flatnonzero(rows[:, _kernels.COL_CASE] == 0.0)
+    k1, k2, k3, case = rows[:, _kernels.COL_K1:_kernels.COL_CASE + 1].T
+    failed = np.flatnonzero(case == 0.0)
     if failed.size:
         raise SolverFailureError(
             "closest-product solver failed on %d of %d states, first %r"
             % (failed.size, rows.shape[0], params[failed[0]].tolist())
         )
+    bad = np.flatnonzero((k1 < k2) | (case != np.where(k1 <= k3, 1.0, 2.0)))
+    if bad.size:
+        CaseLabel.of_row(rows[bad[0]].tolist())
     return rows
 
 

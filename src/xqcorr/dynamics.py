@@ -111,6 +111,18 @@ def _params_at(cfg: DynamicsConfig, taus: np.ndarray) -> np.ndarray:
                       p_t(taus / cfg.gamma0, cfg.gamma0, cfg.lam))
 
 
+def _time_grid(cfg: DynamicsConfig, rows=slice(None)) -> np.ndarray:
+    """Slice ``rows`` of np.linspace(0.0, cfg.t_max, cfg.steps), by its
+    operations and so bit for bit, without building the whole grid."""
+    lo, hi, _ = rows.indices(cfg.steps)
+    taus, div = np.arange(lo, hi, dtype=np.float64), cfg.steps - 1
+    step = cfg.t_max / div  # 0 when t_max is 0 or the quotient underflows
+    taus = (taus / div * cfg.t_max if step == 0.0 else taus * step) + 0.0
+    if hi == cfg.steps:
+        taus[-1] = cfg.t_max
+    return taus
+
+
 def trajectory(cfg: DynamicsConfig):
     """Trajectory on a uniform grid of ``cfg.steps`` times in [0, t_max].
 
@@ -120,7 +132,7 @@ def trajectory(cfg: DynamicsConfig):
     before the solve, so an invalid evolved state raises
     :class:`InvalidStateError` ahead of any solver failure.
     """
-    taus = np.linspace(0.0, cfg.t_max, cfg.steps)
+    taus = _time_grid(cfg)
     params = _params_at(cfg, taus)
     check_x_rows(params)
     return taus, params, x_report_rows(params)
@@ -136,12 +148,9 @@ def evolve(cfg: DynamicsConfig):
     points = []
     for tau, vals, row in zip(taus.tolist(), params.tolist(),
                               reports.tolist()):
-        state = XStateParams(*vals)
-        report = quantifiers_x(state, row=row)
-        points.append(TrajectoryPoint(
-            t=tau, state=state,
-            k1=report.case.k1, k3=report.case.k3, report=report,
-        ))
+        report = quantifiers_x(XStateParams(*vals), row=row)
+        points.append(TrajectoryPoint(tau, report.state, row[_kernels.COL_K1],
+                                      row[_kernels.COL_K3], report))
     return points
 
 
@@ -159,7 +168,7 @@ def case_crossings(cfg: DynamicsConfig):
         k1, _, k3, _ = _kernels.k_eigenvalues(_params_at(cfg, taus))
         return k1 - k3
 
-    taus = np.linspace(0.0, cfg.t_max, cfg.steps)
+    taus = _time_grid(cfg)
     gaps = gaps_at(taus)
     left = np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0)
     lo, hi, glo = taus[left], taus[left + 1], gaps[left]
@@ -180,11 +189,11 @@ def case_crossings(cfg: DynamicsConfig):
 def _trajectory_lines(cfg: DynamicsConfig):
     # The CSV's row lines, one list per row_chunks slice of the time grid;
     # each slice is checked, then solved, before it is formatted.
-    taus = np.linspace(0.0, cfg.t_max, cfg.steps)
     for rows in _kernels.row_chunks(cfg.steps):
-        params = _params_at(cfg, taus[rows])
+        taus = _time_grid(cfg, rows)
+        params = _params_at(cfg, taus)
         check_x_rows(params)
-        table = np.column_stack([taus[rows], params[:, :6],
+        table = np.column_stack([taus, params[:, :6],
                                  x_report_rows(params)[:, _REPORT_COLUMNS]])
         yield [_ROW_FORMAT % tuple(row) for row in table.tolist()]
 

@@ -21,12 +21,12 @@ import stat
 import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
 from . import _kernels
 from .closest import (
-    CaseId,
     CaseLabel,
     ProductPair,
     _objective,
@@ -50,6 +50,12 @@ REPORT_CSV_HEADER = "case,k1,k2,k3,tg,dg,cg,lg,res,res_l,a3,b3,boundary"
 CSV_FLOAT = "%.17g"
 # One to_csv_row: the case, eleven floats, the boundary flag.
 _REPORT_CSV_ROW = ",".join(["%d"] + [CSV_FLOAT] * 11 + ["%d"])
+# Its values, in REPORT_CSV_HEADER's order, from a kernel row.
+_REPORT_CSV_COLUMNS = itemgetter(
+    _kernels.COL_CASE, _kernels.COL_K1, _kernels.COL_K2, _kernels.COL_K3,
+    _kernels.COL_TG, _kernels.COL_DG, _kernels.COL_CG, _kernels.COL_LG,
+    _kernels.COL_RES, _kernels.COL_RESL, _kernels.COL_A3, _kernels.COL_B3,
+    _kernels.COL_BOUNDARY)
 
 
 def write_text(path, text) -> None:
@@ -95,28 +101,34 @@ def csv_chunks(header: str, chunks):
 class CorrelationReport:
     """All quantifiers of one state plus the closest states realizing them.
 
-    A view of the state's kernel row: the fields are the row's scalars and
-    the source ``state``.  The closest product pair, the closest classical
-    state and that state's closest product pair are built, and validated,
-    the first time each is read, so a report that is only printed as CSV
-    never builds them.
+    A view of ``row``, the state's 13-value kernel row (columns as in
+    :func:`xqcorr._kernels.batch_reports`), and of ``state``; each
+    quantifier property reads its column.  The case label and the closest
+    states are built, and validated, the first time each is read, so a
+    report that is only printed as CSV builds none of them.
     """
 
-    t_g: float
-    d_g: float
-    c_g: float
-    l_g: float
-    case: CaseLabel
-    residual_closure: float
-    residual_with_l: float
-    a3: float
-    b3: float
-    boundary_flag: bool
+    row: list
     state: XStateParams
+
+    t_g = property(lambda self: self.row[_kernels.COL_TG])
+    d_g = property(lambda self: self.row[_kernels.COL_DG])
+    c_g = property(lambda self: self.row[_kernels.COL_CG])
+    l_g = property(lambda self: self.row[_kernels.COL_LG])
+    residual_closure = property(lambda self: self.row[_kernels.COL_RES])
+    residual_with_l = property(lambda self: self.row[_kernels.COL_RESL])
+    a3 = property(lambda self: self.row[_kernels.COL_A3])
+    b3 = property(lambda self: self.row[_kernels.COL_B3])
+    boundary_flag = property(
+        lambda self: bool(self.row[_kernels.COL_BOUNDARY]))
 
     # Names of clamped quantifiers.  Always empty: the kernel's t_g, d_g,
     # c_g and l_g are sums of squares.  The JSON report still lists it.
     clamped = ()
+
+    @cached_property
+    def case(self) -> CaseLabel:
+        return CaseLabel.of_row(self.row)
 
     @cached_property
     def product_pair(self) -> ProductPair:
@@ -136,12 +148,7 @@ class CorrelationReport:
         return ProductPair((0.0, 0.0, a[0]), (0.0, 0.0, b[0]))
 
     def to_csv_row(self) -> str:
-        case = self.case
-        return _REPORT_CSV_ROW % (
-            case.case_id, case.k1, case.k2, case.k3,
-            self.t_g, self.d_g, self.c_g, self.l_g,
-            self.residual_closure, self.residual_with_l,
-            self.a3, self.b3, self.boundary_flag)
+        return _REPORT_CSV_ROW % _REPORT_CSV_COLUMNS(self.row)
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,30 +191,17 @@ def quantifiers_x(p: XStateParams, *, row=None) -> CorrelationReport:
     """Full correlation report of an X state from the closed forms.
 
     ``row`` is the state's row of an :func:`xqcorr.closest.x_report_rows`
-    batch, as a list, for callers that solve many states at once; without
-    it the state is solved as a batch of one.  The report is the same
-    either way.  Its closest states are lazy (see
-    :class:`CorrelationReport`): callers that print many reports without
-    them validate them for all rows at once with
+    batch, as a list or an array, for callers that solve many states at
+    once; without it the state is solved as a batch of one.  Either way
+    the report is a :class:`CorrelationReport` view of the row as a list
+    of Python floats, whose case label ``x_report_rows`` has checked.  Its
+    closest states are lazy: callers that print many reports without them
+    validate them for all rows at once with
     :func:`xqcorr.closest.check_report_rows`.
     """
     if row is None:
-        row = x_report_rows(p.as_array()[None, :])[0].tolist()
-    return CorrelationReport(
-        t_g=row[_kernels.COL_TG],
-        d_g=row[_kernels.COL_DG],
-        c_g=row[_kernels.COL_CG],
-        l_g=row[_kernels.COL_LG],
-        case=CaseLabel(CaseId(int(row[_kernels.COL_CASE])),
-                       row[_kernels.COL_K1], row[_kernels.COL_K2],
-                       row[_kernels.COL_K3]),
-        residual_closure=row[_kernels.COL_RES],
-        residual_with_l=row[_kernels.COL_RESL],
-        a3=row[_kernels.COL_A3],
-        b3=row[_kernels.COL_B3],
-        boundary_flag=bool(row[_kernels.COL_BOUNDARY]),
-        state=p,
-    )
+        row = x_report_rows(p.as_array()[None, :])[0]
+    return CorrelationReport(row if isinstance(row, list) else row.tolist(), p)
 
 
 def bell_diagonal_quantifiers(t11: float, t22: float,
@@ -239,18 +233,12 @@ def bell_diagonal_quantifiers(t11: float, t22: float,
     sq = diag * diag
     tmax_sq = float(sq.max())
     total = float(sq.sum())
-    t_g = total / 4.0
-    c_g = tmax_sq / 4.0
-    d_g = (total - tmax_sq) / 4.0
+    t_g, c_g, d_g = total / 4.0, tmax_sq / 4.0, (total - tmax_sq) / 4.0
+    res = t_g - d_g - c_g
     report = CorrelationReport(
-        t_g=t_g, d_g=d_g, c_g=c_g, l_g=0.0,
-        case=case,
-        residual_closure=t_g - d_g - c_g,
-        residual_with_l=t_g - d_g - c_g,
-        a3=0.0, b3=0.0,
-        boundary_flag=abs(case.k1 - case.k3) <= CASE_BOUNDARY,
-        state=p,
-    )
+        [case.k1, case.k2, case.k3, float(case.case_id), 0.0, 0.0,
+         t_g, d_g, c_g, 0.0, res, res,
+         abs(case.k1 - case.k3) <= CASE_BOUNDARY], p)
     # a3 = b3 = 0.0 make the closest product the zero pair; the classical
     # one is the zero pair too, whatever y3 the rounded diagonal of p gives.
     report.__dict__["classical_product_pair"] = ProductPair(

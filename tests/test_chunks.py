@@ -293,6 +293,52 @@ class TestErrorInALaterChunk:
             XStateParams(*bad.tolist())
         assert capsys.readouterr().err == "invalid state: %s\n" % exc.value
 
+    def run(self, command, tmp_path):
+        # Runs ``command`` (sample, histogram or evolve) over COUNT rows;
+        # returns its exit code and its --out path.
+        out = tmp_path / "out.csv"
+        if command == "evolve":
+            return main(evolve_argv(write_psi(tmp_path), COUNT, out)), out
+        extra = (["--case", "2", "--histogram", "rel_residual"]
+                 if command == "histogram" else [])
+        return main(["sample", "--seed", "7", "--count", str(COUNT), *extra,
+                     "--out", str(out)]), out
+
+    @pytest.mark.parametrize("command", ("sample", "histogram", "evolve"))
+    def test_k1_below_k2(self, command, tmp_path, monkeypatch, capsys):
+        # x_report_rows checks each chunk's case labels as arrays, so every
+        # command that solves rows stops with the CaseLabel error.
+        record = corrupt_row(monkeypatch, _kernels, "batch_reports",
+                             self.BAD_ROW, 10.0, column=_kernels.COL_K2)
+        code, out = self.run(command, tmp_path)
+        assert code == 3
+        assert len(record.hits) == 1
+        assert not out.exists()
+        assert not (tmp_path / "out.csv.meta.json").exists()
+        assert temp_files(tmp_path) == []
+        assert capsys.readouterr().err == (
+            "invalid state: k1 < k2 cannot occur for an X state\n")
+
+    def test_flipped_case(self, tmp_path, monkeypatch, capsys):
+        # The row's case, 1.0 or 2.0, is set to the other one.
+        params, _ = sample_x_arrays(SamplerConfig(seed=7, count=COUNT))
+        case = _kernels.k_eigenvalues(params[self.BAD_ROW:])[3][0]
+        record = corrupt_row(monkeypatch, _kernels, "batch_reports",
+                             self.BAD_ROW, 3.0 - case,
+                             column=_kernels.COL_CASE)
+        code, out = self.run("sample", tmp_path)
+        assert code == 3
+        assert not out.exists()
+        assert not (tmp_path / "out.csv.meta.json").exists()
+        assert temp_files(tmp_path) == []
+        (_, row), = record.hits
+        with pytest.raises(xqcorr.InvalidStateError) as exc:
+            closest.CaseLabel(closest.CaseId(int(3.0 - case)),
+                              row[_kernels.COL_K1], row[_kernels.COL_K2],
+                              row[_kernels.COL_K3])
+        assert str(exc.value).startswith("case label inconsistent")
+        assert capsys.readouterr().err == "invalid state: %s\n" % exc.value
+
     @pytest.mark.parametrize("command", ("sample", "evolve"))
     def test_a_file_at_out_keeps_its_bytes(self, command, tmp_path,
                                            monkeypatch):

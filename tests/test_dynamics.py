@@ -317,6 +317,23 @@ class TestCaseCrossings:
         assert 0.0 <= crossings[0] and crossings[-1] <= 2e10
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("t_max", (0.0, -0.0, 5e-324, 1e-300, 1.0, 7.0,
+                                       50.0, 123.456, 1e300))
+    def test_slices_are_the_bits_of_linspace(self, t_max):
+        # Whole, and in row_chunks slices as evolve writes it, the grid is
+        # np.linspace's, subnormal and zero steps included.
+        for steps in (2, 3, 4095, 4096, 4097, 12305):
+            cfg = DynamicsConfig(1.0, 0.1, t_max, steps, FIG3_INITIAL)
+            want = np.linspace(0.0, t_max, steps).view(np.uint64)
+            chunks = [dynamics._time_grid(cfg, rows)
+                      for rows in _kernels.row_chunks(steps)]
+            assert np.array_equal(
+                np.concatenate(chunks).view(np.uint64), want)
+            assert np.array_equal(
+                dynamics._time_grid(cfg).view(np.uint64), want)
+
+
 class TestTrajectoryCsv:
     def test_schema_and_parse(self):
         cfg = DynamicsConfig(1.0, 0.5, 5.0, 10, FIG3_INITIAL)

@@ -406,9 +406,10 @@ class TestReportSerialization:
                                                      CaseId.CASE2}
         bell = quantifiers_x(BELL)
         assert bell.boundary_flag
-        negative_zero = dataclasses.replace(
-            bell, t_g=-0.0, residual_closure=-0.0, residual_with_l=-0.0,
-            a3=-0.0, b3=-0.0)
+        signed = {_kernels.COL_TG, _kernels.COL_RES, _kernels.COL_RESL,
+                  _kernels.COL_A3, _kernels.COL_B3}
+        negative_zero = dataclasses.replace(bell, row=[
+            -0.0 if col in signed else v for col, v in enumerate(bell.row)])
         reports += [bell, negative_zero,
                     bell_diagonal_quantifiers(0.5, -0.5, 0.25)]
         for r in reports:
@@ -460,3 +461,62 @@ class TestLazyClosestStates:
             assert r.case.case_id is case
             assert _bits(r.product_pair) == [0] * 6
             assert _bits(r.classical_product_pair) == [0] * 6
+
+
+# Each quantifier property of CorrelationReport and its kernel row column.
+_PROPERTY_COLUMNS = {
+    "t_g": _kernels.COL_TG, "d_g": _kernels.COL_DG, "c_g": _kernels.COL_CG,
+    "l_g": _kernels.COL_LG, "residual_closure": _kernels.COL_RES,
+    "residual_with_l": _kernels.COL_RESL, "a3": _kernels.COL_A3,
+    "b3": _kernels.COL_B3,
+}
+
+
+class TestRowView:
+    """A report is a view of its kernel row: every property reads the row,
+    and the closest states are those of the array functions."""
+
+    def assert_views(self, params, rows, reports):
+        case = rows[:, _kernels.COL_CASE]
+        a3, b3 = rows[:, _kernels.COL_A3], rows[:, _kernels.COL_B3]
+        classical = closest.closest_classical_rows(params, case)
+        a, b = closest.classical_product_rows(params, case, a3, b3)
+        for i, r in enumerate(reports):
+            row = rows[i]
+            for name, col in _PROPERTY_COLUMNS.items():
+                value = getattr(r, name)
+                assert type(value) is float
+                assert _bits_of(value) == _bits_of(row[col])
+            assert r.boundary_flag is bool(row[_kernels.COL_BOUNDARY])
+            assert r.case == closest.CaseLabel(
+                CaseId(int(row[_kernels.COL_CASE])), row[_kernels.COL_K1],
+                row[_kernels.COL_K2], row[_kernels.COL_K3])
+            assert _bits(r.product_pair) == _bits(closest.ProductPair(
+                (0.0, 0.0, a3[i]), (0.0, 0.0, b3[i])))
+            assert _bits(r.classical_state) == _bits(
+                XStateParams(*classical[i].tolist()))
+            assert _bits(r.classical_product_pair) == _bits(
+                closest.ProductPair((0.0, 0.0, a[i]), (0.0, 0.0, b[i])))
+
+    @pytest.mark.parametrize("seed,phase_mode", ((1, "free"), (7, "free"),
+                                                 (7, "zero")))
+    def test_sampled_rows(self, seed, phase_mode):
+        params, _ = sample_x_arrays(SamplerConfig(seed=seed, count=300,
+                                                  phase_mode=phase_mode))
+        rows = closest.x_report_rows(params)
+        reports = [quantifiers_x(XStateParams(*vals), row=row)
+                   for vals, row in zip(params.tolist(), rows)]
+        assert {r.case.case_id for r in reports} == {CaseId.CASE1,
+                                                     CaseId.CASE2}
+        self.assert_views(params, rows, reports)
+
+    def test_bell_and_bell_diagonal(self):
+        for r in (quantifiers_x(BELL),
+                  bell_diagonal_quantifiers(0.5, -0.5, 0.25)):
+            params = r.state.as_array()[None]
+            self.assert_views(params, np.array([r.row], dtype=np.float64),
+                              [r])
+
+
+def _bits_of(value):
+    return np.float64(value).view(np.uint64).item()
