@@ -105,6 +105,64 @@ def _two_product(x, y, yh, yl):
     return p, xl * yl - (((p - xh * yh) - xl * yh) - xh * yl)
 
 
+# decimal_digits' domain, and its window of undecided fractions around 1/2.
+DIGITS_MIN, DIGITS_MAX, DIGITS_WINDOW = 1e-100, 1e100, 2.0 ** -20
+_pow10 = None
+
+
+def _pow10_table():
+    """(H, Hh, Hl, L) by row E + 102, E in [-102, 102): H + L = 10^(16 - E),
+    H split for :func:`_two_product`, each rounded once from exact ints (as
+    CPython's int / int is), so |H + L - 10^n| <= 2^-106 10^n.  Built on
+    first use."""
+    global _pow10
+    if _pow10 is None:
+        rows = []
+        for n in range(118, -86, -1):
+            num, den = 10 ** max(n, 0), 10 ** max(-n, 0)
+            a, b = (num / den).as_integer_ratio()
+            rows.append((a / b, (num * b - a * den) / (den * b)))
+        h, low = np.array(rows).T
+        _pow10 = (h, *_split(h), low)
+    return _pow10
+
+
+def decimal_digits(x, e=None):
+    """The 17 significant digits of each float x, as %.17g prints them, for
+    1-d x in [DIGITS_MIN, DIGITS_MAX): int64 d in [10^16, 10^17), e with
+    x ~ d 10^(e - 16), and ``undecided``.
+
+    d rounds y = x 10^(16 - e) = p + err + x L, with Dekker's exact
+    p + err = x H and the table's H + L = 10^(16 - e): that sum is within
+    5e-15 of y < 1.1e17 (2^-106 y from the table, 2^-53 11 from x L, 2^-53
+    19 from the sum).  So floor(y) can be off by one only next to an
+    integer, where both neighbours round alike, and a rounding is decided
+    unless the fraction is within DIGITS_WINDOW of 1/2, as on every exact
+    tie: ``undecided``.  The guess ``e`` (floor(log10(x)) by default) only
+    picks the row: e moves down while floor(y) < 10^16 and up while the
+    rounded y > 10^17, so no digit depends on the bits of log10.
+    """
+    e = np.clip(np.floor(np.log10(x)) if e is None else e, -101, 100)
+    e, (h, hh, hl, low) = e.astype(np.int64), _pow10_table()
+    n, frac = np.empty(x.shape, np.int64), np.empty(x.shape)
+    redo = np.arange(x.size)
+    while redo.size:
+        xs, row = x[redo], e[redo] + 102
+        p, err = _two_product(xs, h[row], hh[row], hl[row])
+        lo = err + xs * low[row]
+        whole = np.floor(lo)
+        # p is an integer wherever y >= 2^53; clipped, it stays in int64.
+        m = np.minimum(p, 2e17).astype(np.int64) + whole.astype(np.int64)
+        n[redo], frac[redo] = m, lo - whole
+        move = np.where(m < 10 ** 16, -1, m + (lo - whole > 0.5) > 10 ** 17)
+        e[redo] += move
+        redo = redo[move != 0]
+    d = n + (frac > 0.5)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    return d, e + carry, np.abs(frac - 0.5) <= DIGITS_WINDOW
+
+
 def _quintic_eval(c4, c2, c1, c0, a):
     """The monic quintic and its derivative at a, by Horner.
 

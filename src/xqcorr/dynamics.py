@@ -30,18 +30,16 @@ import numpy as np
 
 from . import _kernels
 from .closest import x_report_rows
-from .quantifiers import (CSV_FLOAT, CorrelationReport, csv_chunks,
+from .quantifiers import (CorrelationReport, csv_chunks, csv_text,
                           quantifiers_x, write_text)
 from .states import XStateParams, check_x_rows
 
 TRAJECTORY_CSV_HEADER = (
     "t,rho11,rho22,rho33,rho44,rho14,rho23,k1,k3,tg,dg,cg,lg,case"
 )
-# One CSV row: t, rho11 .. rho23, then these report columns, the case last.
-_ROW_FORMAT = ",".join([CSV_FLOAT] * 13 + ["%d"])
+# A CSV row's report columns, after t and rho11 .. rho23 and before the case.
 _REPORT_COLUMNS = [_kernels.COL_K1, _kernels.COL_K3, _kernels.COL_TG,
-                   _kernels.COL_DG, _kernels.COL_CG, _kernels.COL_LG,
-                   _kernels.COL_CASE]
+                   _kernels.COL_DG, _kernels.COL_CG, _kernels.COL_LG]
 # Width (units 1/gamma0) to which case_crossings bisects each crossing.
 CROSSING_TOL = 1e-6
 
@@ -187,15 +185,15 @@ def case_crossings(cfg: DynamicsConfig):
 
 
 def _trajectory_lines(cfg: DynamicsConfig):
-    # The CSV's row lines, one list per row_chunks slice of the time grid;
-    # each slice is checked, then solved, before it is formatted.
+    # The CSV's rows as text, one csv_text per row_chunks slice of the time
+    # grid; each slice is checked, then solved, before it is formatted.
     for rows in _kernels.row_chunks(cfg.steps):
         taus = _time_grid(cfg, rows)
         params = _params_at(cfg, taus)
         check_x_rows(params)
-        table = np.column_stack([taus, params[:, :6],
-                                 x_report_rows(params)[:, _REPORT_COLUMNS]])
-        yield [_ROW_FORMAT % tuple(row) for row in table.tolist()]
+        reports = x_report_rows(params)
+        yield csv_text([taus, *params[:, :6].T, *reports[:, _REPORT_COLUMNS].T,
+                        reports[:, _kernels.COL_CASE].astype(np.int64)])
 
 
 def trajectory_csv(cfg: DynamicsConfig) -> str:

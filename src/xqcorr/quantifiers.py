@@ -90,11 +90,105 @@ def write_text(path, text) -> None:
 
 def csv_chunks(header: str, chunks):
     """A CSV as strings for :func:`write_text`: the header line, then each
-    of ``chunks``, an iterable of lists of row lines, newline-joined.  A
-    generator's lists are made one at a time, as they are written: map
-    keeps neither a list nor its text while the next list is made."""
+    of ``chunks``, the text of its rows (:func:`csv_text`) or a list of row
+    lines, newline-joined.  A generator's chunks are made one at a time,
+    as they are written: map keeps no chunk while the next is made."""
     yield header + "\n"
-    yield from map(lambda lines: "\n".join(lines) + "\n", chunks)
+    yield from map(lambda rows: rows if isinstance(rows, str)
+                   else "\n".join(rows) + "\n", chunks)
+
+
+# csv_text's bytes per field, the separator last, and fields per block.
+_SLOT, _BLOCK = 32, 8192
+_tables = None
+
+
+def _csv_tables():
+    """csv_text's tables, built on first use: the 4 ASCII digits of 0..9999
+    as uint32, in full at [0, 1e4) and trailing zeros NUL at [1e4, 2e4);
+    and by row E + 128, a float field's bytes 0-7 ("0." and zeros for
+    -4 <= E < 0) and 24-31 (the exponent form's "e+XX") as uint64."""
+    global _tables
+    if _tables is None:
+        chars = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
+        zero = chars[:, ::-1] == ord("0")
+        trailing = np.logical_and.accumulate(zero, 1)[:, ::-1]
+        digits = np.concatenate([chars, chars * ~trailing])
+        ends = [(b"\0" + b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"",
+                 b"" if -4 <= e < 17 else b"e%+03d" % e)
+                for e in range(-128, 128)]
+        _tables = [np.ascontiguousarray(digits).view(np.uint32).ravel()] + [
+            np.frombuffer(b"".join(s.ljust(8, b"\0") for s in part), np.uint64)
+            for part in zip(*ends)]
+    return _tables
+
+
+def _float_slots(x, out):
+    """Fill the (m, _SLOT) uint8 ``out`` with the floats x: bytes 0-7 the
+    sign, "0." and zeros, first digit and exponent form's point, 8-23 the
+    other 16 digits (trailing zeros NUL), 24-30 the "e+XX"."""
+    digits, head, tail = _csv_tables()
+    ax = np.abs(x)
+    inside = (ax >= _kernels.DIGITS_MIN) & (ax < _kernels.DIGITS_MAX)
+    d, e, undecided = _kernels.decimal_digits(np.where(inside, ax, 1.0))
+    top, low = np.divmod(d, 10 ** 16)
+    hi, lo = np.divmod(low, 10 ** 8)
+    groups = (top, *np.divmod(hi, 10 ** 4), *np.divmod(lo, 10 ** 4))
+    words, bare = out.view(np.uint32), True
+    for col in (5, 4, 3, 2):
+        words[:, col] = digits[groups[col - 1] + 10000 * bare]
+        bare = bare & (groups[col - 1] == 0)
+    out.view(np.uint64)[:, ::3] = np.column_stack([head[e + 128],
+                                                   tail[e + 128]])
+    out[:, 0] = ord("-") * np.signbit(x)
+    out[:, 6] = groups[0] + ord("0")
+    out[:, 7] = ord(".") * (((e < -4) | (e >= 17)) & ~bare)
+    # The fixed form, 0 <= E < 17: digits 0..E with their zeros, a point if
+    # a digit follows, then the other digits, stripped, one byte right.
+    f = np.flatnonzero((e >= 0) & (e < 17))
+    strip = np.zeros((f.size, 19), np.uint8)
+    strip[:, 0], strip[:, 1:17] = out[f, 6], out[f, 8:24]
+    ef, at = e[f, None], np.arange(18)
+    point = ord(".") * (np.take_along_axis(strip, ef + 1, 1) != 0)
+    out[f, 6:24] = np.where(at <= ef, np.maximum(strip[:, :18], ord("0")),
+                            np.where(at > ef + 1, strip[:, at - 1], point))
+    out[ax == 0.0, 6] = ord("0")
+    rest = np.flatnonzero(~inside & (ax != 0.0) | undecided)
+    text = np.array([CSV_FLOAT % v for v in x[rest].tolist()],
+                    (np.bytes_, _SLOT - 1))
+    out[rest, :-1] = text.view(np.uint8).reshape(-1, _SLOT - 1)
+
+
+def csv_text(columns) -> str:
+    """The CSV text of the rows of ``columns``, equal-length 1-d arrays: a
+    float column prints v as CSV_FLOAT % v, an integer column as "%d" % v,
+    byte for byte, fields joined by "," and each row ended by "\\n".
+
+    Each field is a slot of _SLOT bytes, about _BLOCK fields at a time; the
+    unused bytes are NUL and dropped.  A float's digits come from
+    :func:`xqcorr._kernels.decimal_digits`, laid out in one of %g's forms:
+    fixed for 0 <= E < 17, "0." and -E - 1 zeros first for -4 <= E < 0,
+    else the exponent form; a zero too.  The one fallback: a value whose
+    rounding is undecided, or outside [DIGITS_MIN, DIGITS_MAX), inf or nan,
+    is printed by CSV_FLOAT % v.
+    """
+    isfloat = np.array([c.dtype.kind == "f" for c in columns])
+    step, pieces = max(1, _BLOCK // len(columns)), []
+    for start in range(0, len(columns[0]), step):
+        cols = [c[start:start + step] for c in columns]
+        buf = np.empty((len(cols[0]), len(cols), _SLOT), np.uint8)
+        if isfloat.any():
+            floats = np.column_stack([c for c, f in zip(cols, isfloat) if f])
+            slots = np.empty((floats.size, _SLOT), np.uint8)
+            _float_slots(floats.ravel(), slots)
+            buf[:, isfloat] = slots.reshape(floats.shape + (_SLOT,))
+        for j in np.flatnonzero(~isfloat):  # numpy casts ints as str does
+            buf[:, j, :-1] = cols[j].astype((np.bytes_, _SLOT - 1)).view(
+                np.uint8).reshape(-1, _SLOT - 1)
+        buf[:, :, -1] = ord(",")
+        buf[:, -1, -1] = ord("\n")
+        pieces.append(buf.tobytes().translate(None, b"\0"))
+    return b"".join(pieces).decode("ascii")
 
 
 @dataclass(frozen=True)

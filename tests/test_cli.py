@@ -577,6 +577,24 @@ class TestOracleCheck:
         assert main(["oracle-check", "--seed", "0", "--trials", "3"]) == 0
         assert capsys.readouterr().out == stdout
 
+    @pytest.mark.parametrize("column,passes,fails", [
+        (0, 3e-9, 3e-8), (1, 3e-7, 3e-6), (2, 3e-7, 3e-6)])
+    def test_bounds_are_fixed_widths(self, column, passes, fails,
+                                     monkeypatch, capsys):
+        # One error column at a time, the others 0: the distance passes at
+        # 3e-9 and fails at 3e-8, the transverse components and the
+        # discord pass at 3e-7 and fail at 3e-6.  Literal widths, not
+        # ORACLE_*, so that a tenfold change of a bound fails here.
+        for value, code in ((passes, 0), (fails, 4)):
+            errors = np.zeros((2, 3))
+            errors[1, column] = value
+            monkeypatch.setattr(cli, "oracle_errors",
+                                lambda params, seed: errors)
+            assert main(["oracle-check", "--trials", "2"]) == code
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert [r.endswith(" FAIL") for r in rows] == [
+                code == 4 and j == column for j in range(3)]
+
     def test_builds_no_per_state_object(self, monkeypatch, capsys):
         # The oracle path is array code from the sampled (n, 8) parameters
         # to the (n, 3) errors: it builds no state, matrix, Bloch or pair

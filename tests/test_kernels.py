@@ -242,6 +242,17 @@ class TestQuinticSolver:
                                   t33s[ok].tolist(), roots.tolist()):
             assert _brackets_sign_change(x3, y3, t33, a), (x3, y3, t33, a)
 
+    def test_root_residual_is_a_fixed_width(self):
+        # With c4 = c2 = 0, c1 = 1 and a = 0 the quintic is q = c0: roots
+        # with |q| = 3e-11 are kept, with |q| = 3e-10 dropped.  Literal
+        # widths, not ROOT_RESIDUAL, so that a tenfold change of it fails
+        # here.
+        c0 = np.array([3e-11, -3e-11, 3e-10, -3e-10])
+        zero = np.zeros(4)
+        _, kept = _kernels._kept_canonical(zero, zero, np.ones(4), c0,
+                                           np.zeros(4))
+        assert kept.tolist() == [True, True, False, False]
+
     def test_fallback_roots_bracket_the_exact_sign_change(self):
         # Every fallback row of the pinned cube input: a Newton seed that is
         # still moving after its last step can pass the |q| filter off the
