@@ -22,6 +22,7 @@ Per-layer timings of these kernels inside the CLI commands come from
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -481,17 +482,20 @@ def _fill_reports(params, out):
 
 def pt_scalar(t, gamma0, lam):
     """Excited-state survival probability of the damped qubit at time t."""
+    if t == math.inf:
+        return 0.0
     overdamped = lam > 2.0 * gamma0
     if overdamped:
         # |d| = lam*s without forming lam^2, which overflows from lam ~ 1e154.
         s = math.sqrt(1.0 - 2.0 * gamma0 / lam)
         ad = lam * s
     else:
-        d2 = 2.0 * gamma0 * lam - lam * lam
-        # 2*gamma0*lam overflows from ~1e308 (to inf, or to inf - inf); the
-        # factored form does not, and where d2 is finite the bits stay as
-        # they are.  Underdamped means gamma0/lam >= 1/2.
-        ad = (math.sqrt(d2) if math.isfinite(d2)
+        # Where 2*gamma0*lam overflows (from ~1e308, to inf or inf - inf)
+        # or is below the least normal float, the factored form keeps its
+        # digits; elsewhere the bits stay.  Underdamped: gamma0/lam >= 1/2.
+        g2 = 2.0 * gamma0 * lam
+        d2 = g2 - lam * lam
+        ad = (math.sqrt(d2) if math.isfinite(d2) and g2 >= sys.float_info.min
               else lam * math.sqrt(2.0 * (gamma0 / lam) - 1.0))
     x = ad * t
     if x < 1e-6:

@@ -38,7 +38,6 @@ from .errors import (
 from .quantifiers import (
     CSV_FLOAT,
     REPORT_CSV_HEADER,
-    csv_chunks,
     geometric_discords,
     oracle_errors,
     quantifiers_x,
@@ -130,16 +129,16 @@ def _cmd_sample(args) -> int:
         write_histogram(result, args.out)
         return EXIT_OK
 
-    write_text(args.out, csv_chunks(
-        "index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
-        + REPORT_CSV_HEADER, _sample_lines(cfg)))
+    write_text(args.out, _sample_lines(cfg))
     write_sidecar(args.out, cfg.to_json_dict())
     return EXIT_OK
 
 
 def _sample_lines(cfg):
-    # The sample CSV's row lines, one list per sampler chunk, each chunk
-    # solved and its closest states checked before it is formatted.
+    """The sample CSV as texts: its header line, then each sampler chunk's
+    row lines, newline-joined, once the chunk is solved and checked."""
+    yield ("index,rho11,rho22,rho33,rho44,rho14,rho23,gamma14,gamma23,"
+           + REPORT_CSV_HEADER + "\n")
     start = 0
     for params, _, _ in sample_x_chunks(cfg):
         reports = x_report_rows(params)
@@ -152,7 +151,7 @@ def _sample_lines(cfg):
                 i, p.rho11, p.rho22, p.rho33, p.rho44, p.rho14, p.rho23,
                 p.gamma14, p.gamma23) + quantifiers_x(p, row=row).to_csv_row())
         start += len(lines)
-        yield lines
+        yield "\n".join(lines) + "\n"
 
 
 def _cmd_evolve(args) -> int:

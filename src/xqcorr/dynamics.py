@@ -30,8 +30,8 @@ import numpy as np
 
 from . import _kernels
 from .closest import x_report_rows
-from .quantifiers import (CorrelationReport, csv_chunks, csv_text,
-                          quantifiers_x, write_text)
+from .quantifiers import (CorrelationReport, csv_text, quantifiers_x,
+                          write_text)
 from .states import XStateParams, check_x_rows
 
 TRAJECTORY_CSV_HEADER = (
@@ -104,9 +104,11 @@ def _propagate(initial: XStateParams, p: np.ndarray) -> np.ndarray:
 
 
 def _params_at(cfg: DynamicsConfig, taus: np.ndarray) -> np.ndarray:
-    """Evolved (n, 8) parameters at the times ``taus`` (units 1/gamma0)."""
-    return _propagate(cfg.initial,
-                      p_t(taus / cfg.gamma0, cfg.gamma0, cfg.lam))
+    """Evolved (n, 8) parameters at the times ``taus`` (units 1/gamma0).
+    A time past the float range is inf, where P_t is 0."""
+    with np.errstate(over="ignore"):
+        ts = taus / cfg.gamma0
+    return _propagate(cfg.initial, p_t(ts, cfg.gamma0, cfg.lam))
 
 
 def _time_grid(cfg: DynamicsConfig, rows=slice(None)) -> np.ndarray:
@@ -185,8 +187,9 @@ def case_crossings(cfg: DynamicsConfig):
 
 
 def _trajectory_lines(cfg: DynamicsConfig):
-    # The CSV's rows as text, one csv_text per row_chunks slice of the time
-    # grid; each slice is checked, then solved, before it is formatted.
+    """The trajectory CSV as texts: its header line, then one csv_text per
+    row_chunks slice of the time grid, once the slice is checked and solved."""
+    yield TRAJECTORY_CSV_HEADER + "\n"
     for rows in _kernels.row_chunks(cfg.steps):
         taus = _time_grid(cfg, rows)
         params = _params_at(cfg, taus)
@@ -198,10 +201,9 @@ def _trajectory_lines(cfg: DynamicsConfig):
 
 def trajectory_csv(cfg: DynamicsConfig) -> str:
     """CSV text of the :func:`trajectory` of ``cfg``, one row per time."""
-    return "".join(csv_chunks(TRAJECTORY_CSV_HEADER, _trajectory_lines(cfg)))
+    return "".join(_trajectory_lines(cfg))
 
 
 def write_trajectory_csv(cfg: DynamicsConfig, path) -> None:
     """Write :func:`trajectory_csv` to ``path`` one chunk at a time."""
-    write_text(path, csv_chunks(TRAJECTORY_CSV_HEADER,
-                                _trajectory_lines(cfg)))
+    write_text(path, _trajectory_lines(cfg))

@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .closest import CaseId, x_report_rows
 from .errors import RejectionExhaustionError
-from .quantifiers import CSV_FLOAT, csv_chunks, write_text
+from .quantifiers import csv_text, write_text
 from .states import TWO_PI, XStateParams
 from .tolerances import HISTOGRAM_EDGE, TG_FLOOR
 
@@ -32,7 +32,6 @@ _MIN_ACCEPTANCE = 1e-4
 # Histogram values binned per np.histogram call, whose cost has an
 # O(bin_count) part.
 _BIN_VALUES = 32768
-_HIST_ROW_FORMAT = ",".join([CSV_FLOAT] * 2 + ["%d"])
 
 
 class PhaseMode(str, enum.Enum):
@@ -197,6 +196,9 @@ def sample_x_states(cfg: SamplerConfig):
 
 @dataclass(frozen=True)
 class HistogramResult:
+    """The counts of one :func:`run_histogram`.  Its CSV is a header line,
+    then one :func:`csv_text` per ``row_chunks`` slice of the bins."""
+
     spec: HistogramSpec
     edges: np.ndarray
     counts: np.ndarray
@@ -208,13 +210,10 @@ class HistogramResult:
     config: SamplerConfig
 
     def _csv_chunks(self):
-        # The CSV as strings to write, one per chunk of bins after the header.
-        def lines(rows):
-            return [_HIST_ROW_FORMAT % row for row in zip(
-                self.edges[:-1][rows].tolist(), self.edges[1:][rows].tolist(),
-                self.counts[rows].tolist())]
-        return csv_chunks("bin_lo,bin_hi,count",
-                          map(lines, _kernels.row_chunks(self.counts.size)))
+        yield "bin_lo,bin_hi,count\n"
+        for rows in _kernels.row_chunks(self.counts.size):
+            yield csv_text([self.edges[:-1][rows], self.edges[1:][rows],
+                            self.counts[rows]])
 
     def to_csv(self) -> str:
         return "".join(self._csv_chunks())

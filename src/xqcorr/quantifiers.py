@@ -88,16 +88,6 @@ def write_text(path, text) -> None:
         raise
 
 
-def csv_chunks(header: str, chunks):
-    """A CSV as strings for :func:`write_text`: the header line, then each
-    of ``chunks``, the text of its rows (:func:`csv_text`) or a list of row
-    lines, newline-joined.  A generator's chunks are made one at a time,
-    as they are written: map keeps no chunk while the next is made."""
-    yield header + "\n"
-    yield from map(lambda rows: rows if isinstance(rows, str)
-                   else "\n".join(rows) + "\n", chunks)
-
-
 # csv_text's bytes per field, the separator last, and fields per block.
 _SLOT, _BLOCK = 32, 8192
 _tables = None

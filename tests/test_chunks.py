@@ -151,24 +151,45 @@ class TestChunkEdgesMoveNoBit:
         assert json.loads(sidecar)["acceptance_rate"] \
             == expected.acceptance_rate
 
-    @pytest.mark.parametrize("bins", (_kernels.CHUNK_ROWS - 1,
-                                      _kernels.CHUNK_ROWS,
-                                      _kernels.CHUNK_ROWS + 1, COUNT))
-    def test_histogram_rows(self, bins, tmp_path):
+    def histogram_of_1000(self, bins, lo, hi, tmp_path):
+        # The histogram of 1000 case-2 states on --range lo hi: checks its
+        # CSV and sidecar bytes and returns the one-pass result.
         out = tmp_path / "h.csv"
         assert main(["sample", "--seed", "12", "--count", "1000",
                      "--case", "2", "--histogram", "rel_residual",
-                     "--bins", str(bins), "--range", "-0.5", "-0.1",
+                     "--bins", str(bins), "--range", lo, hi,
                      "--out", str(out)]) == 0
         cfg = SamplerConfig(seed=12, count=1000, case_filter=2)
         expected = one_pass_histogram(
-            cfg, HistogramSpec(bins, -0.5, -0.1, "rel_residual"))
-        assert expected.underflow > 0 and expected.overflow > 0
+            cfg, HistogramSpec(bins, float(lo), float(hi), "rel_residual"))
         csv = one_pass_histogram_csv(expected)
         assert expected.to_csv() == csv
         assert out.read_bytes() == csv.encode()
         assert (tmp_path / "h.csv.meta.json").read_bytes() \
             == sidecar_text(expected.sidecar_dict()).encode()
+        return expected
+
+    @pytest.mark.parametrize("bins", (_kernels.CHUNK_ROWS - 1,
+                                      _kernels.CHUNK_ROWS,
+                                      _kernels.CHUNK_ROWS + 1, COUNT))
+    def test_histogram_rows(self, bins, tmp_path):
+        expected = self.histogram_of_1000(bins, "-0.5", "-0.1", tmp_path)
+        assert expected.underflow > 0 and expected.overflow > 0
+
+    # Ranges whose edges csv_text prints through CSV_FLOAT % v: subnormal
+    # edges, edges past DIGITS_MAX, and edges k * 2^-25, of which 58 are
+    # exact ties that decimal_digits leaves undecided.
+    @pytest.mark.parametrize("bins, lo, hi, fallbacks", (
+        (2, "-1e-320", "0", 2), (3, "1e300", "1.5e300", 4),
+        (512, "0", "1.52587890625e-05", 58)))
+    def test_histogram_edges_past_the_digits_kernel(self, bins, lo, hi,
+                                                    fallbacks, tmp_path):
+        edges = self.histogram_of_1000(bins, lo, hi, tmp_path).edges
+        ax = np.abs(edges)
+        inside = (ax >= _kernels.DIGITS_MIN) & (ax < _kernels.DIGITS_MAX)
+        undecided = _kernels.decimal_digits(np.where(inside, ax, 1.0))[2]
+        assert np.count_nonzero(~inside & (ax != 0.0) | undecided) \
+            == fallbacks
 
     def test_evolve(self, tmp_path):
         psi = tmp_path / "psi.json"

@@ -537,6 +537,23 @@ class TestEvolve:
         assert last[0] == 1.0
         assert abs(last[1] - (2.0 / 3.0) * math.exp(-2.0)) <= 1e-15
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma0, lam, t_max", (("1e-307", "1e-308", "50"),
+                                                    ("1e-10", "1", "1e300")))
+    def test_times_past_the_float_range(self, gamma0, lam, t_max, tmp_path,
+                                        capsys):
+        # The last times, t_max / gamma0, overflow to inf, where P_t is its
+        # limit 0.  In the first run 2*gamma0*lambda underflows to 0 too.
+        psi = write(tmp_path, "psi.json", json.dumps(
+            {"kind": "x", "rho11": 0.35, "rho22": 0.1, "rho33": 0.1,
+             "rho44": 0.45, "rho14": 0.33, "rho23": 0.085}))
+        out = tmp_path / "t.csv"
+        assert main(["evolve", psi, "--gamma0", gamma0, "--lambda", lam,
+                     "--t-max", t_max, "--steps", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        last = [float(v) for v in out.read_text().split("\n")[-2].split(",")]
+        assert last[4] == 1.0
+
     def test_non_finite_parameters(self, tmp_path, capsys):
         psi = write(tmp_path, "psi.json", BELL_JSON)
         for flag, value in (("--gamma0", "inf"), ("--lambda", "inf"),

@@ -120,6 +120,19 @@ class TestSurvivalProbability:
             assert abs(p - math.exp(-0.5)) <= 1.0 / lam + 1e-16
             assert _kernels.pt_scalar(0.0, 1.0, lam) == 1.0
 
+    def test_tiny_rates_keep_the_time_scaling(self):
+        # P_t depends only on gamma0*t and lambda*t.  2*gamma0*lambda
+        # underflows at these rates, and lambda = 1e-308 is subnormal.
+        for g in (1e-100, 1e-200, 1e-300, 1e-307):
+            for r in (0.1, 1.0, 1.9, 2.0):
+                for tau in (0.5, 7.0, 50.0):
+                    got = p_t(tau / g, g, r * g)
+                    if math.isinf(tau / g):  # 50 / 1e-307: P_t's limit
+                        assert got == 0.0
+                        continue
+                    want = p_t(tau, 1.0, r)
+                    assert abs(got - want) <= 1e-12 * want, (g, r, tau)
+
     def test_array_shape(self):
         ts = np.linspace(0, 5, 7).reshape(7, 1)
         assert p_t(ts, 1.0, 0.5).shape == (7, 1)

@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from xqcorr import ensemble
+from xqcorr import _kernels, ensemble
 from xqcorr.closest import CaseId, k_eigenvalues_x
 from xqcorr.ensemble import (
     HistogramSpec,
     PhaseMode,
     Quantity,
     SamplerConfig,
+    relative_quantities,
     run_histogram,
     sample_x_arrays,
     sample_x_states,
@@ -177,6 +178,16 @@ class TestHistogram:
         res = run_histogram(SamplerConfig(seed=1, count=1), spec)
         assert res.counts.tolist() == [1, 0, 0, 1]
         assert (res.total, res.underflow, res.overflow) == (2, 1, 1)
+
+    def test_tg_floor_is_a_fixed_width(self):
+        # A state with t_g = 3e-13 is dropped and one with 3e-12 kept.
+        # Literal widths, not TG_FLOOR, so that a tenfold change of it
+        # fails here.
+        reports = np.zeros((2, _kernels.REPORT_COLS))
+        reports[:, _kernels.COL_TG] = [3e-13, 3e-12]
+        reports[:, _kernels.COL_RES] = [-1.5e-13, -1.5e-12]
+        values, dropped = relative_quantities(reports, Quantity.REL_RESIDUAL)
+        assert (values.tolist(), dropped) == ([-0.5], 1)
 
     def test_csv_deterministic(self):
         cfg = SamplerConfig(seed=10, count=500, case_filter=CaseId.CASE2)

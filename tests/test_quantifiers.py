@@ -15,6 +15,7 @@ from xqcorr.quantifiers import (
     discord_measurement_oracle,
     discord_measurement_oracles,
     geometric_discord_general,
+    geometric_discords,
     oracle_errors,
     pinched_state,
     quantifiers_x,
@@ -97,6 +98,16 @@ class TestGeometricDiscordGeneral:
     def test_never_negative(self):
         for p in sample_states(seed=89, count=300):
             assert geometric_discord_general(x_params_to_bloch(p)) >= 0.0
+
+    def test_clamp_is_a_fixed_width(self, monkeypatch):
+        # With x = 0 and T = 0 the value is -k_max / 4: -3e-13 is clamped
+        # to 0, -3e-12 stays.  Literal widths, not CLAMP, so that a tenfold
+        # change of it fails here.
+        eigs = np.array([[1.2e-12, 0.0, 0.0], [1.2e-11, 0.0, 0.0]])
+        monkeypatch.setattr(quantifiers, "k_matrices",
+                            lambda x, T: (None, eigs))
+        vals = geometric_discords(np.zeros((2, 3)), np.zeros((2, 3, 3)))
+        assert vals.tolist() == [0.0, -3e-12]
 
 
 class TestDirectDistanceConsistency:
