@@ -784,6 +784,10 @@ GOLDEN_SHA256 = {
         "1800a2860a6a928f9b3ea397ce14f24f85f80c6a7d12230b01c8b0cc91379537",
     "evolve-overdamped.csv":
         "6b4c0f8c53a6a6104d45706e1ea9c0cf43d777ae836001f0728b414851306a73",
+    "evolve-critical.csv":
+        "2c6c56cced2b446fb514b26381cecec29532e33796e49acfea95149f276e4587",
+    "evolve-gamma3.csv":
+        "832cd3cd949fd0dde1f911bf6a9b8e883b49912141e1b159d4946839a393f223",
     "oracle-check":
         "5bbdf60d1b254fa58bd278bf234437cc04ed98e7e09cd9edc76d15d17f8ac4c2",
     "oracle.json":
@@ -930,6 +934,14 @@ class TestGoldenBytes:
         stdout_of(["evolve", psi, "--gamma0", "1.0", "--lambda", "5",
                    "--t-max", "20", "--steps", "200",
                    "--out", str(tmp_path / "evolve-overdamped.csv")])
+        # lambda = 2*gamma0: d = 0, so P_t takes its series at every time.
+        stdout_of(["evolve", psi, "--gamma0", "0.5", "--lambda", "1",
+                   "--t-max", "20", "--steps", "200",
+                   "--out", str(tmp_path / "evolve-critical.csv")])
+        # gamma0 != 1: the grid times are divided by gamma0 before P_t.
+        stdout_of(["evolve", psi, "--gamma0", "3", "--lambda", "1",
+                   "--t-max", "20", "--steps", "200",
+                   "--out", str(tmp_path / "evolve-gamma3.csv")])
         out["oracle-check"] = stdout_of(
             ["oracle-check", "--seed", "0", "--trials", "3",
              "--out", str(tmp_path / "oracle.json")])
@@ -937,8 +949,9 @@ class TestGoldenBytes:
                          "sample-case1-zero.csv", "sample-case2.csv",
                          "hist.csv", "hist.csv.meta.json", "hist-l.csv",
                          "hist-l.csv.meta.json", "analyze-bell.json",
-                         "evolve.csv",
-                         "evolve-overdamped.csv", "oracle.json"))
+                         "evolve.csv", "evolve-overdamped.csv",
+                         "evolve-critical.csv", "evolve-gamma3.csv",
+                         "oracle.json"))
         cases = {line.rsplit(",", 1)[1] for line in
                  out["evolve.csv"].decode().split("\n")[1:-1]}
         assert cases == {"1", "2"}

@@ -18,7 +18,7 @@ from conftest import (
 )
 from xqcorr import _kernels
 from xqcorr.closest import CaseId, x_report_rows
-from xqcorr.dynamics import DynamicsConfig, trajectory
+from xqcorr.dynamics import DynamicsConfig, p_t, trajectory
 from xqcorr.ensemble import (
     HistogramSpec,
     SamplerConfig,
@@ -639,7 +639,29 @@ class TestBatchReports:
             run_histogram(cfg, HistogramSpec.default_for("rel_residual"))
 
 
+# sha256 of P_t's float64 bytes, p_t(tau / gamma0, gamma0, ratio * gamma0)
+# over PT_GAMMA0 x PT_RATIOS x PT_TAUS: every branch of the formula, its
+# series region, the critical ratio 2, rates whose products overflow or
+# underflow, and times that overflow to inf.  Taken from the one-time
+# formula; the same numpy-build caveat as REPORT_SHA256.
+PT_SHA256 = "ae981b4fccd285efeb3fae17727e1f34f8c07792b8862fd7c539a1fe3f1463d9"
+PT_GAMMA0 = (1e-300, 0.3, 1.0, 7.0, 1e200)
+PT_RATIOS = (0.01, 1.0, 1.9, 2.0, 2.1, 5.0, 1e10)
+PT_TAUS = np.concatenate([[0.0, 5e-324], np.geomspace(1e-20, 1e-4, 33),
+                          np.linspace(0.0, 60.0, 241), [1e300, np.inf]])
+
+
 class TestSurvivalKernel:
+    def test_values_match_digest(self):
+        values = []
+        for gamma0 in PT_GAMMA0:
+            with np.errstate(over="ignore"):
+                ts = PT_TAUS / gamma0
+            for ratio in PT_RATIOS:
+                values.append(p_t(ts, gamma0, ratio * gamma0))
+        values = np.concatenate(values)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == PT_SHA256
+
     def test_vector_matches_scalar(self):
         ts = np.linspace(0.0, 60.0, 500)
         for lam in (0.01, 1.0, 2.0, 5.0):
