@@ -128,6 +128,21 @@ def _pow10_table():
     return _pow10
 
 
+def _digits_pass(x, e):
+    """decimal_digits' floor(y) and fraction at the guess e, and each guess's
+    move: -1 where floor(y) < 10^16, 1 where the rounded y > 10^17."""
+    h, hh, hl, low = _pow10_table()
+    row = e + 102
+    p, err = _two_product(x, h[row], hh[row], hl[row])
+    lo = err + x * low[row]
+    whole = np.floor(lo)
+    # p is an integer wherever y >= 2^53; clipped, it stays in int64.
+    m = np.minimum(p, 2e17).astype(np.int64) + whole.astype(np.int64)
+    frac = lo - whole
+    up, down = m + (frac > 0.5) > 10 ** 17, m < 10 ** 16
+    return m, frac, up.view(np.int8) - down.view(np.int8)
+
+
 def decimal_digits(x, e=None):
     """The 17 significant digits of each float x, as %.17g prints them, for
     1-d x in [DIGITS_MIN, DIGITS_MAX): int64 d in [10^16, 10^17), e with
@@ -144,18 +159,12 @@ def decimal_digits(x, e=None):
     rounded y > 10^17, so no digit depends on the bits of log10.
     """
     e = np.clip(np.floor(np.log10(x)) if e is None else e, -101, 100)
-    e, (h, hh, hl, low) = e.astype(np.int64), _pow10_table()
-    n, frac = np.empty(x.shape, np.int64), np.empty(x.shape)
-    redo = np.arange(x.size)
+    e = e.astype(np.int64)
+    n, frac, move = _digits_pass(x, e)  # on the whole arrays
+    e += move
+    redo = np.flatnonzero(move)
     while redo.size:
-        xs, row = x[redo], e[redo] + 102
-        p, err = _two_product(xs, h[row], hh[row], hl[row])
-        lo = err + xs * low[row]
-        whole = np.floor(lo)
-        # p is an integer wherever y >= 2^53; clipped, it stays in int64.
-        m = np.minimum(p, 2e17).astype(np.int64) + whole.astype(np.int64)
-        n[redo], frac[redo] = m, lo - whole
-        move = np.where(m < 10 ** 16, -1, m + (lo - whole > 0.5) > 10 ** 17)
+        n[redo], frac[redo], move = _digits_pass(x[redo], e[redo])
         e[redo] += move
         redo = redo[move != 0]
     d = n + (frac > 0.5)
@@ -481,9 +490,25 @@ def _fill_reports(params, out):
 
 
 def pt_scalar(t, gamma0, lam):
-    """Excited-state survival probability of the damped qubit at time t."""
-    if t == math.inf:
-        return 0.0
+    """Excited-state survival probability of the damped qubit at time t:
+    the one-time view of :func:`pt_values`."""
+    return float(pt_values(np.array([t], np.float64), gamma0, lam)[0])
+
+
+def _mapped(f, x):
+    """The one-float math function f at each float of the array x."""
+    return np.fromiter(map(f, x.tolist()), np.float64, x.size)
+
+
+def pt_values(ts, gamma0, lam):
+    """Excited-state survival probability of the damped qubit at each time
+    of the 1-d array ``ts``.
+
+    The terms that depend on the rates alone are formed once.  math.exp,
+    math.cos and math.sin (math.log1p when overdamped) are mapped over the
+    times, and the + and x between them are numpy operations in the order
+    of the one-time formula, so no bit depends on the other times.
+    """
     overdamped = lam > 2.0 * gamma0
     if overdamped:
         # |d| = lam*s without forming lam^2, which overflows from lam ~ 1e154.
@@ -497,32 +522,37 @@ def pt_scalar(t, gamma0, lam):
         d2 = g2 - lam * lam
         ad = (math.sqrt(d2) if math.isfinite(d2) and g2 >= sys.float_info.min
               else lam * math.sqrt(2.0 * (gamma0 / lam) - 1.0))
-    x = ad * t
-    if x < 1e-6:
+    out = np.zeros(ts.shape)  # 0.0, the limit, at t = inf
+    with np.errstate(all="ignore"):
+        x = ad * ts
+        series = x < 1e-6
+        rest = ~series & (ts != math.inf)
         # Series in d^2 t^2 (x^2, or -x^2 when overdamped); also covers the
         # d -> 0 boundary exactly.
-        d2t2 = -x * x if overdamped else x * x
+        t, x2 = ts[series], x[series] * x[series]
+        d2t2 = -x2 if overdamped else x2
         bracket = 1.0 + 0.5 * lam * t - d2t2 / 8.0 - lam * t * d2t2 / 48.0
-        return math.exp(-lam * t) * bracket * bracket
-    if not overdamped:
-        bracket = math.cos(0.5 * x) + (lam / ad) * math.sin(0.5 * x)
-        return math.exp(-lam * t) * bracket * bracket
-    # Overdamped, through logs to avoid cosh overflow.  -lam*t + ad*t is
-    # written as -2*gamma0*t/(1 + s), which does not cancel as lam grows.
-    r = 1.0 / s
-    xi = (1.0 - r) / (1.0 + r)
-    logp = (
-        -2.0 * gamma0 * t / (1.0 + s)
-        + 2.0 * math.log(0.5 * (1.0 + r))
-        + 2.0 * math.log1p(xi * math.exp(-x))
-    )
-    return math.exp(logp)
-
-
-def pt_values(ts, gamma0, lam):
-    """:func:`pt_scalar` at each time of the 1-d array ``ts``."""
-    return np.array([pt_scalar(t, gamma0, lam) for t in ts.tolist()],
-                    dtype=np.float64)
+        out[series] = _mapped(math.exp, -lam * t) * bracket * bracket
+        t, x = ts[rest], x[rest]
+        if not t.size:  # as where d = 0
+            return out
+        if not overdamped:
+            half = 0.5 * x
+            bracket = (_mapped(math.cos, half)
+                       + (lam / ad) * _mapped(math.sin, half))
+            out[rest] = _mapped(math.exp, -lam * t) * bracket * bracket
+            return out
+        # Overdamped, through logs to avoid cosh overflow.  -lam*t + ad*t is
+        # written as -2*gamma0*t/(1 + s), which does not cancel as lam grows.
+        r = 1.0 / s
+        xi = (1.0 - r) / (1.0 + r)
+        logp = (
+            -2.0 * gamma0 * t / (1.0 + s)
+            + 2.0 * math.log(0.5 * (1.0 + r))
+            + 2.0 * _mapped(math.log1p, xi * _mapped(math.exp, -x))
+        )
+        out[rest] = _mapped(math.exp, logp)
+    return out
 
 
 # sigma_i (x) I for i = 1, 2, 3: the Pauli matrices acting on qubit A.

@@ -105,10 +105,14 @@ def _propagate(initial: XStateParams, p: np.ndarray) -> np.ndarray:
 
 def _params_at(cfg: DynamicsConfig, taus: np.ndarray) -> np.ndarray:
     """Evolved (n, 8) parameters at the times ``taus`` (units 1/gamma0).
-    A time past the float range is inf, where P_t is 0."""
+    P_t depends on gamma0*t and lambda*t alone, so where taus / gamma0
+    overflows it is taken at tau with the rates (1, lambda/gamma0)."""
     with np.errstate(over="ignore"):
         ts = taus / cfg.gamma0
-    return _propagate(cfg.initial, p_t(ts, cfg.gamma0, cfg.lam))
+    p, far = p_t(ts, cfg.gamma0, cfg.lam), ts == np.inf
+    if far.any():
+        p[far] = p_t(taus[far], 1.0, cfg.lam / cfg.gamma0)
+    return _propagate(cfg.initial, p)
 
 
 def _time_grid(cfg: DynamicsConfig, rows=slice(None)) -> np.ndarray:

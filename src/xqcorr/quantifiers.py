@@ -113,6 +113,13 @@ def _csv_tables():
     return _tables
 
 
+def _divmod(a, b):
+    """np.divmod of an int64 array by the int b, as a floor division (which
+    numpy runs by multiplication for a scalar divisor) and a product."""
+    q = a // b
+    return q, a - q * b
+
+
 def _float_slots(x, out):
     """Fill the (m, _SLOT) uint8 ``out`` with the floats x: bytes 0-7 the
     sign, "0." and zeros, first digit and exponent form's point, 8-23 the
@@ -121,27 +128,24 @@ def _float_slots(x, out):
     ax = np.abs(x)
     inside = (ax >= _kernels.DIGITS_MIN) & (ax < _kernels.DIGITS_MAX)
     d, e, undecided = _kernels.decimal_digits(np.where(inside, ax, 1.0))
-    top, low = np.divmod(d, 10 ** 16)
-    hi, lo = np.divmod(low, 10 ** 8)
-    groups = (top, *np.divmod(hi, 10 ** 4), *np.divmod(lo, 10 ** 4))
-    words, bare = out.view(np.uint32), True
+    top, low = _divmod(d, 10 ** 16)
+    hi, lo = _divmod(low, 10 ** 8)
+    groups = (top, *_divmod(hi, 10 ** 4), *_divmod(lo, 10 ** 4))
+    words, wide, bare = out.view(np.uint32), out.view(np.uint64), True
     for col in (5, 4, 3, 2):
         words[:, col] = digits[groups[col - 1] + 10000 * bare]
         bare = bare & (groups[col - 1] == 0)
-    out.view(np.uint64)[:, ::3] = np.column_stack([head[e + 128],
-                                                   tail[e + 128]])
+    wide[:, 0], wide[:, 3] = head[e + 128], tail[e + 128]
     out[:, 0] = ord("-") * np.signbit(x)
     out[:, 6] = groups[0] + ord("0")
     out[:, 7] = ord(".") * (((e < -4) | (e >= 17)) & ~bare)
-    # The fixed form, 0 <= E < 17: digits 0..E with their zeros, a point if
-    # a digit follows, then the other digits, stripped, one byte right.
-    f = np.flatnonzero((e >= 0) & (e < 17))
-    strip = np.zeros((f.size, 19), np.uint8)
-    strip[:, 0], strip[:, 1:17] = out[f, 6], out[f, 8:24]
-    ef, at = e[f, None], np.arange(18)
-    point = ord(".") * (np.take_along_axis(strip, ef + 1, 1) != 0)
-    out[f, 6:24] = np.where(at <= ef, np.maximum(strip[:, :18], ord("0")),
-                            np.where(at > ef + 1, strip[:, at - 1], point))
+    # The fixed form, 0 <= E < 17: digits 1..E one byte left, with their
+    # zeros, then a point if a digit follows; one move per E present.
+    for E in np.flatnonzero(np.bincount(e + 128)[128:145]).tolist():
+        at = np.flatnonzero(e == E)
+        if E:
+            out[at, 7:7 + E] = np.maximum(out[at, 8:8 + E], ord("0"))
+        out[at, 7 + E] = ord(".") * (out[at, 8 + E] != 0)
     out[ax == 0.0, 6] = ord("0")
     rest = np.flatnonzero(~inside & (ax != 0.0) | undecided)
     text = np.array([CSV_FLOAT % v for v in x[rest].tolist()],
@@ -151,28 +155,32 @@ def _float_slots(x, out):
 
 def csv_text(columns) -> str:
     """The CSV text of the rows of ``columns``, equal-length 1-d arrays: a
-    float column prints v as CSV_FLOAT % v, an integer column as "%d" % v,
-    byte for byte, fields joined by "," and each row ended by "\\n".
+    float column prints v as CSV_FLOAT % v, an integer or bool column as
+    "%d" % v, byte for byte, fields joined by "," and each row ended by
+    "\\n".  Any other dtype, or a float wider than float64, is a TypeError.
 
     Each field is a slot of _SLOT bytes, about _BLOCK fields at a time; the
-    unused bytes are NUL and dropped.  A float's digits come from
+    unused bytes are NUL and dropped.  Every field of a block is first laid
+    out in place as its float64 value, and an integer column's "%d" bytes
+    then overwrite its slots.  A float's digits come from
     :func:`xqcorr._kernels.decimal_digits`, laid out in one of %g's forms:
     fixed for 0 <= E < 17, "0." and -E - 1 zeros first for -4 <= E < 0,
     else the exponent form; a zero too.  The one fallback: a value whose
     rounding is undecided, or outside [DIGITS_MIN, DIGITS_MAX), inf or nan,
     is printed by CSV_FLOAT % v.
     """
-    isfloat = np.array([c.dtype.kind == "f" for c in columns])
+    for c in columns:
+        if not np.can_cast(c.dtype, np.float64):
+            raise TypeError("csv_text cannot print a %s column" % c.dtype)
+    columns = [c.view(np.uint8) if c.dtype == bool else c for c in columns]
+    ints = [j for j, c in enumerate(columns) if c.dtype.kind != "f"]
     step, pieces = max(1, _BLOCK // len(columns)), []
     for start in range(0, len(columns[0]), step):
         cols = [c[start:start + step] for c in columns]
         buf = np.empty((len(cols[0]), len(cols), _SLOT), np.uint8)
-        if isfloat.any():
-            floats = np.column_stack([c for c, f in zip(cols, isfloat) if f])
-            slots = np.empty((floats.size, _SLOT), np.uint8)
-            _float_slots(floats.ravel(), slots)
-            buf[:, isfloat] = slots.reshape(floats.shape + (_SLOT,))
-        for j in np.flatnonzero(~isfloat):  # numpy casts ints as str does
+        _float_slots(np.column_stack(cols).astype(np.float64, copy=False)
+                     .ravel(), buf.reshape(-1, _SLOT))
+        for j in ints:  # numpy casts ints as str does
             buf[:, j, :-1] = cols[j].astype((np.bytes_, _SLOT - 1)).view(
                 np.uint8).reshape(-1, _SLOT - 1)
         buf[:, :, -1] = ord(",")

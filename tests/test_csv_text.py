@@ -8,6 +8,7 @@ ten and their neighbours, exact rounding ties, integers and dyadic values.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -137,3 +138,47 @@ def test_tables_are_built_on_first_use():
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           timeout=60)
     assert done.stdout == "True True\nFalse False\n", done.stderr
+
+
+def test_first_calls_import_nothing():
+    # A module that numpy imports on first use (np.unique's numpy.ma takes
+    # about 10 ms) would be paid by every run that formats once, as the
+    # histogram does, and by every evolve run through P_t.
+    src = os.path.dirname(os.path.dirname(xqcorr.__file__))
+    code = ("import sys, numpy as np, xqcorr.cli\n"
+            "from xqcorr import _kernels, quantifiers as q\n"
+            "before = set(sys.modules)\n"
+            "q.csv_text([np.array([0.5, 12.5, 1e300, 0.0]), np.arange(4),\n"
+            "            np.arange(4) < 2])\n"
+            "for lam in (0.01, 1.0, 2.0, 5.0):\n"
+            "    _kernels.pt_values(np.linspace(0.0, 5.0, 9), 0.5, lam)\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert done.stdout == "[]\n", done.stderr
+
+
+def test_other_dtypes_print_as_the_percent_format():
+    # A bool column prints 1 and 0 as "%d" does, not True and False; a
+    # float32 or float16 column prints its values as floats, with no
+    # overflow warning at the DIGITS_MAX compare.
+    rng = np.random.default_rng(35)
+    rows = 5000
+    columns = [rng.random(rows) < 0.5,
+               (10.0 ** rng.uniform(-40, 38, rows)).astype(np.float32),
+               (rng.standard_normal(rows) * 1e4).astype(np.float16),
+               rng.integers(0, 2 ** 64, rows, dtype=np.uint64),
+               rng.integers(-128, 128, rows, dtype=np.int8),
+               np.array([True, False] * (rows // 2))[::-1]]
+    assert csv_text(columns) == percent_text(columns)
+    assert csv_text([np.array([True, False])]) == "1\n0\n"
+
+
+@pytest.mark.parametrize("column", [
+    np.zeros(3, np.complex128), np.zeros(3, np.longdouble),
+    np.array(["a", "b", "c"]), np.array([1.5, None, 2.0], object),
+    np.zeros(3, "datetime64[s]")], ids=lambda c: str(c.dtype))
+def test_columns_it_cannot_print_are_a_type_error(column):
+    with pytest.raises(TypeError, match=re.escape(str(column.dtype))):
+        csv_text([np.ones(3), column])
