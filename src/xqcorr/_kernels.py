@@ -128,21 +128,6 @@ def _pow10_table():
     return _pow10
 
 
-def _digits_pass(x, e):
-    """decimal_digits' floor(y) and fraction at the guess e, and each guess's
-    move: -1 where floor(y) < 10^16, 1 where the rounded y > 10^17."""
-    h, hh, hl, low = _pow10_table()
-    row = e + 102
-    p, err = _two_product(x, h[row], hh[row], hl[row])
-    lo = err + x * low[row]
-    whole = np.floor(lo)
-    # p is an integer wherever y >= 2^53; clipped, it stays in int64.
-    m = np.minimum(p, 2e17).astype(np.int64) + whole.astype(np.int64)
-    frac = lo - whole
-    up, down = m + (frac > 0.5) > 10 ** 17, m < 10 ** 16
-    return m, frac, up.view(np.int8) - down.view(np.int8)
-
-
 def decimal_digits(x, e=None):
     """The 17 significant digits of each float x, as %.17g prints them, for
     1-d x in [DIGITS_MIN, DIGITS_MAX): int64 d in [10^16, 10^17), e with
@@ -159,14 +144,21 @@ def decimal_digits(x, e=None):
     rounded y > 10^17, so no digit depends on the bits of log10.
     """
     e = np.clip(np.floor(np.log10(x)) if e is None else e, -101, 100)
-    e = e.astype(np.int64)
-    n, frac, move = _digits_pass(x, e)  # on the whole arrays
-    e += move
-    redo = np.flatnonzero(move)
-    while redo.size:
-        n[redo], frac[redo], move = _digits_pass(x[redo], e[redo])
+    e, (h, hh, hl, low) = e.astype(np.int64), _pow10_table()
+    n, frac = np.empty(x.shape, np.int64), np.empty(x.shape)
+    redo = slice(None)  # first the whole arrays, as views: no gathers
+    while x[redo].size:
+        xs, row = x[redo], e[redo] + 102
+        p, err = _two_product(xs, h[row], hh[row], hl[row])
+        lo = err + xs * low[row]
+        whole = np.floor(lo)
+        # p is an integer wherever y >= 2^53; clipped, it stays in int64.
+        m = np.minimum(p, 2e17).astype(np.int64) + whole.astype(np.int64)
+        n[redo], frac[redo] = m, lo - whole
+        up, down = m + (lo - whole > 0.5) > 10 ** 17, m < 10 ** 16
+        move = up.view(np.int8) - down.view(np.int8)
         e[redo] += move
-        redo = redo[move != 0]
+        redo = np.arange(x.size)[redo][move != 0]
     d = n + (frac > 0.5)
     carry = d == 10 ** 17
     d[carry] = 10 ** 16
@@ -490,8 +482,7 @@ def _fill_reports(params, out):
 
 
 def pt_scalar(t, gamma0, lam):
-    """Excited-state survival probability of the damped qubit at time t:
-    the one-time view of :func:`pt_values`."""
+    """:func:`pt_values` at the one time t."""
     return float(pt_values(np.array([t], np.float64), gamma0, lam)[0])
 
 
@@ -502,13 +493,9 @@ def _mapped(f, x):
 
 def pt_values(ts, gamma0, lam):
     """Excited-state survival probability of the damped qubit at each time
-    of the 1-d array ``ts``.
-
-    The terms that depend on the rates alone are formed once.  math.exp,
-    math.cos and math.sin (math.log1p when overdamped) are mapped over the
-    times, and the + and x between them are numpy operations in the order
-    of the one-time formula, so no bit depends on the other times.
-    """
+    of the 1-d array ``ts``: the rate-only terms once, then math.exp,
+    math.cos, math.sin and math.log1p mapped over the times, with numpy's +
+    and x between them in the one-time formula's order, bit for bit."""
     overdamped = lam > 2.0 * gamma0
     if overdamped:
         # |d| = lam*s without forming lam^2, which overflows from lam ~ 1e154.
@@ -529,29 +516,24 @@ def pt_values(ts, gamma0, lam):
         rest = ~series & (ts != math.inf)
         # Series in d^2 t^2 (x^2, or -x^2 when overdamped); also covers the
         # d -> 0 boundary exactly.
-        t, x2 = ts[series], x[series] * x[series]
-        d2t2 = -x2 if overdamped else x2
+        t, d2t2 = ts[series], (-x if overdamped else x)[series] * x[series]
         bracket = 1.0 + 0.5 * lam * t - d2t2 / 8.0 - lam * t * d2t2 / 48.0
         out[series] = _mapped(math.exp, -lam * t) * bracket * bracket
         t, x = ts[rest], x[rest]
-        if not t.size:  # as where d = 0
-            return out
-        if not overdamped:
+        if t.size and not overdamped:  # no such t where d = 0
             half = 0.5 * x
             bracket = (_mapped(math.cos, half)
                        + (lam / ad) * _mapped(math.sin, half))
             out[rest] = _mapped(math.exp, -lam * t) * bracket * bracket
-            return out
-        # Overdamped, through logs to avoid cosh overflow.  -lam*t + ad*t is
-        # written as -2*gamma0*t/(1 + s), which does not cancel as lam grows.
-        r = 1.0 / s
-        xi = (1.0 - r) / (1.0 + r)
-        logp = (
-            -2.0 * gamma0 * t / (1.0 + s)
-            + 2.0 * math.log(0.5 * (1.0 + r))
-            + 2.0 * _mapped(math.log1p, xi * _mapped(math.exp, -x))
-        )
-        out[rest] = _mapped(math.exp, logp)
+        elif t.size:
+            # Overdamped, through logs against cosh overflow; -lam*t + ad*t
+            # is -2*gamma0*t/(1 + s), which does not cancel as lam grows.
+            r = 1.0 / s
+            xi = (1.0 - r) / (1.0 + r)
+            logp = (-2.0 * gamma0 * t / (1.0 + s)
+                    + 2.0 * math.log(0.5 * (1.0 + r))
+                    + 2.0 * _mapped(math.log1p, xi * _mapped(math.exp, -x)))
+            out[rest] = _mapped(math.exp, logp)
     return out
 
 

@@ -80,9 +80,8 @@ class TrajectoryPoint:
 def p_t(t, gamma0: float, lam: float):
     """Survival probability P_t; accepts a scalar or an array of times."""
     arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim == 0:
-        return float(_kernels.pt_scalar(float(arr), gamma0, lam))
-    return _kernels.pt_values(arr.ravel(), gamma0, lam).reshape(arr.shape)
+    p = _kernels.pt_values(arr.ravel(), gamma0, lam).reshape(arr.shape)
+    return float(p) if arr.ndim == 0 else p
 
 
 def _propagate(initial: XStateParams, p: np.ndarray) -> np.ndarray:
