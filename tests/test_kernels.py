@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -651,7 +652,54 @@ PT_TAUS = np.concatenate([[0.0, 5e-324], np.geomspace(1e-20, 1e-4, 33),
                           np.linspace(0.0, 60.0, 241), [1e300, np.inf]])
 
 
+def pt_one_time(t, gamma0, lam):
+    """P_t by the one-time formula with math.* alone, as pt_values computed
+    it before it mapped math.* over its times: the reference its bits keep."""
+    if t == math.inf:
+        return 0.0
+    overdamped = lam > 2.0 * gamma0
+    if overdamped:
+        s = math.sqrt(1.0 - 2.0 * gamma0 / lam)
+        ad = lam * s
+    else:
+        g2 = 2.0 * gamma0 * lam
+        d2 = g2 - lam * lam
+        ad = (math.sqrt(d2) if math.isfinite(d2) and g2 >= sys.float_info.min
+              else lam * math.sqrt(2.0 * (gamma0 / lam) - 1.0))
+    x = ad * t
+    if x < 1e-6:
+        d2t2 = -x * x if overdamped else x * x
+        bracket = 1.0 + 0.5 * lam * t - d2t2 / 8.0 - lam * t * d2t2 / 48.0
+        return math.exp(-lam * t) * bracket * bracket
+    if not overdamped:
+        bracket = math.cos(0.5 * x) + (lam / ad) * math.sin(0.5 * x)
+        return math.exp(-lam * t) * bracket * bracket
+    r = 1.0 / s
+    xi = (1.0 - r) / (1.0 + r)
+    return math.exp(-2.0 * gamma0 * t / (1.0 + s)
+                    + 2.0 * math.log(0.5 * (1.0 + r))
+                    + 2.0 * math.log1p(xi * math.exp(-x)))
+
+
 class TestSurvivalKernel:
+    def test_bits_of_the_one_time_formula(self):
+        # Random rates over the float range, ratios on both sides of the
+        # critical 2 and at it, times from 0 through the series region.
+        rng = np.random.default_rng(35)
+        for _ in range(300):
+            gamma0 = float(10.0 ** rng.uniform(-300, 300))
+            ratio = float(rng.choice([10.0 ** rng.uniform(-3, 3), 2.0,
+                                      rng.uniform(1.9, 2.1)]))
+            taus = np.concatenate([[0.0, 5e-324, np.inf],
+                                   10.0 ** rng.uniform(-12, 2.5, 30)])
+            with np.errstate(over="ignore", under="ignore"):
+                ts = taus / gamma0
+            got = _kernels.pt_values(ts, gamma0, ratio * gamma0)
+            want = [pt_one_time(t, gamma0, ratio * gamma0)
+                    for t in ts.tolist()]
+            assert got.view(np.uint64).tolist() == np.array(
+                want).view(np.uint64).tolist(), (gamma0, ratio)
+
     def test_values_match_digest(self):
         values = []
         for gamma0 in PT_GAMMA0:
