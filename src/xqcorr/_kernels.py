@@ -495,7 +495,7 @@ def pt_values(ts, gamma0, lam):
     """Excited-state survival probability of the damped qubit at each time
     of the 1-d array ``ts``: the rate-only terms once, then math.exp,
     math.cos, math.sin and math.log1p mapped over the times, with numpy's +
-    and x between them in the one-time formula's order, bit for bit."""
+    and * between them in the one-time formula's order, bit for bit."""
     overdamped = lam > 2.0 * gamma0
     if overdamped:
         # |d| = lam*s without forming lam^2, which overflows from lam ~ 1e154.
@@ -520,7 +520,7 @@ def pt_values(ts, gamma0, lam):
         bracket = 1.0 + 0.5 * lam * t - d2t2 / 8.0 - lam * t * d2t2 / 48.0
         out[series] = _mapped(math.exp, -lam * t) * bracket * bracket
         t, x = ts[rest], x[rest]
-        if t.size and not overdamped:  # no such t where d = 0
+        if t.size and not overdamped:  # none where d = 0 (lam / ad)
             half = 0.5 * x
             bracket = (_mapped(math.cos, half)
                        + (lam / ad) * _mapped(math.sin, half))
