@@ -653,8 +653,8 @@ PT_TAUS = np.concatenate([[0.0, 5e-324], np.geomspace(1e-20, 1e-4, 33),
 
 
 def pt_one_time(t, gamma0, lam):
-    """P_t by the one-time formula with math.* alone, as pt_values computed
-    it before it mapped math.* over its times: the reference its bits keep."""
+    """P_t at one time by the scalar formula, with math.* alone: the
+    reference whose bits pt_values keeps at every time of its array."""
     if t == math.inf:
         return 0.0
     overdamped = lam > 2.0 * gamma0
