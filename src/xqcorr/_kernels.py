@@ -481,11 +481,6 @@ def _fill_reports(params, out):
     out[~(finite & ok & (stationarity <= STATIONARITY))] = 0.0
 
 
-def pt_scalar(t, gamma0, lam):
-    """:func:`pt_values` at the one time t."""
-    return float(pt_values(np.array([t], np.float64), gamma0, lam)[0])
-
-
 def _mapped(f, x):
     """The one-float math function f at each float of the array x."""
     return np.fromiter(map(f, x.tolist()), np.float64, x.size)

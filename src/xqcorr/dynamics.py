@@ -109,7 +109,8 @@ def _params_at(cfg: DynamicsConfig, taus: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         ts = taus / cfg.gamma0
     p, far = p_t(ts, cfg.gamma0, cfg.lam), ts == np.inf
-    p[far] = p_t(taus[far], 1.0, cfg.lam / cfg.gamma0)
+    if far.any():
+        p[far] = p_t(taus[far], 1.0, cfg.lam / cfg.gamma0)
     return _propagate(cfg.initial, p)
 
 

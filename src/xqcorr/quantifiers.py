@@ -152,11 +152,11 @@ def csv_text(columns) -> str:
     "\\n".  A column numpy cannot cast to float64 safely is a TypeError.
 
     Each field is a slot of _SLOT bytes in one buffer of about _BLOCK fields
-    that every block reuses, laid out as its float64 value, which prints as
-    "%d" does up to 2^53; past that an integer column's "%d" bytes overwrite
-    its slots.  The unused bytes are NUL and dropped.  A float's digits come
-    from :func:`xqcorr._kernels.decimal_digits`, laid out in one of %g's
-    forms: fixed for 0 <= E < 17, "0." and -E - 1 zeros first for
+    that every block reuses, laid out as its float64 value; an integer
+    column's "%d" bytes then overwrite its slots.  The unused bytes are NUL
+    and dropped.  A float's digits come from
+    :func:`xqcorr._kernels.decimal_digits`, laid out in one of %g's forms:
+    fixed for 0 <= E < 17, "0." and -E - 1 zeros first for
     -4 <= E < 0, else the exponent form; a zero too.  The one fallback: a
     value whose rounding is undecided, or outside [DIGITS_MIN, DIGITS_MAX),
     inf or nan, is printed by CSV_FLOAT % v.
@@ -164,8 +164,7 @@ def csv_text(columns) -> str:
     for c in columns:
         if not np.can_cast(c.dtype, np.float64):
             raise TypeError("csv_text cannot print a %s column" % c.dtype)
-    ints = [j for j, c in enumerate(columns) if c.dtype.kind in "iu" and c.size
-            and max(-int(c.min()), int(c.max())) > 2 ** 53]  # else as floats
+    ints = [j for j, c in enumerate(columns) if c.dtype.kind in "iu"]
     n, step, pieces = len(columns[0]), max(1, _BLOCK // len(columns)), []
     block = np.empty((min(step, n), len(columns), _SLOT), np.uint8)
     for start in range(0, n, step):

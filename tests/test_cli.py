@@ -558,6 +558,8 @@ class TestEvolve:
             assert capsys.readouterr().err == ""
             rows.append(np.loadtxt(out, delimiter=",", skiprows=1))
         assert np.allclose(rows[0], rows[1], rtol=1e-12, atol=0.0)
+        if ratio == "1e10":  # P_t = exp(-1e300) = 0 at the last time
+            assert rows[0][-1, 4] == 1.0
 
     def test_non_finite_parameters(self, tmp_path, capsys):
         psi = write(tmp_path, "psi.json", BELL_JSON)

@@ -171,7 +171,7 @@ def test_other_dtypes_print_as_the_percent_format():
                rng.integers(0, 2 ** 64, rows, dtype=np.uint64),
                rng.integers(-128, 128, rows, dtype=np.int8),
                np.array([True, False] * (rows // 2))[::-1],
-               # Integers print by their float64 slots up to 2^53 alone.
+               # Integers at 2^53 and past it, where float64 rounds.
                np.array([-2 ** 53, 2 ** 53, 0, -7] * (rows // 4)),
                np.array([2 ** 53 + 1, -2 ** 53 - 1] * (rows // 2))]
     assert csv_text(columns) == percent_text(columns)

@@ -116,9 +116,9 @@ class TestSurvivalProbability:
         # P_t -> exp(-gamma0 t) as lambda grows, with an O(gamma0/lambda)
         # error; lambda^2 overflows from about 1e154.
         for lam in 10.0 ** np.arange(3, 301, 3):
-            p = _kernels.pt_scalar(0.5, 1.0, lam)
+            p = p_t(0.5, 1.0, lam)
             assert abs(p - math.exp(-0.5)) <= 1.0 / lam + 1e-16
-            assert _kernels.pt_scalar(0.0, 1.0, lam) == 1.0
+            assert p_t(0.0, 1.0, lam) == 1.0
 
     def test_tiny_rates_keep_the_time_scaling(self):
         # P_t depends only on gamma0*t and lambda*t.  2*gamma0*lambda

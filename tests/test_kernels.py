@@ -714,7 +714,7 @@ class TestSurvivalKernel:
         ts = np.linspace(0.0, 60.0, 500)
         for lam in (0.01, 1.0, 2.0, 5.0):
             vec = _kernels.pt_values(ts, 1.0, lam)
-            scal = np.array([_kernels.pt_scalar(t, 1.0, lam) for t in ts])
+            scal = np.array([pt_one_time(t, 1.0, lam) for t in ts.tolist()])
             assert np.array_equal(vec, scal)
 
     def test_against_direct_formula(self):
