@@ -7,11 +7,10 @@ probability is
     d   = sqrt(2*gamma0*lambda - lambda^2),
 
 where ``gamma0`` is the Markovian spontaneous-emission rate and ``lambda``
-the spectral width of the coupling.  For lambda >= 2*gamma0 the bracket
-continues analytically to hyperbolic functions; the d -> 0 boundary uses a
-series branch.  The map preserves the X structure, so trajectories stay in
-the closed-form regime of the correlation quantifiers and can wander
-between the two spectral cases k1 <= k3 and k1 > k3.
+the spectral width of the coupling; P_t depends on tau = gamma0*t and
+lambda/gamma0 alone.  The map preserves the X structure, so trajectories
+stay in the closed-form regime of the quantifiers and can wander between
+the two spectral cases k1 <= k3 and k1 > k3.
 
 :func:`trajectory` computes a whole trajectory as three arrays: the time
 grid, the (n, 8) evolved parameters, validated once as an array by
@@ -46,7 +45,7 @@ CROSSING_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    """Evolution parameters; times are dimensionless (units of 1/gamma0)."""
+    """Evolution parameters; times are tau = gamma0*t (units of 1/gamma0)."""
 
     gamma0: float
     lam: float
@@ -103,15 +102,8 @@ def _propagate(initial: XStateParams, p: np.ndarray) -> np.ndarray:
 
 
 def _params_at(cfg: DynamicsConfig, taus: np.ndarray) -> np.ndarray:
-    """Evolved (n, 8) parameters at the times ``taus`` (units 1/gamma0).
-    P_t depends on gamma0*t and lambda*t alone, so where taus / gamma0
-    overflows it is taken at tau with the rates (1, lambda/gamma0)."""
-    with np.errstate(over="ignore"):
-        ts = taus / cfg.gamma0
-    p, far = p_t(ts, cfg.gamma0, cfg.lam), ts == np.inf
-    if far.any():
-        p[far] = p_t(taus[far], 1.0, cfg.lam / cfg.gamma0)
-    return _propagate(cfg.initial, p)
+    """Evolved (n, 8) parameters at taus, P_t taking rates (1, lam/gamma0)."""
+    return _propagate(cfg.initial, p_t(taus, 1.0, cfg.lam / cfg.gamma0))
 
 
 def _time_grid(cfg: DynamicsConfig, rows=slice(None)) -> np.ndarray:

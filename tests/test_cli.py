@@ -538,14 +538,21 @@ class TestEvolve:
         assert abs(last[1] - (2.0 / 3.0) * math.exp(-2.0)) <= 1e-15
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("gamma0, lam, t_max, ratio", (
-        pytest.param("1e-307", "1e-308", "50", "0.1", id="1e-307-1e-308-50"),
-        pytest.param("1e-10", "1", "1e300", "1e10", id="1e-10-1-1e300")))
+    @pytest.mark.parametrize("gamma0, lam, t_max, ratio", [
+        pytest.param(*args, id="-".join(args[:3])) for args in (
+            ("1e-307", "1e-308", "50", "0.1"),
+            ("1e-10", "1", "1e300", "1e10"),
+            ("1e-300", "1e10", "5", "1e300"), ("1e-10", "1e300", "5", "1e300"),
+            ("1e-320", "1", "5", "1e300"), ("1e300", "1e-300", "5", "1e-300"),
+            ("1", "1e-320", "5", "1e-300"),
+            ("1e10", "1e-320", "5", "1e-300"))])
     def test_times_past_the_float_range(self, gamma0, lam, t_max, ratio,
                                         tmp_path, capsys):
-        # The last times, t_max / gamma0, overflow to inf.  P_t depends on
-        # gamma0*t and lambda*t alone, so each run reads as the run with the
-        # rates (1, lambda/gamma0).  In the first 2*gamma0*lambda underflows.
+        # P_t depends on tau = gamma0*t and lambda/gamma0 alone, so each run
+        # reads as the run with the rates (1, lambda/gamma0).  In the first
+        # 2*gamma0*lambda underflows; in the second t_max/gamma0 overflows.
+        # Then lambda/gamma0 overflows to inf, where P_t is the Markov limit
+        # exp(-tau), or is 0 or subnormal, where P_t = 1.
         psi = write(tmp_path, "psi.json", json.dumps(
             {"kind": "x", "rho11": 0.35, "rho22": 0.1, "rho33": 0.1,
              "rho44": 0.45, "rho14": 0.33, "rho23": 0.085}))
@@ -558,8 +565,13 @@ class TestEvolve:
             assert capsys.readouterr().err == ""
             rows.append(np.loadtxt(out, delimiter=",", skiprows=1))
         assert np.allclose(rows[0], rows[1], rtol=1e-12, atol=0.0)
+        taus, rho14 = rows[0][:, 0], rows[0][:, 5]
         if ratio == "1e10":  # P_t = exp(-1e300) = 0 at the last time
             assert rows[0][-1, 4] == 1.0
+        elif ratio == "1e300":
+            assert np.allclose(rho14, 0.33 * np.exp(-taus), rtol=1e-15)
+        elif ratio == "1e-300":  # every row keeps the initial state
+            assert np.all(rows[0][:, 1:] == rows[0][0, 1:])
 
     def test_non_finite_parameters(self, tmp_path, capsys):
         psi = write(tmp_path, "psi.json", BELL_JSON)
@@ -794,7 +806,7 @@ GOLDEN_SHA256 = {
     "evolve-critical.csv":
         "2c6c56cced2b446fb514b26381cecec29532e33796e49acfea95149f276e4587",
     "evolve-gamma3.csv":
-        "832cd3cd949fd0dde1f911bf6a9b8e883b49912141e1b159d4946839a393f223",
+        "3816f884d388874ab87f53ad04d9068d10f095b2a49f89ef0a5592c425a03e3e",
     "oracle-check":
         "5bbdf60d1b254fa58bd278bf234437cc04ed98e7e09cd9edc76d15d17f8ac4c2",
     "oracle.json":
@@ -945,7 +957,8 @@ class TestGoldenBytes:
         stdout_of(["evolve", psi, "--gamma0", "0.5", "--lambda", "1",
                    "--t-max", "20", "--steps", "200",
                    "--out", str(tmp_path / "evolve-critical.csv")])
-        # gamma0 != 1: the grid times are divided by gamma0 before P_t.
+        # gamma0 != 1: P_t takes the grid times tau = gamma0*t as they are
+        # and the ratio lambda/gamma0 = 1/3, rounded.
         stdout_of(["evolve", psi, "--gamma0", "3", "--lambda", "1",
                    "--t-max", "20", "--steps", "200",
                    "--out", str(tmp_path / "evolve-gamma3.csv")])

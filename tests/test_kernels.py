@@ -6,8 +6,10 @@ import os
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     f2_profile,
@@ -19,6 +21,7 @@ from conftest import (
 )
 from xqcorr import _kernels
 from xqcorr.closest import CaseId, x_report_rows
+from xqcorr import dynamics
 from xqcorr.dynamics import DynamicsConfig, p_t, trajectory
 from xqcorr.ensemble import (
     HistogramSpec,
@@ -644,8 +647,9 @@ class TestBatchReports:
 # over PT_GAMMA0 x PT_RATIOS x PT_TAUS: every branch of the formula, its
 # series region, the critical ratio 2, rates whose products overflow or
 # underflow, and times that overflow to inf.  Taken from the one-time
-# formula; the same numpy-build caveat as REPORT_SHA256.
-PT_SHA256 = "ae981b4fccd285efeb3fae17727e1f34f8c07792b8862fd7c539a1fe3f1463d9"
+# formula, capped at 1 (85 of these rounded to 1 + 2^-52); the same
+# numpy-build caveat as REPORT_SHA256.
+PT_SHA256 = "d77fbdbf712adb2ee4abede2f2d38839bc4df12909e34679312b0dca1db957c4"
 PT_GAMMA0 = (1e-300, 0.3, 1.0, 7.0, 1e200)
 PT_RATIOS = (0.01, 1.0, 1.9, 2.0, 2.1, 5.0, 1e10)
 PT_TAUS = np.concatenate([[0.0, 5e-324], np.geomspace(1e-20, 1e-4, 33),
@@ -655,6 +659,8 @@ PT_TAUS = np.concatenate([[0.0, 5e-324], np.geomspace(1e-20, 1e-4, 33),
 def pt_one_time(t, gamma0, lam):
     """P_t at one time by the scalar formula, with math.* alone: the
     reference whose bits pt_values keeps at every time of its array."""
+    if t == 0.0:
+        return 1.0
     if t == math.inf:
         return 0.0
     overdamped = lam > 2.0 * gamma0
@@ -664,21 +670,28 @@ def pt_one_time(t, gamma0, lam):
     else:
         g2 = 2.0 * gamma0 * lam
         d2 = g2 - lam * lam
-        ad = (math.sqrt(d2) if math.isfinite(d2) and g2 >= sys.float_info.min
-              else lam * math.sqrt(2.0 * (gamma0 / lam) - 1.0))
+        q = 2.0 * (gamma0 / lam) if lam else math.inf
+        if math.isfinite(d2) and g2 >= sys.float_info.min:
+            ad = math.sqrt(d2)
+        elif q < math.inf:
+            ad = lam * math.sqrt(q - 1.0)
+        else:
+            ad = math.sqrt(2.0 * lam) * math.sqrt(gamma0)
     x = ad * t
-    if x < 1e-6:
+    if not overdamped and math.inf in (lam * t, x):
+        return 0.0
+    if not x >= 1e-6:
         d2t2 = -x * x if overdamped else x * x
         bracket = 1.0 + 0.5 * lam * t - d2t2 / 8.0 - lam * t * d2t2 / 48.0
-        return math.exp(-lam * t) * bracket * bracket
+        return min(math.exp(-lam * t) * bracket * bracket, 1.0)
     if not overdamped:
         bracket = math.cos(0.5 * x) + (lam / ad) * math.sin(0.5 * x)
-        return math.exp(-lam * t) * bracket * bracket
+        return min(math.exp(-lam * t) * bracket * bracket, 1.0)
     r = 1.0 / s
     xi = (1.0 - r) / (1.0 + r)
-    return math.exp(-2.0 * gamma0 * t / (1.0 + s)
-                    + 2.0 * math.log(0.5 * (1.0 + r))
-                    + 2.0 * math.log1p(xi * math.exp(-x)))
+    return min(math.exp(-2.0 * gamma0 * t / (1.0 + s)
+                        + 2.0 * math.log(0.5 * (1.0 + r))
+                        + 2.0 * math.log1p(xi * math.exp(-x))), 1.0)
 
 
 class TestSurvivalKernel:
@@ -735,6 +748,143 @@ class TestSurvivalKernel:
                                       + (lam / dd) * np.sinh(dd * ts / 2)) ** 2
         assert np.allclose(_kernels.pt_values(ts, gamma0, lam), direct,
                            rtol=1e-10, atol=1e-300)
+
+
+def _pt_mpf(t, gamma0, lam):
+    """P_t of mpf inputs at mpmath's working precision."""
+    d2 = 2 * gamma0 * lam - lam * lam
+    d = mpmath.sqrt(abs(d2))
+    if d2 > 0:
+        bracket = mpmath.cos(d * t / 2) + lam / d * mpmath.sin(d * t / 2)
+    elif d2 < 0:
+        bracket = mpmath.cosh(d * t / 2) + lam / d * mpmath.sinh(d * t / 2)
+    else:
+        bracket = 1 + lam * t / 2
+    return mpmath.exp(-lam * t) * bracket * bracket
+
+
+def pt_reference(t, gamma0, lam):
+    """P_t at the exact inputs (floats or mpf) in 200-bit mpmath."""
+    with mpmath.workprec(200):
+        return _pt_mpf(*(mpmath.mpf(v) for v in (t, gamma0, lam)))
+
+
+def pt_condition(t, gamma0, lam):
+    """|d ln P / d ln gamma0| + |d ln P / d ln lambda| at one time: the
+    relative error in P that a relative error of one in each rate, or in
+    gamma0*t and lambda*t, makes."""
+    with mpmath.workprec(200):
+        t, gamma0, lam = (mpmath.mpf(v) for v in (t, gamma0, lam))
+        dg = mpmath.diff(lambda g: _pt_mpf(t, g, lam), gamma0)
+        dl = mpmath.diff(lambda v: _pt_mpf(t, gamma0, v), lam)
+        return float((abs(gamma0 * dg) + abs(lam * dl))
+                     / _pt_mpf(t, gamma0, lam))
+
+
+def ulps_off(values, refs):
+    """Distance of each float of ``values`` from its mpf reference, in
+    units in the last place of the reference."""
+    return np.array([float(abs(mpmath.mpf(v) - r) / math.ulp(float(r)))
+                     for v, r in zip(values.tolist(), refs)])
+
+
+class TestSurvivalReference:
+    """pt_values against P_t in 200-bit arithmetic at the same floats."""
+
+    @pytest.mark.parametrize("gamma0, lam", (
+        pytest.param(1.0, 0.01, id="underdamped-0.01"),
+        pytest.param(1.0, 0.3, id="underdamped-0.3"),
+        pytest.param(1.0, 1.9, id="underdamped-1.9"),
+        pytest.param(3.0, 1.0, id="underdamped-gamma3"),
+        pytest.param(1.0, 2.0, id="critical"),
+        pytest.param(0.5, 1.0, id="critical-0.5"),
+        pytest.param(1.0, 2.1, id="overdamped-2.1"),
+        pytest.param(1.0, 5.0, id="overdamped-5")))
+    def test_error_against_the_reference(self, gamma0, lam):
+        # The absolute error is at most 2 eps on this grid (3 eps on 501
+        # times).  The error in ulps of P is large near the bracket's
+        # zeros, but within 3 eps (1 + kappa) relative, kappa being P's
+        # conditioning in the rates: 1.6 eps here, 3.0 on 501 times.
+        eps = sys.float_info.epsilon
+        ts = np.linspace(0.0, 50.0, 101)
+        got = _kernels.pt_values(ts, gamma0, lam)
+        refs = [pt_reference(t, gamma0, lam) for t in ts.tolist()]
+        assert max(abs(p - float(r)) for p, r in zip(got.tolist(), refs)
+                   ) <= 3.0 * eps
+        for t, p, r in zip(ts.tolist(), got.tolist(), refs):
+            bound = 3.0 * eps * (1.0 + pt_condition(t, gamma0, lam))
+            assert float(abs(p - r) / r) <= bound, (t, p)
+
+    def test_evolve_gamma3_no_further_than_the_divided_times(self):
+        # evolve-gamma3.csv's P, at tau with the ratio 1/3 rounded, against
+        # the former form at the times tau/3 rounded with the rates (3, 1).
+        cfg = DynamicsConfig(3.0, 1.0, 20.0, 200,
+                             XStateParams(0.5, 0.0, 0.0, 0.5, 0.5, 0.0))
+        taus = dynamics._time_grid(cfg)
+        got = 2.0 * dynamics._params_at(cfg, taus)[:, 4]  # rho14 = P / 2
+        divided = p_t(taus / 3.0, 3.0, 1.0)
+        with mpmath.workprec(200):
+            refs = [pt_reference(mpmath.mpf(tau) / 3, 3.0, 1.0)
+                    for tau in taus.tolist()]
+        assert ulps_off(got, refs).max() <= ulps_off(divided, refs).max()
+
+
+RATES = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@st.composite
+def rate_pairs(draw):
+    """(gamma0, lambda), finite and positive, with the ratios 1/2, 1, 2
+    (d = 0) and 5/2 drawn as often as the rest."""
+    gamma0 = draw(RATES)
+    lam = draw(st.one_of(RATES, st.sampled_from((0.5, 1.0, 2.0, 2.5)).map(
+        lambda ratio: ratio * gamma0)))
+    assume(lam < math.inf)
+    return gamma0, lam
+
+
+class TestSurvivalContract:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(rates=rate_pairs(), times=st.lists(
+        st.floats(min_value=0.0, max_value=sys.float_info.max),
+        min_size=1, max_size=8))
+    def test_probability_and_one_time_bits(self, rates, times):
+        # For finite positive rates and finite times: P in [0, 1], each
+        # time's bits the same alone as in the array, and 0 at t = inf.
+        p = _kernels.pt_values(np.array(times + [math.inf]), *rates)
+        assert p[-1] == 0.0
+        assert np.all((p >= 0.0) & (p <= 1.0)), p
+        for t, bits in zip(times, p.view(np.uint64).tolist()):
+            one = _kernels.pt_values(np.array([t]), *rates)
+            assert one.view(np.uint64).tolist() == [bits]
+
+    # Examples that the contract caught, each a failure of the former
+    # pt_values, and the overflow at d = 0 in its series.
+    def test_phase_past_the_float_range_is_zero(self):
+        # d*t overflows: math.cos(inf) raised; exp(-lambda*t) is 0.0.
+        assert p_t(3.489206737069164e+145, 6.6361733754354445e+307,
+                   1.9999999999999994e+17) == 0.0
+
+    def test_rounding_stays_at_most_one(self):
+        # Was 1 + 2^-52.
+        assert p_t(1.99999, 1.1569673365333581e-09,
+                   1.1569673365333581e-09) == 1.0
+
+    def test_critical_series_past_the_float_range_is_zero(self):
+        # lambda*t overflows where d = 0: inf * 0 in the series made nan.
+        assert p_t(1e308, 1.0, 2.0) == 0.0
+        assert p_t(1e308, 0.5, 1.0) == 0.0
+
+    @pytest.mark.parametrize("gamma0, lam", (
+        (1.0, 0.5), (0.5, 1.0), (1.0, 5.0)),
+        ids=("underdamped", "critical", "overdamped"))
+    def test_nan_time_is_nan(self, gamma0, lam):
+        # At d = 0 a NaN time raised ZeroDivisionError from lambda/d.
+        assert math.isnan(p_t(math.nan, gamma0, lam))
+        p = p_t(np.array([0.0, math.nan, 1.0, math.inf]), gamma0, lam)
+        assert p[0] == 1.0 and math.isnan(p[1]) and 0.0 < p[2] < 1.0
+        assert p[3] == 0.0
 
 
 class TestMeasurementScanBackends:
