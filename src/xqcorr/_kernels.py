@@ -5,18 +5,22 @@ where the X-state quantifiers are computed: it takes an (n, 8) parameter
 array and returns an (n, 13) report array, and the scalar APIs in
 :mod:`xqcorr.closest` and :mod:`xqcorr.quantifiers` are one-row views of
 it.  Within each chunk of ``CHUNK_ROWS`` rows every step is an array
-operation.  Each loop steps every row of the chunk until the last one
-stops, with a mask that keeps a stopped row's value: no row is dropped,
-as every chunk of the benchmark inputs stops within 9 Newton and 3 walk
-steps.  Where a proof shows the quintic increasing (every sampled row
+operation.  Where a proof shows the quintic increasing (every sampled row
 so far), the row has one real root, solved as one float per row: a
 safeguarded Newton on a known bracket, then an ulp walk on the
 compensated-Horner sign of the quintic to the root's canonical float, so
 a root is defined by the polynomial, not by the iteration that reached
-it.  Only the other rows (such as the Bell states) fall back to every
-real root of the row: one stacked real companion ``eigvals``, Newton on
-each seed, the same walk, and the kept root of least distance, picked by
-one sort of the flat list of kept roots.  Then the report columns.
+it.  Both loops drop the rows that have stopped (Newton once fewer than
+half of its rows move, the walk at every step), so the last sweeps cost
+only the rows still moving: about 6.4 plain and 2.0 compensated quintic
+evaluations a sampled row, where stepping the whole chunk until its last
+row stops cost 8.6-9.0 and 3.0.  No row's arithmetic depends on the rows
+beside it, so dropping rows moves no bit.  Only the other rows (such as
+the Bell states) fall back to every real root of the row: one stacked
+real companion ``eigvals``, Newton on each seed, the same walk, and the
+kept root of least distance, picked by one sort of the flat list of kept
+roots.  Then the report columns, on one contiguous copy of the six
+parameter columns.
 Per-layer timings of these kernels inside the CLI commands come from
 ``python3 perfbench/run.py --workload <name> --seed N --trace 1``.
 """
@@ -62,13 +66,14 @@ _PAULI_PRODUCTS = (
 _PAULI_PRODUCTS.setflags(write=False)
 
 
-def k_eigenvalues(params):
-    """Closed-form eigenvalues of K for an (n, 8) X-parameter array.
+def k_eigenvalues(r11, r22, r33, r44, r14, r23):
+    """Closed-form eigenvalues of K from the six X-parameter columns
+    rho11, rho22, rho33, rho44, rho14, rho23 (``*params.T[:6]`` of an (n, 8)
+    array), each of length n.
 
     Returns length-n arrays (k1, k2, k3, case) where ``case`` is 1.0 when
     k1 <= k3 (the boundary belongs to case 1) and 2.0 when k1 > k3.
     """
-    r11, r22, r33, r44, r14, r23 = params[:, :6].T
     k1 = 4.0 * (r14 + r23) ** 2
     k2 = 4.0 * (r14 - r23) ** 2
     k3 = 2.0 * ((r11 - r33) ** 2 + (r22 - r44) ** 2)
@@ -210,25 +215,29 @@ def _canonicalize(c4, c2, c1, c0, a, dq):
     sign (or reaches zero), with the smaller |q|; on an exact tie the
     smaller |a|, so the rule commutes with negation.  From each root the
     walk goes by ulps towards the sign change (the Newton direction, from
-    the sign of q * dq), at most 64 steps, with ``walking`` masking the
-    roots still walking.  A root with q = 0 or dq = 0, or with no sign
-    change in reach, keeps its value.  Returns ``a``.
+    the sign of q * dq), at most 64 steps.  ``w`` indexes the roots still
+    walking, and each step evaluates only those: a root leaves it at its
+    sign change, most after one step.  A root with q = 0 or dq = 0, or
+    with no sign change in reach, keeps its value.  Returns ``a``.
     """
     q = _quintic_compensated(c4, c2, c1, c0, a)
-    walking = (q != 0.0) & (dq != 0.0)
-    toward = np.where((q > 0.0) == (dq > 0.0), -np.inf, np.inf)
-    cur, qcur = a, q
+    w = ((q != 0.0) & (dq != 0.0)).nonzero()[0]
+    toward = np.where((q > 0.0) == (dq > 0.0), -np.inf, np.inf)[w]
+    coeffs, cur, qcur = [c[w] for c in (c4, c2, c1, c0)], a[w], q[w]
     for _ in range(64):
-        if not walking.any():
+        if not w.size:
             break
         nxt = np.nextafter(cur, toward)
-        qnxt = _quintic_compensated(c4, c2, c1, c0, nxt)
-        change = walking & ((qnxt == 0.0) | ((qnxt > 0.0) != (qcur > 0.0)))
+        qnxt = _quintic_compensated(*coeffs, nxt)
+        change = (qnxt == 0.0) | ((qnxt > 0.0) != (qcur > 0.0))
         qc, qn = np.abs(qcur), np.abs(qnxt)
         take = (qn < qc) | ((qn == qc) & (np.abs(nxt) < np.abs(cur)))
-        a[change] = np.where(take, nxt, cur)[change]
-        walking &= ~change
-        cur, qcur = nxt, qnxt
+        a[w[change]] = np.where(take, nxt, cur)[change]
+        rest = (~change).nonzero()[0]
+        if not rest.size:
+            break
+        w, toward, cur, qcur = w[rest], toward[rest], nxt[rest], qnxt[rest]
+        coeffs = [c[rest] for c in coeffs]
     return a
 
 
@@ -237,12 +246,13 @@ def _kept_canonical(c4, c2, c1, c0, a):
 
     Every argument is length m, one root per entry with its quintic's
     coefficients.  Returns (a, kept), ``a`` updated in place with the
-    canonical float of each kept root (:func:`_canonicalize`).  A NaN
-    residual is dropped, so every kept root has a finite distance.
+    canonical float of each kept root (:func:`_canonicalize`, which sees
+    the kept roots alone).  A NaN residual is dropped, so every kept root
+    has a finite distance.
     """
     q, dq = _quintic_eval(c4, c2, c1, c0, a)
     kept = np.abs(q) <= ROOT_RESIDUAL
-    k = np.flatnonzero(kept)
+    k = kept.nonzero()[0]
     a[k] = _canonicalize(c4[k], c2[k], c1[k], c0[k], a[k], dq[k])
     return a, kept
 
@@ -268,17 +278,27 @@ def _bracketed_roots(c4, c2, c1, c0, lo, hi):
     midpoint.  Each value of q moves the bracket end on its side to the
     iterate, and a Newton step that leaves the bracket becomes a bisection.
     A row stops when its step falls to 1e-15 * max(1, |a|), at least 4.5
-    ulps of a, or after 100 steps; ``moving`` masks the rows still
-    iterating.  Then :func:`_kept_canonical`.
+    ulps of a, or after 100 steps.  The loop's arrays hold the rows
+    ``live`` of the m, with ``moving`` marking those still iterating; each
+    time fewer than half of them move, the stopped ones are written out and
+    dropped, so the last sweeps cost only the few slow rows.  Then
+    :func:`_kept_canonical`.
 
     Returns (a, kept), both length m.
     """
-    a = np.where(c0 == 0.0, 0.0, 0.5 * (lo + hi))
+    root = np.where(c0 == 0.0, 0.0, 0.5 * (lo + hi))
+    live, a, coeffs = np.arange(root.size), root, (c4, c2, c1, c0)
     moving = c0 != 0.0
     for _ in range(100):
-        if not moving.any():
+        still = np.count_nonzero(moving)
+        if not still:
             break
-        q, dq = _quintic_eval(c4, c2, c1, c0, a)
+        if 2 * still < moving.size:
+            root[live] = a
+            keep = moving.nonzero()[0]
+            live, a, lo, hi = live[keep], a[keep], lo[keep], hi[keep]
+            coeffs, moving = [c[keep] for c in coeffs], moving[keep]
+        q, dq = _quintic_eval(*coeffs, a)
         lo = np.where(q < 0.0, a, lo)
         hi = np.where(q > 0.0, a, hi)
         nxt = a - q / dq
@@ -287,7 +307,8 @@ def _bracketed_roots(c4, c2, c1, c0, lo, hi):
         small = np.abs(nxt - a) <= 1e-15 * np.maximum(1.0, np.abs(nxt))
         a = np.where(moving, nxt, a)
         moving &= ~small
-    return _kept_canonical(c4, c2, c1, c0, a)
+    root[live] = a
+    return _kept_canonical(c4, c2, c1, c0, root)
 
 
 def _companion_roots(c4, c2, c1, c0):
@@ -445,8 +466,11 @@ def batch_reports(params):
 
 
 def _fill_reports(params, out):
-    k1, k2, k3, case = k_eigenvalues(params)
-    r11, r22, r33, r44, r14, r23 = params[:, :6].T
+    # The six columns, copied once into contiguous rows: every array
+    # operation below then reads memory in order, not with an 8-float stride.
+    cols = params[:, :6].T.copy()
+    r11, r22, r33, r44, r14, r23 = cols
+    k1, k2, k3, case = k_eigenvalues(*cols)
     x3, y3, t33 = z_bloch(r11, r22, r33, r44)
 
     a3, b3, ok = solve_a3b3(x3, y3, t33)
@@ -477,7 +501,7 @@ def _fill_reports(params, out):
     out[:, COL_RES] = tg - dg - cg
     out[:, COL_RESL] = tg + lg - dg - cg
     out[:, COL_BOUNDARY] = np.abs(k1 - k3) <= CASE_BOUNDARY
-    finite = np.isfinite(params[:, :6]).all(axis=1)
+    finite = np.isfinite(cols).all(axis=0)
     out[~(finite & ok & (stationarity <= STATIONARITY))] = 0.0
 
 

@@ -105,7 +105,7 @@ def k_eigenvalues_x(p: XStateParams) -> CaseLabel:
     One-row view of :func:`xqcorr._kernels.k_eigenvalues`; the boundary
     k1 == k3 belongs to case 1.
     """
-    k1, k2, k3, case = _kernels.k_eigenvalues(p.as_array()[None, :])
+    k1, k2, k3, case = _kernels.k_eigenvalues(*p.as_array()[:6, None])
     return CaseLabel(CaseId(int(case[0])), float(k1[0]), float(k2[0]),
                      float(k3[0]))
 
@@ -204,7 +204,7 @@ def closest_classical_x(p: XStateParams) -> XStateParams:
     """Closest classical (zero-discord) state; an X state in both cases.
     One-row view of :func:`closest_classical_rows`."""
     params = p.as_array()[None, :]
-    row = closest_classical_rows(params, _kernels.k_eigenvalues(params)[3])
+    row = closest_classical_rows(params, _kernels.k_eigenvalues(*params.T[:6])[3])
     return XStateParams(*row[0].tolist())
 
 
@@ -213,7 +213,7 @@ def closest_product_of_classical_x(p: XStateParams) -> ProductPair:
     view of :func:`classical_product_rows`.  Only a case-1 state needs the
     closest-product solve; a case-2 state's pair is (0, y3)."""
     params = p.as_array()[None, :]
-    case = _kernels.k_eigenvalues(params)[3]
+    case = _kernels.k_eigenvalues(*params.T[:6])[3]
     a3 = b3 = np.zeros(1)
     if case[0] == CaseId.CASE1:
         row = x_report_rows(params)
@@ -305,8 +305,8 @@ def _alternating_minimization(x, y, T, a, b):
     # after ``_SWEEPS`` sweeps are left to the caller's Newton polish and
     # residual check.  Products are written as sums over the last axis, so
     # no start's bits depend on the starts or states it is stacked with.
-    # Compaction pays here, unlike in the quintic kernel: on 200 sampled
-    # states, 126 of 6600 starts still move at sweep 100 of 222.
+    # Compaction pays here, as in the quintic kernel's loops: on 200
+    # sampled states, 126 of 6600 starts still move at sweep 100 of 222.
     starts = a.shape[1]
     a = a.reshape(-1, 3).copy()
     b = b.reshape(-1, 3).copy()

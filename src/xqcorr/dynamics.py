@@ -160,7 +160,7 @@ def case_crossings(cfg: DynamicsConfig):
     """
 
     def gaps_at(taus):
-        k1, _, k3, _ = _kernels.k_eigenvalues(_params_at(cfg, taus))
+        k1, _, k3, _ = _kernels.k_eigenvalues(*_params_at(cfg, taus).T[:6])
         return k1 - k3
 
     taus = _time_grid(cfg)

@@ -100,8 +100,10 @@ class HistogramSpec:
         return cls(bin_count, lo, hi, quantity)
 
 
-def _case_mask(batch: np.ndarray, case_filter: CaseId) -> np.ndarray:
-    return _kernels.k_eigenvalues(batch)[3] == float(case_filter)
+def _case_mask(cols, case_filter: CaseId) -> np.ndarray:
+    """Which rows of the six X-parameter columns ``cols`` (rho11 .. rho23)
+    are of case ``case_filter``."""
+    return _kernels.k_eigenvalues(*cols)[3] == float(case_filter)
 
 
 def _sort3(u0, u1, u2):
@@ -115,22 +117,25 @@ def _sort3(u0, u1, u2):
     return np.minimum(lo, u2), np.minimum(mid, hi), np.maximum(mid, hi)
 
 
-def _draw_batch(rng: np.random.Generator, size: int,
-                phase_mode: PhaseMode) -> np.ndarray:
+def _draw_batch(rng: np.random.Generator, size: int, phase_mode: PhaseMode,
+                case_filter: Optional[CaseId]) -> np.ndarray:
+    """``size`` draws of the sampler, as the (m, 8) rows of those that are
+    of case ``case_filter`` (all of them if None), in draw order.  The
+    filter runs on the drawn columns, so a rejected draw is never packed."""
     # The diagonal is the four spacings between 0, the sorted cuts and 1.
     c0, c1, c2 = _sort3(*rng.random((size, 3)).T)
     fracs = rng.random((size, 2))
-    batch = np.empty((size, 8))
-    if phase_mode is PhaseMode.FREE:
-        batch[:, 6:8] = rng.random((size, 2)) * TWO_PI
-    else:
-        batch[:, 6:8] = 0.0
-    batch[:, 0] = c0
-    batch[:, 1] = d1 = c1 - c0
-    batch[:, 2] = d2 = c2 - c1
-    batch[:, 3] = d3 = 1.0 - c2
-    batch[:, 4] = fracs[:, 0] * np.sqrt(c0 * d3)
-    batch[:, 5] = fracs[:, 1] * np.sqrt(d1 * d2)
+    phases = (rng.random((size, 2)) * TWO_PI
+              if phase_mode is PhaseMode.FREE else np.zeros((size, 2)))
+    d1, d2, d3 = c1 - c0, c2 - c1, 1.0 - c2
+    cols = [c0, d1, d2, d3, fracs[:, 0] * np.sqrt(c0 * d3),
+            fracs[:, 1] * np.sqrt(d1 * d2), *phases.T]
+    if case_filter is not None:
+        keep = _case_mask(cols[:6], case_filter).nonzero()[0]
+        cols = [c[keep] for c in cols]
+    batch = np.empty((cols[0].size, 8))
+    for j, col in enumerate(cols):
+        batch[:, j] = col
     return batch
 
 
@@ -151,10 +156,8 @@ def sample_x_chunks(cfg: SamplerConfig):
     pending = np.empty((0, 8))
     accepted = drawn = emitted = 0
     while emitted < cfg.count:
-        batch = _draw_batch(rng, _BATCH, cfg.phase_mode)
+        batch = _draw_batch(rng, _BATCH, cfg.phase_mode, cfg.case_filter)
         drawn += _BATCH
-        if cfg.case_filter is not None:
-            batch = batch[_case_mask(batch, cfg.case_filter)]
         accepted += batch.shape[0]
         if drawn >= _ACCEPTANCE_WINDOW and accepted / drawn < _MIN_ACCEPTANCE:
             raise RejectionExhaustionError(

@@ -52,10 +52,9 @@ def one_pass_arrays(cfg):
     rng = np.random.default_rng(cfg.seed)
     kept, accepted, drawn = [], 0, 0
     while accepted < cfg.count:
-        batch = ensemble._draw_batch(rng, ensemble._BATCH, cfg.phase_mode)
+        batch = ensemble._draw_batch(rng, ensemble._BATCH, cfg.phase_mode,
+                                     cfg.case_filter)
         drawn += ensemble._BATCH
-        if cfg.case_filter is not None:
-            batch = batch[ensemble._case_mask(batch, cfg.case_filter)]
         accepted += batch.shape[0]
         kept.append(batch)
     return np.concatenate(kept)[:cfg.count], accepted / drawn
@@ -343,7 +342,7 @@ class TestErrorInALaterChunk:
     def test_flipped_case(self, tmp_path, monkeypatch, capsys):
         # The row's case, 1.0 or 2.0, is set to the other one.
         params, _ = sample_x_arrays(SamplerConfig(seed=7, count=COUNT))
-        case = _kernels.k_eigenvalues(params[self.BAD_ROW:])[3][0]
+        case = _kernels.k_eigenvalues(*params[self.BAD_ROW:, :6].T)[3][0]
         record = corrupt_row(monkeypatch, _kernels, "batch_reports",
                              self.BAD_ROW, 3.0 - case,
                              column=_kernels.COL_CASE)

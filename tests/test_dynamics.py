@@ -34,7 +34,8 @@ def crossings_reference(cfg):
     change with one-time gap evaluations."""
 
     def gaps_at(taus):
-        k1, _, k3, _ = _kernels.k_eigenvalues(dynamics._params_at(cfg, taus))
+        k1, _, k3, _ = _kernels.k_eigenvalues(
+            *dynamics._params_at(cfg, taus).T[:6])
         return k1 - k3
 
     taus = np.linspace(0.0, cfg.t_max, cfg.steps)
@@ -303,7 +304,7 @@ class TestCaseCrossings:
             dynamics, "_params_at",
             lambda cfg, taus: np.prod(taus[:, None] - roots, axis=1)[:, None])
         monkeypatch.setattr(_kernels, "k_eigenvalues",
-                            lambda rows: (rows[:, 0], None, 0.0, None))
+                            lambda r11, *rest: (r11, None, 0.0, None))
         cfg = DynamicsConfig(1.0, 0.01, 1.0, 3, FIG3_INITIAL)
         assert_same_crossings(crossings_reference(cfg), roots.tolist())
         assert_same_crossings(case_crossings(cfg), roots.tolist())

@@ -65,8 +65,8 @@ class TestSampler:
 
     def test_exhaustion_error(self, monkeypatch):
         monkeypatch.setattr(ensemble, "_case_mask",
-                            lambda batch, case: np.zeros(batch.shape[0],
-                                                         dtype=bool))
+                            lambda cols, case: np.zeros(cols[0].size,
+                                                        dtype=bool))
         with pytest.raises(RejectionExhaustionError):
             sample_x_arrays(SamplerConfig(seed=7, count=10,
                                           case_filter=CaseId.CASE2))
@@ -101,12 +101,25 @@ class TestDrawBatch:
             got_rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
             for size in (4096, 5, 1):
-                got = ensemble._draw_batch(got_rng, size, phase_mode)
+                got = ensemble._draw_batch(got_rng, size, phase_mode, None)
                 ref = _sort_diff_batch(ref_rng, size, phase_mode)
                 assert np.array_equal(got.view(np.uint64),
                                       ref.view(np.uint64))
             # Both consumed the same draws from the generator.
             assert got_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_filter_keeps_the_rows_of_its_case(self, case):
+        # The filtered draw is the unfiltered one's rows of that case, bit
+        # for bit, from the same draws of the generator.
+        got_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for phase_mode in PhaseMode:
+            got = ensemble._draw_batch(got_rng, 4096, phase_mode, case)
+            ref = ensemble._draw_batch(ref_rng, 4096, phase_mode, None)
+            ref = ref[_kernels.k_eigenvalues(*ref[:, :6].T)[3] == case]
+            assert 0 < got.shape[0] < 4096
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert got_rng.random() == ref_rng.random()
 
     def test_sorting_network_on_ties_and_zeros(self):
         a, b, c = 0.1, 0.5, 0.9

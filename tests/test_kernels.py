@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -32,6 +33,7 @@ from xqcorr.ensemble import (
 from xqcorr.errors import SolverFailureError
 from xqcorr.quantifiers import quantifiers_x
 from xqcorr.states import XStateParams, parse_state_json
+from xqcorr.tolerances import PSD_FLOOR, TRACE
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -346,9 +348,12 @@ class TestQuinticSolver:
 
     def test_sampled_rows_skip_the_eigensolver(self, monkeypatch):
         # The benchmarked inputs are all seeded from the bracket, and every
-        # chunk of them stops within a few steps, which the kernel's loops
-        # over whole-chunk masks rely on; a Bell state still reaches the
-        # companion.
+        # chunk of them stops within a few steps; a Bell state still
+        # reaches the companion.  Each quintic evaluation also counts the
+        # roots it evaluates: those counts are exact for a seed, and they
+        # pin that the Newton and walk loops pay only for the rows still
+        # moving (a loop over the whole chunk until its last row stops
+        # makes 8.6-9.0 plain and 3.0 compensated evaluations a row).
         monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
         import workloads
 
@@ -359,6 +364,7 @@ class TestQuinticSolver:
 
             def counted(*args):
                 chunks[-1][name] += 1
+                chunks[-1][name + " rows"] += args[-1].size
                 return original(*args)
 
             monkeypatch.setattr(_kernels, name, counted)
@@ -366,20 +372,27 @@ class TestQuinticSolver:
         fill = _kernels._fill_reports
 
         def per_chunk(params, out):
-            chunks.append({"_quintic_eval": 0, "_quintic_compensated": 0})
+            chunks.append(collections.Counter())
             fill(params, out)
 
         monkeypatch.setattr(_kernels, "_fill_reports", per_chunk)
         count_calls("_quintic_eval")
         count_calls("_quintic_compensated")
 
+        def per_row(name, first, rows):
+            return sum(c[name + " rows"] for c in chunks[first:]) / rows
+
         initial = parse_state_json(json.dumps(workloads.case2_state(1)))
         forbid(monkeypatch, np.linalg, "eigvals")
         for case in (None, CaseId.CASE2):
             arr, _ = sample_x_arrays(SamplerConfig(seed=1, count=20000,
                                                    case_filter=case))
+            first = len(chunks)
             rep = _kernels.batch_reports(arr)
             assert np.all(rep[:, _kernels.COL_CASE] != 0.0)
+            assert per_row("_quintic_eval", first, arr.shape[0]) <= 7.0
+            assert per_row("_quintic_compensated", first,
+                           arr.shape[0]) <= 2.1
         _, _, rep = trajectory(DynamicsConfig(
             gamma0=1.0, lam=0.01, t_max=50.0, steps=workloads.TRAJ_STEPS,
             initial=initial))
@@ -654,6 +667,104 @@ PT_GAMMA0 = (1e-300, 0.3, 1.0, 7.0, 1e200)
 PT_RATIOS = (0.01, 1.0, 1.9, 2.0, 2.1, 5.0, 1e10)
 PT_TAUS = np.concatenate([[0.0, 5e-324], np.geomspace(1e-20, 1e-4, 33),
                           np.linspace(0.0, 60.0, 241), [1e300, np.inf]])
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+SLACK = st.floats(min_value=-2.0 * PSD_FLOOR, max_value=0.0)
+
+
+def _spacings(cuts):
+    """The four spacings between 0, the three sorted cuts and 1."""
+    c0, c1, c2 = sorted(cuts)
+    return [c0, c1 - c0, c2 - c1, 1.0 - c2]
+
+
+@st.composite
+def interior_rows(draw):
+    """A sampled-style X state: spacings as the diagonal, coherences as
+    fractions of their positivity bounds."""
+    d = _spacings(draw(st.tuples(UNIT, UNIT, UNIT)))
+    f14, f23 = draw(UNIT), draw(UNIT)
+    return d + [f14 * math.sqrt(d[0] * d[3]), f23 * math.sqrt(d[1] * d[2]),
+                0.0, 0.0]
+
+
+@st.composite
+def slack_rows(draw):
+    """A row at the validation slacks, as ``conftest.threshold_rows``
+    makes them: up to two diagonal entries in [-2 PSD_FLOOR, 0], the
+    trace off by up to TRACE, and each block's least eigenvalue in
+    [-2 PSD_FLOOR, 0] (or at its smaller diagonal entry, if lower)."""
+    d = _spacings(draw(st.tuples(UNIT, UNIT, UNIT)))
+    for i in draw(st.lists(st.integers(0, 3), max_size=2)):
+        d[i] = draw(SLACK)
+    d[int(np.argmax(d))] += 1.0 - sum(d) + draw(
+        st.floats(min_value=-TRACE, max_value=TRACE))
+    coherences = []
+    for a, b in ((d[0], d[3]), (d[1], d[2])):
+        lam = min(draw(SLACK), a, b)
+        coherences.append(math.sqrt((a - lam) * (b - lam)))
+    return d + coherences + [0.0, 0.0]
+
+
+@st.composite
+def bell_rows(draw):
+    """A Bell state (0, 0, +-1) with each entry moved by at most 1e-9,
+    or not at all: rows next to the uncertified ones, many of which reach
+    the companion."""
+    base = draw(st.sampled_from(([0.5, 0.0, 0.0, 0.5, 0.5, 0.0],
+                                 [0.0, 0.5, 0.5, 0.0, 0.0, 0.5])))
+    row = [v + draw(st.one_of(st.just(0.0),
+                              st.floats(min_value=-1e-9, max_value=1e-9)))
+           for v in base]
+    return row[:4] + [abs(row[4]), abs(row[5]), 0.0, 0.0]
+
+
+REPORT_ROWS = st.one_of(interior_rows(), slack_rows(), bell_rows())
+
+
+class TestBatchReportsContract:
+    """Properties of ``batch_reports`` on rows with nonnegative coherence
+    magnitudes, drawn from the interior, the validation slacks and the
+    Bell neighbourhoods."""
+
+    # Sampled rows that fill a chunk up to the drawn ones, and their
+    # reports as one batch.
+    FILL, _ = sample_x_arrays(SamplerConfig(seed=37, count=_kernels.CHUNK_ROWS))
+    FILL_REPORTS = _kernels.batch_reports(FILL)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(rows=st.lists(REPORT_ROWS, min_size=1, max_size=6),
+           edge=st.integers(min_value=1, max_value=5), data=st.data())
+    def test_rows_alone_permuted_and_across_a_chunk_edge(self, rows, edge,
+                                                         data):
+        arr = np.array(rows)
+        rep = _kernels.batch_reports(arr)
+        bits = rep.view(np.uint64)
+        for i in range(len(rows)):
+            alone = _kernels.batch_reports(arr[i:i + 1])
+            assert np.array_equal(alone.view(np.uint64), bits[i:i + 1])
+        order = np.array(data.draw(st.permutations(range(len(rows)))))
+        permuted = _kernels.batch_reports(arr[order]).view(np.uint64)
+        assert np.array_equal(permuted, bits[order])
+        # The drawn rows from the edge-th last row of the first chunk on.
+        fill = _kernels.CHUNK_ROWS - edge
+        straddle = _kernels.batch_reports(np.concatenate(
+            [self.FILL[:fill], arr, self.FILL[fill:]])).view(np.uint64)
+        assert np.array_equal(straddle[fill:fill + len(rows)], bits)
+        assert np.array_equal(
+            np.delete(straddle, np.s_[fill:fill + len(rows)], axis=0),
+            self.FILL_REPORTS.view(np.uint64))
+
+        k1, k2, k3 = (rep[:, c] for c in (_kernels.COL_K1, _kernels.COL_K2,
+                                          _kernels.COL_K3))
+        assert np.all(k1 >= k2)
+        assert np.all(rep[:, [_kernels.COL_TG, _kernels.COL_DG,
+                              _kernels.COL_CG, _kernels.COL_LG]] >= 0.0)
+        case = rep[:, _kernels.COL_CASE]
+        solved = case != 0.0
+        assert np.array_equal((case == 1.0)[solved], (k1 <= k3)[solved])
 
 
 def pt_one_time(t, gamma0, lam):

@@ -337,7 +337,7 @@ class TestDegenerateFamilies:
 
     def test_k1_equal_to_k3(self):
         params = _k1_equal_to_k3_states(self.COUNT, seed=151)
-        k1, _, k3, _ = _kernels.k_eigenvalues(params)
+        k1, _, k3, _ = _kernels.k_eigenvalues(*params[:, :6].T)
         assert np.array_equal(k1, k3)
         self.assert_oracles_agree(params)
 
